@@ -77,9 +77,12 @@ def circular_acf(record: TimeSeries, max_lag: int | None = None) -> AcfSeries:
     """Mean-centered circular serial correlation, normalized at lag 0.
 
     values[tau] = sum_i y_i * y_{(i+tau) mod N} / sum_i y_i^2 with
-    y = x - mean(x).  The full-lag version (max_lag = N-1, the default)
-    satisfies values[tau] == values[N - tau]: the fold-over symmetry that
-    makes lags beyond N/2 redundant.
+    y = x - mean(x).  By the Wiener-Khinchin theorem the circular sums
+    for all lags are the inverse DFT of the power spectrum |DFT(y)|^2, so
+    they cost one FFT pair, O(N log N), and are divided by their lag-0
+    term.  The full-lag version (max_lag = N-1, the default) satisfies
+    values[tau] == values[N - tau]: the fold-over symmetry that makes
+    lags beyond N/2 redundant.
     """
     x = record.samples
     n = x.size
@@ -88,13 +91,10 @@ def circular_acf(record: TimeSeries, max_lag: int | None = None) -> AcfSeries:
     if not 1 <= max_lag <= n - 1:
         raise ValueError(f"max_lag must be in [1, {n - 1}]")
     y = x - x.mean()
-    denom = float(y @ y)
-    if denom == 0.0:
+    if float(y @ y) == 0.0:
         raise ValueError("constant record has zero variance")
-    values = np.empty(max_lag + 1)
-    for tau in range(max_lag + 1):
-        values[tau] = float(y @ np.roll(y, -tau)) / denom
-    return AcfSeries(DISCRETE_CIRCULAR, values)
+    sums = np.fft.irfft(np.abs(np.fft.rfft(y)) ** 2, n)
+    return AcfSeries(DISCRETE_CIRCULAR, sums[:max_lag + 1] / sums[0])
 
 
 def sine_product_integral(p: IntegralParams) -> float:

@@ -19,7 +19,7 @@ from . import io
 from .acf import circular_acf
 from .estimate import FULL_RECORD, ONE_PERIOD, PipelineConfig, estimate_parameters
 from .model import NoiseSpec, SinusoidParams, TimeSeries, synthesize
-from .screening import VERDICT_NOISE, acf_bounds, screen
+from .screening import VERDICT_NOISE, screen
 from .spectrum import dft_magnitude
 
 ENV_OUT_DIR = "SINEFIT_OUT_DIR"
@@ -85,7 +85,7 @@ def screen_cmd(input_csv, far, out, acf_out):
     record = _load(input_csv)
     try:
         decision = screen(record, far)
-        bound = acf_bounds(len(record), far)
+        bound = decision.acf_bound
         acf = circular_acf(record, max_lag=len(record) // 2)
         json_path = _out_path(out, "screening.json")
         io.write_json(json_path, io.decision_to_dict(decision))

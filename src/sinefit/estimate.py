@@ -20,7 +20,7 @@ import numpy as np
 from .acf import (AcfSeries, DegenerateParametersError, circular_acf,
                   frequency_from_acf, model_acf_full)
 from .model import SinusoidParams, TimeSeries, TWO_PI, wrap_phase
-from .screening import ScreeningDecision, VERDICT_NOISE, screen
+from .screening import ScreeningDecision, VERDICT_NOISE, check_finite, screen
 from .smoothing import SmoothedSeries, amplitude_estimate, moving_average
 from .spectrum import Spectrum, dft_magnitude, fundamental_frequency
 
@@ -174,22 +174,27 @@ def _zero_crossings(series: TimeSeries) -> list[tuple[float, int]]:
     h = _HYSTERESIS_FRACTION * (s.max() - s.min()) / 2.0
     if h == 0:
         raise ValueError("constant record has no zero crossings")
-    raw: list[tuple[float, int]] = []
-    for i in range(s.size - 1):
-        a, b = s[i], s[i + 1]
-        if a <= 0.0 < b:
-            raw.append((t[i] + series.dt * (0.0 - a) / (b - a), 1))
-        elif a >= 0.0 > b:
-            raw.append((t[i] + series.dt * (0.0 - a) / (b - a), -1))
+    a, b = s[:-1], s[1:]
+    i = np.flatnonzero(((a <= 0.0) & (b > 0.0)) | ((a >= 0.0) & (b < 0.0)))
+    raw = t[i] + series.dt * (0.0 - a[i]) / (b[i] - a[i])  # sorted, for searchsorted
     states = np.where(s > h, 1, np.where(s < -h, -1, 0))
     confirmed = np.flatnonzero(states != 0)
-    crossings: list[tuple[float, int]] = []
-    for ia, ib in zip(confirmed[:-1], confirmed[1:]):
-        if states[ia] == states[ib]:
-            continue
-        cluster = [rt for rt, _ in raw if t[ia] <= rt <= t[ib]]
-        crossings.append((float(cluster[len(cluster) // 2]), int(states[ib])))
-    return crossings
+    flips = np.flatnonzero(np.diff(states[confirmed]) != 0)
+    ia, ib = confirmed[flips], confirmed[flips + 1]
+    lo = np.searchsorted(raw, t[ia], side="left")
+    hi = np.searchsorted(raw, t[ib], side="right")
+    return list(zip(raw[(lo + hi) // 2].tolist(), states[ib].tolist()))
+
+
+def _second_crossover(crossings: list[tuple[float, int]], group_delay: float) -> float:
+    """``detect_t2pi`` on crossings already found in the smoothed series."""
+    crossings = [c for c in crossings if c[0] >= 0.0]
+    if len(crossings) < 2:
+        raise ValueError("fewer than two zero crossovers in the record")
+    for time, direction in crossings[1:]:
+        if direction > 0:
+            return float(time - group_delay)
+    raise ValueError("no upward crossover after the first crossover")
 
 
 def detect_t2pi(smoothed: SmoothedSeries) -> float:
@@ -200,13 +205,7 @@ def detect_t2pi(smoothed: SmoothedSeries) -> float:
     crossover" of the record -- then subtracts the MA group delay
     (k-1)/2*dt so the answer refers to the unsmoothed signal.
     """
-    crossings = [c for c in _zero_crossings(smoothed.series) if c[0] >= 0.0]
-    if len(crossings) < 2:
-        raise ValueError("fewer than two zero crossovers in the record")
-    for time, direction in crossings[1:]:
-        if direction > 0:
-            return float(time - smoothed.group_delay)
-    raise ValueError("no upward crossover after the first crossover")
+    return _second_crossover(_zero_crossings(smoothed.series), smoothed.group_delay)
 
 
 def _period_from_crossings(crossings: list[tuple[float, int]]) -> float | None:
@@ -255,9 +254,7 @@ def _choose_frequency(candidates: dict[str, float]) -> tuple[float, str]:
 class PipelineConfig:
     """Free parameters of the estimation pipeline.
 
-    ``seed`` only matters for data generation and is carried here so one
-    object can describe a whole generate-and-estimate run.  With
-    ``skip_screen`` the pipeline estimates even when the screen says
+    With ``skip_screen`` the pipeline estimates even when the screen says
     noise (the decision is still reported when computable).
     """
 
@@ -266,7 +263,6 @@ class PipelineConfig:
     objective_range: str = ONE_PERIOD
     warm_start: bool = False
     max_lag: int | None = None
-    seed: int = 0
     skip_screen: bool = False
 
     def __post_init__(self):
@@ -325,6 +321,7 @@ def estimate_parameters(record: TimeSeries,
     recorded as a cross-check; finally the full-model ACF of the fitted
     sinusoid is attached to the report.
     """
+    check_finite(record)
     decision: ScreeningDecision | None
     if config.skip_screen:
         try:
@@ -380,7 +377,7 @@ def estimate_parameters(record: TimeSeries,
     phase_checks: dict[str, float] = {}
     t_2pi: float | None = None
     try:
-        t_2pi = detect_t2pi(smoothed)
+        t_2pi = _second_crossover(crossings, smoothed.group_delay)
         _, crossover_rad = phase_from_crossover(period, t_2pi)
         phase_checks["crossover"] = wrap_phase(crossover_rad)
     except ValueError:

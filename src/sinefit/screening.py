@@ -41,13 +41,25 @@ class ScreeningDecision:
     gate_failed: str  # "none", "gate1", or "gate2"
 
 
-def _check_far(far: float) -> None:
+def _gate1_threshold(n: int, far: float) -> float:
+    """Runs-test threshold z_{1-far/2}; divided by sqrt(n) it is the ACF bound."""
     if not 0.0 < far < 0.5:
         raise ValueError("false-alarm rate must lie in (0, 0.5)")
+    if n < MIN_SAMPLES:
+        raise ValueError(f"screening needs at least {MIN_SAMPLES} samples")
+    return normal_quantile(1.0 - far / 2.0)
 
 
-def _runs_statistics(x: np.ndarray) -> tuple[float, int, int, int]:
+def check_finite(record: TimeSeries) -> None:
+    """Reject records with NaN or infinite samples, which no gate can judge."""
+    if not np.all(np.isfinite(record.samples)):
+        raise ValueError("record has non-finite (NaN or inf) samples")
+
+
+def _runs_statistics(record: TimeSeries) -> tuple[float, int, int, int]:
     """z-score, runs count, and above/below counts for a median split."""
+    check_finite(record)
+    x = record.samples
     median = float(np.median(x))
     above = x > median
     below = x < median
@@ -72,20 +84,14 @@ def runs_test(record: TimeSeries, far: float) -> tuple[float, bool]:
     run count compared with the normal approximation, which is why at
     least 20 samples are required.
     """
-    _check_far(far)
-    if len(record) < MIN_SAMPLES:
-        raise ValueError(f"runs test needs at least {MIN_SAMPLES} samples")
-    z, _, _, _ = _runs_statistics(record.samples)
-    threshold = normal_quantile(1.0 - far / 2.0)
+    threshold = _gate1_threshold(len(record), far)
+    z, _, _, _ = _runs_statistics(record)
     return z, abs(z) < threshold
 
 
 def acf_bounds(n: int, far: float) -> float:
     """Symmetric significance bound z_{1-far/2}/sqrt(n) for ACF lag values."""
-    _check_far(far)
-    if n < MIN_SAMPLES:
-        raise ValueError(f"bounds need at least {MIN_SAMPLES} samples")
-    return normal_quantile(1.0 - far / 2.0) / math.sqrt(n)
+    return _gate1_threshold(n, far) / math.sqrt(n)
 
 
 def required_exceedances(n_lags: int) -> int:
@@ -110,12 +116,9 @@ def screen(record: TimeSeries, far: float = 0.01) -> ScreeningDecision:
     Gate-1 failure (the runs test calls the record random) stops
     processing: the ACF is never computed and ``acf_exceedances`` stays 0.
     """
-    _check_far(far)
     n = len(record)
-    if n < MIN_SAMPLES:
-        raise ValueError(f"screening needs at least {MIN_SAMPLES} samples")
-    z, runs, n1, n2 = _runs_statistics(record.samples)
-    threshold = normal_quantile(1.0 - far / 2.0)
+    threshold = _gate1_threshold(n, far)
+    z, runs, n1, n2 = _runs_statistics(record)
     bound = threshold / math.sqrt(n)
 
     if abs(z) < threshold:

@@ -23,7 +23,28 @@ def quad_sine_product(a, b, d, u, v):
     return value
 
 
+def shifted_dot_product_acf(x, max_lag):
+    """The circular ACF by its definition: one shifted dot product per lag."""
+    y = x - x.mean()
+    denom = float(y @ y)
+    return np.array([float(y @ np.roll(y, -tau)) / denom
+                     for tau in range(max_lag + 1)])
+
+
 class TestCircularAcf:
+    def test_matches_shifted_dot_products(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(25):
+            n = int(rng.integers(20, 301))
+            x = rng.normal(size=n) * rng.uniform(0.1, 10.0) + rng.uniform(-5, 5)
+            record = sf.TimeSeries(0.0, 1.0, x)
+            reference = shifted_dot_product_acf(x, n - 1)
+            for max_lag in range(1, n):
+                v = sf.circular_acf(record, max_lag=max_lag).values
+                assert v.size == max_lag + 1
+                assert v[0] == 1.0
+                assert np.max(np.abs(v - reference[:max_lag + 1])) <= 1e-12
+
     def test_lag_zero_is_one(self, noisy_series):
         acf = sf.circular_acf(noisy_series(0), max_lag=10)
         assert acf.values[0] == pytest.approx(1.0, abs=1e-12)

@@ -153,6 +153,18 @@ class TestEstimate:
         assert result.returncode == 1
         assert "line 4" in result.stderr
 
+    def test_non_finite_sample_is_rejected(self, tmp_path):
+        run_cli(GENERATE_DEMO + ["-o", str(tmp_path / "noisy.csv")], tmp_path,
+                check=0)
+        rows = (tmp_path / "noisy.csv").read_text().splitlines()
+        rows[10] = rows[10].split(",")[0] + ",nan"
+        (tmp_path / "nan.csv").write_text("\n".join(rows) + "\n")
+        result = run_cli(["estimate", str(tmp_path / "nan.csv"),
+                          "-o", str(tmp_path / "report.json")], tmp_path)
+        assert result.returncode == 1
+        assert "non-finite" in result.stderr
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestAcfCommand:
     def test_full_lag_fold_over(self, tmp_path):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import sinefit as sf
-from sinefit.estimate import _choose_frequency, COARSE_STEP
+from sinefit import estimate
+from sinefit.estimate import _choose_frequency, _zero_crossings, COARSE_STEP
 from conftest import AMPLITUDE, FREQUENCY, PHASE, PHASE_EXACT
 
 TWO_PI = 2.0 * math.pi
@@ -195,6 +196,65 @@ class TestClosedFormPhases:
                     assert abs(a - b) < 0.01, estimates
 
 
+def reference_zero_crossings(series):
+    """The crossing scan written as one loop per sample and per transition."""
+    s = series.samples
+    t = series.times()
+    h = 0.2 * (s.max() - s.min()) / 2.0
+    raw = []
+    for i in range(s.size - 1):
+        a, b = s[i], s[i + 1]
+        if a <= 0.0 < b:
+            raw.append((t[i] + series.dt * (0.0 - a) / (b - a), 1))
+        elif a >= 0.0 > b:
+            raw.append((t[i] + series.dt * (0.0 - a) / (b - a), -1))
+    states = np.where(s > h, 1, np.where(s < -h, -1, 0))
+    confirmed = np.flatnonzero(states != 0)
+    crossings = []
+    for ia, ib in zip(confirmed[:-1], confirmed[1:]):
+        if states[ia] == states[ib]:
+            continue
+        cluster = [rt for rt, _ in raw if t[ia] <= rt <= t[ib]]
+        crossings.append((float(cluster[len(cluster) // 2]), int(states[ib])))
+    return crossings
+
+
+class TestZeroCrossings:
+    def test_matches_the_loop_on_noisy_tones(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            params = sf.SinusoidParams(rng.uniform(0.5, 3.0), rng.uniform(0.01, 0.3),
+                                       rng.uniform(-math.pi, math.pi))
+            noise = sf.NoiseSpec(rng.uniform(0.0, 2.0), int(rng.integers(1 << 30)))
+            record = sf.synthesize(params, noise, int(rng.integers(20, 400)),
+                                   dt=rng.uniform(0.1, 2.0), start=rng.uniform(-5, 5))
+            series = sf.moving_average(record, int(rng.integers(1, 8))).series
+            assert _zero_crossings(series) == reference_zero_crossings(series)
+
+    def test_matches_the_loop_with_exact_zeros_and_plateaus(self):
+        rng = np.random.default_rng(6)
+        for _ in range(300):
+            levels = rng.integers(-3, 4, size=int(rng.integers(5, 60)))
+            x = np.repeat(levels, rng.integers(1, 5, size=levels.size)).astype(float)
+            if np.ptp(x) == 0:
+                continue
+            series = sf.TimeSeries(float(rng.integers(-3, 3)), 1.0, x)
+            assert _zero_crossings(series) == reference_zero_crossings(series)
+
+    def test_estimate_parameters_scans_once(self, noisy_series, monkeypatch):
+        calls = []
+
+        def counting(series):
+            calls.append(series)
+            return _zero_crossings(series)
+
+        monkeypatch.setattr(estimate, "_zero_crossings", counting)
+        report = sf.estimate_parameters(noisy_series(3))
+        assert len(calls) == 1
+        assert report.t_2pi is not None
+        assert "ma_period" in report.frequency_cross_checks_hz
+
+
 class TestDetectT2pi:
     def test_noise_free_demo(self, demo_params):
         smoothed = sf.moving_average(clean_record(demo_params), 1)
@@ -301,6 +361,15 @@ class TestPipeline:
         assert "acf_period" in report.frequency_cross_checks_hz
         assert report.frequency_cross_checks_hz["ma_period"] == pytest.approx(
             0.05, rel=0.2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("skip_screen", [False, True])
+    def test_rejects_non_finite_samples(self, noisy_series, bad, skip_screen):
+        x = np.array(noisy_series(0).samples)
+        x[50] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            sf.estimate_parameters(sf.TimeSeries(0.0, 1.0, x),
+                                   sf.PipelineConfig(skip_screen=skip_screen))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -49,6 +49,13 @@ class TestRunsTest:
         with pytest.raises(ValueError):
             sf.runs_test(series(np.arange(30.0)), far=far)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_samples(self, bad):
+        x = np.sin(np.arange(100.0))
+        x[7] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            sf.runs_test(series(x), far=0.01)
+
 
 class TestAcfBounds:
     def test_two_sigma_point(self):
@@ -142,3 +149,10 @@ class TestScreen:
     def test_rejects_short_records(self):
         with pytest.raises(ValueError):
             sf.screen(series(np.arange(10.0)), far=0.01)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_samples(self, noisy_series, bad):
+        x = np.array(noisy_series(0).samples)
+        x[50] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            sf.screen(series(x), far=0.01)
