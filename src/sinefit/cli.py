@@ -34,9 +34,7 @@ def _out_path(explicit: str | None, default_name: str) -> str:
 def _load(path: str) -> TimeSeries:
     try:
         return io.read_timeseries_csv(path)
-    except OSError as exc:
-        raise click.ClickException(str(exc))
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise click.ClickException(str(exc))
 
 

@@ -69,20 +69,34 @@ def _objective_points(obj: PhaseObjective) -> tuple[np.ndarray, np.ndarray]:
     return t, x
 
 
-def _objective_curve(obj: PhaseObjective, phis: np.ndarray) -> np.ndarray:
+def _objective_polynomial(obj: PhaseObjective):
+    """The objective as a trig polynomial in phi: O(N) sums once, O(1) per phi.
+
+    Sum (x - A*sin(wt + phi))^2 = Sxx - 2A(cos(phi)*Sxs + sin(phi)*Sxc) + A^2*(m/2
+    - (cos(2phi)*Sc2 - sin(2phi)*Ss2)/2), from the sine-fit sums of IEEE Std 1057.
+    """
     t, x = _objective_points(obj)
-    w = TWO_PI * obj.fixed_frequency_hz
-    model = obj.fixed_amplitude * np.sin(w * t[None, :] + phis[:, None])
-    return np.sum((x[None, :] - model) ** 2, axis=1)
+    a, wt = obj.fixed_amplitude, TWO_PI * obj.fixed_frequency_hz * t
+    sxx, sxs, sxc = x @ x, x @ np.sin(wt), x @ np.cos(wt)
+    sc2, ss2 = np.sum(np.cos(2.0 * wt)), np.sum(np.sin(2.0 * wt))
+
+    def curve(phis: np.ndarray) -> np.ndarray:
+        linear = np.cos(phis) * sxs + np.sin(phis) * sxc
+        square = t.size / 2.0 - (np.cos(2.0 * phis) * sc2 - np.sin(2.0 * phis) * ss2) / 2.0
+        return sxx - 2.0 * a * linear + a ** 2 * square
+
+    return curve
 
 
 def phase_objective_value(obj: PhaseObjective, phi: float) -> float:
-    """Sum over sample times of [X(t) - A*sin(w*t + phi)]^2.
+    """Sum over sample times of [X(t) - A*sin(w*t + phi)]^2, one O(N) pass.
 
     In one_period mode the sum runs over the record's samples with
     0 <= t <= 1/f; in full_record mode over every sample.
     """
-    return float(_objective_curve(obj, np.asarray([phi]))[0])
+    t, x = _objective_points(obj)
+    w = TWO_PI * obj.fixed_frequency_hz
+    return float(np.sum((x - obj.fixed_amplitude * np.sin(w * t + phi)) ** 2))
 
 
 def phase_grid_search(obj: PhaseObjective, *, coarse_center: float | None = None,
@@ -92,21 +106,21 @@ def phase_grid_search(obj: PhaseObjective, *, coarse_center: float | None = None
     The coarse pass steps phi from -pi to pi in hundredths (or, when a
     warm-start center is given, across center +- half width); the refine
     pass steps in thousandths across the winning coarse cell.  Ties break
-    toward the smaller phi.  Returns (phi, objective value).
+    toward the smaller phi.  Points are ranked by the objective's trig
+    polynomial, O(N + G) for G points.  Returns (phi, phase_objective_value).
     """
+    curve = _objective_polynomial(obj)
     if coarse_center is None:
         coarse = np.arange(-math.pi, math.pi, COARSE_STEP)
     else:
         coarse = np.arange(coarse_center - coarse_half_width,
                            coarse_center + coarse_half_width + COARSE_STEP / 2,
                            COARSE_STEP)
-    coarse_values = _objective_curve(obj, coarse)
-    phi0 = float(coarse[np.argmin(coarse_values)])
+    phi0 = float(coarse[np.argmin(curve(coarse))])
     refine = np.arange(phi0 - COARSE_STEP, phi0 + COARSE_STEP + REFINE_STEP / 2,
                        REFINE_STEP)
-    refine_values = _objective_curve(obj, refine)
-    best = int(np.argmin(refine_values))
-    return float(refine[best]), float(refine_values[best])
+    phi = float(refine[np.argmin(curve(refine))])
+    return phi, phase_objective_value(obj, phi)
 
 
 def phase_from_crossover(period: float, t_2pi: float) -> tuple[float, float]:
@@ -219,12 +233,14 @@ def _period_from_crossings(crossings: list[tuple[float, int]]) -> float | None:
     return float(np.mean(spacings))
 
 
-def _acf_period_lag(acf: AcfSeries) -> int | None:
+def _acf_period_lag(acf: AcfSeries, n: int) -> int | None:
     """Lag of the one-period mark: the first major ACF peak after lag 0.
 
     A periodic ACF first goes negative about a quarter period in and
     peaks again near one full period, so the peak search starts at the
-    first negative lag and stops well before the second repeat.
+    first negative lag and stops well before the second repeat.  A window
+    edge is no peak: the first lag while the ACF still falls, or the last
+    lag when ``max_lag`` stops short of N/2 for an ``n``-sample record.
     """
     v = acf.values
     negatives = np.flatnonzero(v[1:] < 0)
@@ -235,7 +251,10 @@ def _acf_period_lag(acf: AcfSeries) -> int | None:
     hi = min(v.size, 5 * first_negative + 1)
     if lo >= hi:
         return None
-    return lo + int(np.argmax(v[lo:hi]))
+    lag = lo + int(np.argmax(v[lo:hi]))
+    falling_start = lag == lo and v[lag - 1] > v[lag]
+    short_end = lag == acf.max_lag and acf.max_lag < n // 2
+    return None if falling_start or short_end else lag
 
 
 # Order in which frequency reads are trusted when earlier ones are missing.
@@ -352,7 +371,7 @@ def estimate_parameters(record: TimeSeries,
     f_probe = frequency_from_acf(acf.values[probe], probe) / dt
     if f_probe > 0:
         candidates["acf_arccos"] = f_probe
-    period_lag = _acf_period_lag(acf)
+    period_lag = _acf_period_lag(acf, n)
     if period_lag is not None:
         candidates["acf_period"] = 1.0 / (period_lag * dt)
     try:

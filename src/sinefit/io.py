@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import tempfile
 from typing import Iterable, Sequence
@@ -57,7 +58,7 @@ def write_timeseries_csv(path: str, series: TimeSeries) -> None:
 
 
 def read_timeseries_csv(path: str) -> TimeSeries:
-    """Parse a `t,value` CSV into a record, insisting on uniform spacing."""
+    """Parse a `t,value` CSV into a record of finite, uniformly spaced samples."""
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -78,6 +79,8 @@ def read_timeseries_csv(path: str) -> TimeSeries:
                 values.append(float(row[1]))
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: could not parse numbers") from None
+            if not (math.isfinite(times[-1]) and math.isfinite(values[-1])):
+                raise ValueError(f"{path}: line {lineno}: non-finite value")
     if len(values) < 2:
         raise ValueError(f"{path}: need at least two data rows")
     dt = times[1] - times[0]

@@ -201,6 +201,28 @@ class TestSpectrumCommand:
         assert peak[0] == pytest.approx(0.053, abs=0.002)
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("command, token", [
+        ("acf", "nan"), ("spectrum", "nan"), ("acf", "inf"), ("spectrum", "-inf")])
+    def test_acf_and_spectrum_exit_one(self, tmp_path, command, token):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"t,value\n0.0,1.0\n1.0,{token}\n2.0,-1.0\n3.0,0.5\n")
+        result = run_cli([command, str(bad), "-o", str(tmp_path / "out.csv")],
+                         tmp_path)
+        assert result.returncode == 1
+        assert "non-finite" in result.stderr
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("row", ["1.0,nan", "1.0,inf", "1.0,-inf", "nan,2.0",
+                                     "inf,2.0"])
+    def test_reader_names_the_line(self, tmp_path, row):
+        from sinefit import io
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"t,value\n0.0,1.0\n{row}\n2.0,3.0\n")
+        with pytest.raises(ValueError, match="line 3: non-finite value"):
+            io.read_timeseries_csv(str(bad))
+
+
 class TestScreenCommand:
     def test_bounds_change_with_far_but_data_does_not(self, tmp_path):
         run_cli(GENERATE_DEMO + ["-o", str(tmp_path / "noisy.csv")], tmp_path,

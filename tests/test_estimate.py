@@ -1,12 +1,15 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import sinefit as sf
 from sinefit import estimate
-from sinefit.estimate import _choose_frequency, _zero_crossings, COARSE_STEP
-from conftest import AMPLITUDE, FREQUENCY, PHASE, PHASE_EXACT
+from sinefit.estimate import (_choose_frequency, _zero_crossings, COARSE_STEP,
+                              REFINE_STEP)
+from conftest import AMPLITUDE, FREQUENCY, PHASE, PHASE_EXACT, SIGMA
 
 TWO_PI = 2.0 * math.pi
 
@@ -92,6 +95,94 @@ class TestPhaseGridSearch:
         assert len(errors) == 100
         assert np.mean(errors <= 0.15) >= 0.90
         assert errors.mean() <= 0.08
+
+
+def reference_objective_curve(obj, phis):
+    """The objective as a G x N broadcast of the model over every grid phase.
+
+    Rows are independent, so they are summed in blocks of 64 phases to
+    bound the memory of the G x N temporary.
+    """
+    t, x = estimate._objective_points(obj)
+    w = TWO_PI * obj.fixed_frequency_hz
+    rows = []
+    for start in range(0, phis.size, 64):
+        block = phis[start:start + 64]
+        model = obj.fixed_amplitude * np.sin(w * t[None, :] + block[:, None])
+        rows.append(np.sum((x[None, :] - model) ** 2, axis=1))
+    return np.concatenate(rows)
+
+
+def reference_grid_search(obj, coarse_center=None):
+    """The two-stage grid search ranked by the brute-force objective."""
+    if coarse_center is None:
+        coarse = np.arange(-math.pi, math.pi, COARSE_STEP)
+    else:
+        coarse = np.arange(coarse_center - 0.5, coarse_center + 0.5 + COARSE_STEP / 2,
+                           COARSE_STEP)
+    phi0 = float(coarse[np.argmin(reference_objective_curve(obj, coarse))])
+    refine = np.arange(phi0 - COARSE_STEP, phi0 + COARSE_STEP + REFINE_STEP / 2,
+                       REFINE_STEP)
+    values = reference_objective_curve(obj, refine)
+    best = int(np.argmin(values))
+    return float(refine[best]), float(values[best])
+
+
+# Noise is required: on a noise-free record whose model frequency is off
+# the data's (f = 0.05 data against a 0.0505 model spans exactly 500
+# against 505 cycles at N = 10^4) the objective is flat in phi to about
+# 4e-14 relative, and the argmin is rounding noise in either form.
+def noisy_objectives(n, t_range, perturbations):
+    for f, sigma, seed in itertools.product((0.05, 0.0537, 0.123), (0.5, 2.0), (0, 1)):
+        record = sf.synthesize(sf.SinusoidParams(AMPLITUDE, f, PHASE),
+                               sf.NoiseSpec(sigma, seed), n)
+        for a_scale, f_scale in perturbations:
+            yield sf.PhaseObjective(record, AMPLITUDE * a_scale, f * f_scale, t_range)
+
+
+ALL_PERTURBATIONS = list(itertools.product((1.0, 1.05, 0.95), (1.0, 1.01, 0.99)))
+
+
+class TestObjectivePolynomial:
+    @pytest.mark.parametrize("n", [100, 1000, 10_000])
+    @pytest.mark.parametrize("t_range", ["one_period", "full_record"])
+    def test_matches_the_brute_force_curve(self, n, t_range):
+        coarse = np.arange(-math.pi, math.pi, COARSE_STEP)
+        for obj in noisy_objectives(n, t_range, [(1.05, 0.99)]):
+            curve = estimate._objective_polynomial(obj)
+            reference = reference_objective_curve(obj, coarse)
+            np.testing.assert_allclose(curve(coarse), reference, rtol=1e-11, atol=0)
+            phi0 = coarse[np.argmin(reference)]
+            refine = np.arange(phi0 - COARSE_STEP, phi0 + COARSE_STEP + REFINE_STEP / 2,
+                               REFINE_STEP)
+            np.testing.assert_allclose(curve(refine), reference_objective_curve(obj, refine),
+                                       rtol=1e-11, atol=0)
+
+    @pytest.mark.parametrize("n", [100, 1000, 10_000])
+    @pytest.mark.parametrize("t_range", ["one_period", "full_record"])
+    @pytest.mark.parametrize("center", [None, 0.63])
+    def test_search_matches_the_brute_force_search(self, n, t_range, center):
+        # the brute-force reference is slow at N = 10^4, so there it runs
+        # only unperturbed, with A and f both up and with both down
+        perturbations = ALL_PERTURBATIONS if n < 10_000 else [
+            (1.0, 1.0), (1.05, 1.01), (0.95, 0.99)]
+        for obj in noisy_objectives(n, t_range, perturbations):
+            result = sf.phase_grid_search(obj, coarse_center=center)
+            assert result == reference_grid_search(obj, coarse_center=center)
+            assert sf.phase_objective_value(obj, result[0]) == result[1]
+
+    def test_search_memory_is_linear_in_n(self):
+        n = 100_000
+        record = sf.synthesize(sf.SinusoidParams(AMPLITUDE, FREQUENCY, PHASE),
+                               sf.NoiseSpec(SIGMA, 0), n)
+        obj = sf.PhaseObjective(record, AMPLITUDE, FREQUENCY, "full_record")
+        tracemalloc.start()
+        try:
+            sf.phase_grid_search(obj)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 8 * n
 
 
 class TestClosedFormPhases:
@@ -282,6 +373,28 @@ class TestDetectT2pi:
         short = sf.TimeSeries(0.0, 1.0, sf.evaluate(demo_params, np.arange(5.0)))
         with pytest.raises(ValueError):
             sf.detect_t2pi(sf.moving_average(short, 1))
+
+
+class TestAcfPeriod:
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_window_edges_are_not_the_period(self, demo_params, n):
+        # a period is 20 lags: a window ending at or before lag 20 cannot
+        # tell the peak from its own edge, and no edge may pass for the mark
+        record = clean_record(demo_params, n=n)
+        for max_lag in range(2, 40):
+            report = sf.estimate_parameters(record, sf.PipelineConfig(max_lag=max_lag))
+            acf_period = report.frequency_cross_checks_hz.get("acf_period")
+            if max_lag <= 20:
+                assert acf_period is None, max_lag
+            else:
+                assert acf_period == 0.05, max_lag
+
+    def test_peak_at_the_fold_is_kept(self):
+        # f = 0.02 at N = 100: the one-period peak is lag 50 = N/2, the
+        # last lag computed under the default max_lag
+        record = clean_record(sf.SinusoidParams(AMPLITUDE, 0.02, PHASE))
+        report = sf.estimate_parameters(record)
+        assert report.frequency_cross_checks_hz["acf_period"] == pytest.approx(0.02)
 
 
 class TestFrequencySelection:
