@@ -48,7 +48,7 @@ def main():
         if abs(report.params.frequency_hz - args.frequency) < 1e-12:
             f_exact += 1
         amplitudes.append(report.params.amplitude)
-        phase_errors.append(report.params.phase_rad - params.phase_rad)
+        phase_errors.append(sf.wrap_phase(report.params.phase_rad - params.phase_rad))
 
     estimated = args.trials - rejected
     amplitudes = np.array(amplitudes)

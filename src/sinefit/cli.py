@@ -19,7 +19,7 @@ from . import io
 from .acf import circular_acf
 from .estimate import FULL_RECORD, ONE_PERIOD, PipelineConfig, estimate_parameters
 from .model import NoiseSpec, SinusoidParams, TimeSeries, synthesize
-from .screening import VERDICT_NOISE, screen
+from .screening import VERDICT_NOISE, record_acf, screen
 from .spectrum import dft_magnitude
 
 ENV_OUT_DIR = "SINEFIT_OUT_DIR"
@@ -83,13 +83,10 @@ def screen_cmd(input_csv, far, out, acf_out):
     record = _load(input_csv)
     try:
         decision = screen(record, far)
-        bound = decision.acf_bound
-        acf = circular_acf(record, max_lag=len(record) // 2)
         json_path = _out_path(out, "screening.json")
         io.write_json(json_path, io.decision_to_dict(decision))
         csv_path = _out_path(acf_out, "screening_acf.csv")
-        io.write_csv(csv_path, ("lag", "value", "lower_bound", "upper_bound"),
-                     ((tau, v, -bound, bound) for tau, v in enumerate(acf.values)))
+        io.write_acf_csv(csv_path, record_acf(record, decision), decision.acf_bound)
     except (ValueError, OSError) as exc:
         raise click.ClickException(str(exc))
     click.echo(f"verdict: {decision.verdict} (gate_failed={decision.gate_failed})")

@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .acf import (AcfSeries, DegenerateParametersError, circular_acf,
-                  frequency_from_acf, model_acf_full)
+from .acf import AcfSeries, DegenerateParametersError, frequency_from_acf, model_acf_full
 from .model import SinusoidParams, TimeSeries, TWO_PI, wrap_phase
-from .screening import ScreeningDecision, VERDICT_NOISE, check_finite, screen
+from .screening import ScreeningDecision, VERDICT_NOISE, check_finite, record_acf, screen
 from .smoothing import SmoothedSeries, amplitude_estimate, moving_average
 from .spectrum import Spectrum, dft_magnitude, fundamental_frequency
 
@@ -366,7 +365,10 @@ def estimate_parameters(record: TimeSeries,
     except ValueError:
         pass
 
-    acf = circular_acf(record, max_lag=max_lag)
+    if not 1 <= max_lag <= n - 1:
+        raise ValueError(f"max_lag must be in [1, {n - 1}]")
+    full_acf = record_acf(record, decision)
+    acf = AcfSeries(full_acf.kind, full_acf.values[:max_lag + 1])
     probe = 2 if acf.max_lag >= 2 else 1
     f_probe = frequency_from_acf(acf.values[probe], probe) / dt
     if f_probe > 0:

@@ -15,10 +15,10 @@ import os
 import tempfile
 from typing import Iterable, Sequence
 
-from .acf import circular_acf, model_acf_reduced
+from .acf import AcfSeries, model_acf_reduced
 from .estimate import EstimationReport
 from .model import SinusoidParams, TimeSeries
-from .screening import ScreeningDecision
+from .screening import ScreeningDecision, record_acf
 
 # Relative tolerance on sample spacing when ingesting CSV records.
 _DT_RTOL = 1e-9
@@ -55,6 +55,14 @@ def write_json(path: str, payload: dict) -> None:
 
 def write_timeseries_csv(path: str, series: TimeSeries) -> None:
     write_csv(path, ("t", "value"), zip(series.times(), series.samples))
+
+
+def write_acf_csv(path: str, acf: AcfSeries, bound: float | None) -> None:
+    """Write lags 0..N/2 of a full-lag circular ACF with +-bound (nan when None)."""
+    lo, hi = (-bound, bound) if bound is not None else (math.nan, math.nan)
+    half = acf.values[:acf.values.size // 2 + 1]
+    write_csv(path, ("lag", "value", "lower_bound", "upper_bound"),
+              ((tau, v, lo, hi) for tau, v in enumerate(half)))
 
 
 def read_timeseries_csv(path: str) -> TimeSeries:
@@ -158,9 +166,10 @@ def write_plot_data(directory: str, record: TimeSeries, report: EstimationReport
                     bound: float | None) -> list[str]:
     """Emit the plot-ready CSV bundle for a record and its report.
 
-    Writes raw data, smoothed data, the circular ACF with significance
-    bounds, the model ACFs of the fitted sinusoid, and the magnitude
-    spectrum.  Returns the paths written.
+    Writes raw data, smoothed data, the circular ACF to lag N/2 with
+    significance bounds (the screening decision's, when it kept one), the
+    model ACFs of the fitted sinusoid, and the magnitude spectrum.
+    Returns the paths written.
     """
     os.makedirs(directory, exist_ok=True)
     written: list[str] = []
@@ -174,12 +183,8 @@ def write_plot_data(directory: str, record: TimeSeries, report: EstimationReport
         write_timeseries_csv(path, report.smoothed.series)
         written.append(path)
 
-    acf = circular_acf(record, max_lag=len(record) // 2)
-    lo = -bound if bound is not None else float("nan")
-    hi = bound if bound is not None else float("nan")
     path = os.path.join(directory, "acf.csv")
-    write_csv(path, ("lag", "value", "lower_bound", "upper_bound"),
-              ((tau, v, lo, hi) for tau, v in enumerate(acf.values)))
+    write_acf_csv(path, record_acf(record, report.screening), bound)
     written.append(path)
 
     if report.params is not None and report.model_acf is not None:

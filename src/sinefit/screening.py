@@ -2,21 +2,22 @@
 
 Gate 1 is a Wald-Wolfowitz runs test about the sample median: a record
 the runs test calls random is discarded as noise and never reaches the
-ACF.  Gate 2 computes the circular ACF to lag N/2 and demands enough
-lags outside the +-z/sqrt(N) significance bounds, with excursions on
-both sides of zero (a cosine-shaped ACF swings both ways; a one-sided
-pattern is a trend, not a periodicity).  The gate-2 rule is a documented
-stand-in and is meant to be replaceable.
+ACF.  Gate 2 computes the full-lag circular ACF once, judges lags 1..N/2
+and demands enough of them outside the +-z/sqrt(N) significance bounds,
+with excursions on both sides of zero (a cosine-shaped ACF swings both
+ways; a one-sided pattern is a trend, not a periodicity).  The decision
+keeps that ACF for the estimator and the ACF writers.  The gate-2 rule
+is a documented stand-in and is meant to be replaceable.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .acf import circular_acf
+from .acf import AcfSeries, circular_acf
 from .model import TimeSeries
 from .normal import normal_quantile
 
@@ -28,7 +29,7 @@ VERDICT_NOISE = "noise"
 
 @dataclass(frozen=True)
 class ScreeningDecision:
-    """Per-gate statistics and the final signal/noise verdict."""
+    """Per-gate statistics, the verdict, and the full-lag ACF gate 2 judged, if it ran."""
 
     runs_statistic: float
     runs_count: int
@@ -39,6 +40,7 @@ class ScreeningDecision:
     far: float
     verdict: str
     gate_failed: str  # "none", "gate1", or "gate2"
+    acf: AcfSeries | None = field(default=None, compare=False, repr=False)
 
 
 def _gate1_threshold(n: int, far: float) -> float:
@@ -114,7 +116,7 @@ def screen(record: TimeSeries, far: float = 0.01) -> ScreeningDecision:
     """Run both gates in order and report the verdict.
 
     Gate-1 failure (the runs test calls the record random) stops
-    processing: the ACF is never computed and ``acf_exceedances`` stays 0.
+    processing: no ACF is computed (``acf`` is None), ``acf_exceedances`` is 0.
     """
     n = len(record)
     threshold = _gate1_threshold(n, far)
@@ -125,10 +127,18 @@ def screen(record: TimeSeries, far: float = 0.01) -> ScreeningDecision:
         return ScreeningDecision(z, runs, n1, n2, 0, bound, far,
                                  VERDICT_NOISE, "gate1")
 
-    acf = circular_acf(record, max_lag=n // 2)
-    passed, count = _gate2_passes(acf.values[1:], bound)
+    acf = circular_acf(record)
+    passed, count = _gate2_passes(acf.values[1:n // 2 + 1], bound)
     if not passed:
         return ScreeningDecision(z, runs, n1, n2, count, bound, far,
-                                 VERDICT_NOISE, "gate2")
+                                 VERDICT_NOISE, "gate2", acf)
     return ScreeningDecision(z, runs, n1, n2, count, bound, far,
-                             VERDICT_SIGNAL, "none")
+                             VERDICT_SIGNAL, "none", acf)
+
+
+def record_acf(record: TimeSeries, decision: ScreeningDecision | None) -> AcfSeries:
+    """The full-lag circular ACF of ``record``: the one ``decision`` kept, or
+    a fresh one when the screen stopped before gate 2 (or never ran)."""
+    if decision is not None and decision.acf is not None:
+        return decision.acf
+    return circular_acf(record)
