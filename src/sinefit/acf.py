@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SinusoidParams, TimeSeries, TWO_PI
+from .model import NON_FINITE_SAMPLES, SinusoidParams, TimeSeries, TWO_PI
 
 
 class DegenerateParametersError(ValueError):
@@ -82,7 +82,8 @@ def circular_acf(record: TimeSeries, max_lag: int | None = None) -> AcfSeries:
     they cost one FFT pair, O(N log N), and are divided by their lag-0
     term.  The full-lag version (max_lag = N-1, the default) satisfies
     values[tau] == values[N - tau]: the fold-over symmetry that makes
-    lags beyond N/2 redundant.
+    lags beyond N/2 redundant.  A record with a NaN or infinite sample
+    makes the lag-0 sum non-finite and is rejected on that sum.
     """
     x = record.samples
     n = x.size
@@ -90,8 +91,12 @@ def circular_acf(record: TimeSeries, max_lag: int | None = None) -> AcfSeries:
         max_lag = n - 1
     if not 1 <= max_lag <= n - 1:
         raise ValueError(f"max_lag must be in [1, {n - 1}]")
-    y = x - x.mean()
-    if float(y @ y) == 0.0:
+    with np.errstate(invalid="ignore"):  # inf - inf in a non-finite record
+        y = x - x.mean()
+        power = float(y @ y)
+    if not math.isfinite(power):
+        raise ValueError(NON_FINITE_SAMPLES)
+    if power == 0.0:
         raise ValueError("constant record has zero variance")
     sums = np.fft.irfft(np.abs(np.fft.rfft(y)) ** 2, n)
     return AcfSeries(DISCRETE_CIRCULAR, sums[:max_lag + 1] / sums[0])

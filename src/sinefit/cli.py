@@ -107,7 +107,8 @@ def acf(input_csv, max_lag, out):
     try:
         series = circular_acf(record, max_lag=max_lag)
         path = _out_path(out, "acf.csv")
-        io.write_csv(path, ("lag", "value"), enumerate(series.values))
+        io.write_csv(path, ("lag", "value"),
+                     (np.arange(series.values.size), series.values))
     except (ValueError, OSError) as exc:
         raise click.ClickException(str(exc))
     click.echo(f"wrote {path}")
@@ -130,7 +131,7 @@ def spectrum(input_csv, pad, out):
         spec = dft_magnitude(record)
         path = _out_path(out, "spectrum.csv")
         io.write_csv(path, ("frequency_hz", "magnitude"),
-                     zip(spec.frequencies(), spec.magnitudes))
+                     (spec.frequencies(), spec.magnitudes))
     except (ValueError, OSError) as exc:
         raise click.ClickException(str(exc))
     click.echo(f"wrote {path}")

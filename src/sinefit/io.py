@@ -13,7 +13,9 @@ import json
 import math
 import os
 import tempfile
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .acf import AcfSeries, model_acf_reduced
 from .estimate import EstimationReport
@@ -38,14 +40,14 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def _format(value: float) -> str:
-    return repr(float(value))
+def write_csv(path: str, header: Sequence[str], columns: Sequence[Sequence[float]]) -> None:
+    """Write equal-length numeric columns, every value as ``repr(float(v))``.
 
-
-def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[float]]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_format(v) for v in row))
+    Each column is formatted in one pass and the rows are joined from the
+    formatted columns, with no per-value Python work beyond ``repr``.
+    """
+    cells = [map(repr, np.asarray(col, dtype=float).tolist()) for col in columns]
+    lines = [",".join(header), *map(",".join, zip(*cells))]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -54,7 +56,7 @@ def write_json(path: str, payload: dict) -> None:
 
 
 def write_timeseries_csv(path: str, series: TimeSeries) -> None:
-    write_csv(path, ("t", "value"), zip(series.times(), series.samples))
+    write_csv(path, ("t", "value"), (series.times(), series.samples))
 
 
 def write_acf_csv(path: str, acf: AcfSeries, bound: float | None) -> None:
@@ -62,7 +64,8 @@ def write_acf_csv(path: str, acf: AcfSeries, bound: float | None) -> None:
     lo, hi = (-bound, bound) if bound is not None else (math.nan, math.nan)
     half = acf.values[:acf.values.size // 2 + 1]
     write_csv(path, ("lag", "value", "lower_bound", "upper_bound"),
-              ((tau, v, lo, hi) for tau, v in enumerate(half)))
+              (np.arange(half.size), half, np.full(half.size, lo),
+               np.full(half.size, hi)))
 
 
 def read_timeseries_csv(path: str) -> TimeSeries:
@@ -194,13 +197,13 @@ def write_plot_data(directory: str, record: TimeSeries, report: EstimationReport
         reduced = model_acf_reduced(per_sample, report.model_acf.max_lag)
         path = os.path.join(directory, "model_acf.csv")
         write_csv(path, ("lag", "full_model", "reduced_model"),
-                  zip(range(report.model_acf.max_lag + 1),
-                      report.model_acf.values, reduced.values))
+                  (np.arange(report.model_acf.max_lag + 1),
+                   report.model_acf.values, reduced.values))
         written.append(path)
 
     if report.spectrum is not None:
         path = os.path.join(directory, "spectrum.csv")
         write_csv(path, ("frequency_hz", "magnitude"),
-                  zip(report.spectrum.frequencies(), report.spectrum.magnitudes))
+                  (report.spectrum.frequencies(), report.spectrum.magnitudes))
         written.append(path)
     return written

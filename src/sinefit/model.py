@@ -16,6 +16,8 @@ from .normal import normal_quantile
 
 TWO_PI = 2.0 * math.pi
 
+NON_FINITE_SAMPLES = "record has non-finite (NaN or inf) samples"
+
 
 def wrap_phase(phi: float) -> float:
     """Wrap an angle into the canonical interval [-pi, pi)."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .acf import AcfSeries, circular_acf
-from .model import TimeSeries
+from .model import NON_FINITE_SAMPLES, TimeSeries
 from .normal import normal_quantile
 
 MIN_SAMPLES = 20
@@ -55,14 +55,31 @@ def _gate1_threshold(n: int, far: float) -> float:
 def check_finite(record: TimeSeries) -> None:
     """Reject records with NaN or infinite samples, which no gate can judge."""
     if not np.all(np.isfinite(record.samples)):
-        raise ValueError("record has non-finite (NaN or inf) samples")
+        raise ValueError(NON_FINITE_SAMPLES)
+
+
+def _median(x: np.ndarray) -> float:
+    """Median of a finite 1-D array from one partial sort."""
+    n = x.size
+    part = np.partition(x, [(n - 1) // 2, n // 2])
+    if n % 2:
+        return float(part[n // 2])
+    return float((part[n // 2 - 1] + part[n // 2]) / 2.0)
 
 
 def _runs_statistics(record: TimeSeries) -> tuple[float, int, int, int]:
-    """z-score, runs count, and above/below counts for a median split."""
+    """z-score, runs count, and above/below counts for a median split.
+
+    The median is the middle order statistic for odd n and ``(a + b) / 2.0``
+    of the two middle ones for even n, taken from ``np.partition``.  That
+    is the arithmetic ``np.median`` applies to the same partition (the mean
+    of one or two elements), so on the finite records that reach it
+    (``check_finite`` runs first) the value is identical, without
+    ``np.median``'s generic reduction set-up or its import of ``numpy.ma``.
+    """
     check_finite(record)
     x = record.samples
-    median = float(np.median(x))
+    median = _median(x)
     above = x > median
     below = x < median
     keep = above | below  # samples equal to the median are dropped

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TimeSeries
+from .model import NON_FINITE_SAMPLES, TimeSeries
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,10 +30,15 @@ def dft_magnitude(record: TimeSeries) -> Spectrum:
     """|DFT| for bins 0..floor(N/2); bin m maps to m/(N*dt) Hz.
 
     No windowing or zero padding is applied here; callers that need an
-    off-grid peak can pad the input record first.
+    off-grid peak can pad the input record first.  A record with a NaN
+    or infinite sample makes the DC magnitude |sum(x)| non-finite and is
+    rejected on it.
     """
     x = record.samples
-    mags = np.abs(np.fft.rfft(x))
+    with np.errstate(invalid="ignore"):  # inf - inf inside the transform
+        mags = np.abs(np.fft.rfft(x))
+    if not math.isfinite(mags[0]):
+        raise ValueError(NON_FINITE_SAMPLES)
     return Spectrum(1.0 / (x.size * record.dt), mags)
 
 

@@ -5,7 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 import sinefit as sf
-from conftest import AMPLITUDE, FREQUENCY, PHASE, PHASE_EXACT
+from conftest import (AMPLITUDE, FREQUENCY, NON_FINITE, PHASE, PHASE_EXACT,
+                      with_non_finite)
 
 TWO_PI = 2.0 * math.pi
 
@@ -83,6 +84,14 @@ class TestCircularAcf:
     def test_rejects_bad_max_lag(self, noisy_series, max_lag):
         with pytest.raises(ValueError):
             sf.circular_acf(noisy_series(0), max_lag=max_lag)
+
+    @pytest.mark.parametrize("n", [64, 65])
+    @pytest.mark.parametrize("kind", NON_FINITE)
+    def test_rejects_non_finite_samples(self, kind, n):
+        with pytest.raises(ValueError, match="non-finite"):
+            sf.circular_acf(with_non_finite(kind, n))
+        with pytest.raises(ValueError, match="non-finite"):
+            sf.circular_acf(with_non_finite(kind, n), max_lag=5)
 
 
 class TestSineProductIntegral:

@@ -1,0 +1,162 @@
+"""Gate-1 kernels: the scalar normal quantile and the partition median.
+
+Both replace general NumPy machinery on the screening reject path, so
+both are pinned bit for bit against that machinery: the scalar quantile
+against the array path of ``normal_quantile``, the partition median
+against ``np.median``.
+"""
+
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import sinefit as sf
+from sinefit import screening
+from sinefit.io import write_timeseries_csv
+from sinefit.normal import _P_HIGH, _P_LOW, normal_quantile
+
+INPUT_TYPES = [float, np.float64, np.array]
+
+
+def _probability_sweep():
+    """About 10^5 probabilities over both tails, the centre and the branch edges."""
+    rng = np.random.default_rng(2024)
+    tiny = np.finfo(float).smallest_subnormal
+    below_one = np.nextafter(1.0, 0.0)
+    edges = []
+    for edge in (_P_LOW, _P_HIGH, 0.5):
+        p = edge
+        for _ in range(50):
+            p = np.nextafter(p, 0.0)
+            edges.append(p)
+        p = edge
+        for _ in range(50):
+            p = np.nextafter(p, 1.0)
+            edges.append(p)
+        edges.append(edge)
+    sweep = np.concatenate([
+        10.0 ** rng.uniform(-320, np.log10(_P_LOW), 30_000),        # lower tail
+        rng.uniform(_P_LOW, _P_HIGH, 30_000),                       # centre
+        1.0 - 10.0 ** rng.uniform(-16, np.log10(_P_LOW), 30_000),   # upper tail
+        np.linspace(0.01, 0.04, 5_000),                             # lower edge
+        np.linspace(0.96, 0.99, 5_000),                             # upper edge
+        np.array(edges),
+        np.array([tiny, 1e-300, 1e-10, 0.001, 0.005, 0.995, 0.999, below_one]),
+    ])
+    return sweep[(sweep > 0.0) & (sweep < 1.0)]
+
+
+def test_sweep_covers_both_tails_and_branch_edges():
+    p = _probability_sweep()
+    assert p.size >= 100_000
+    assert np.count_nonzero(p < _P_LOW) > 30_000
+    assert np.count_nonzero(p > _P_HIGH) > 30_000
+    assert _P_LOW in p and _P_HIGH in p
+    assert np.nextafter(_P_LOW, 0.0) in p and np.nextafter(_P_HIGH, 1.0) in p
+
+
+@pytest.mark.parametrize("kind", INPUT_TYPES, ids=["float", "float64", "0-d"])
+def test_scalar_branch_is_bit_identical_to_array_path(kind):
+    p = _probability_sweep()
+    reference = normal_quantile(p).tolist()
+    scalar = [normal_quantile(kind(v)) for v in p.tolist()]
+    assert all(type(z) is float for z in scalar)
+    mismatches = [(v, z, r) for v, z, r in zip(p.tolist(), scalar, reference) if z != r]
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("kind", INPUT_TYPES, ids=["float", "float64", "0-d"])
+@pytest.mark.parametrize("bad", [0.0, 1.0, float("nan"), float("inf"), float("-inf")])
+def test_scalar_branch_rejects_out_of_domain(kind, bad):
+    with pytest.raises(ValueError, match="strictly inside"):
+        normal_quantile(kind(bad))
+
+
+def test_array_path_still_returns_arrays():
+    z = normal_quantile(np.array([0.01, 0.5, 0.99]))
+    assert isinstance(z, np.ndarray) and z.shape == (3,)
+    assert normal_quantile(np.array([[0.5]])).shape == (1, 1)
+
+
+def _median_cases():
+    rng = np.random.default_rng(7)
+    cases = []
+    for n in (20, 21, 100, 101, 1000, 1001):
+        cases.append(rng.standard_normal(n))                          # continuous
+        cases.append(rng.integers(0, 3, n).astype(float))             # heavily tied
+        cases.append(rng.integers(-1000, 1000, n).astype(float))      # integer-valued
+        half, low = n // 2, (n - n // 2) // 2                          # half the samples
+        cases.append(rng.permutation(np.concatenate([                  # equal the median
+            np.full(half, 4.0), rng.uniform(0.0, 3.0, low),
+            rng.uniform(5.0, 8.0, n - half - low)])))
+    cases.append(np.array([1.0, 2.0] * 15))                            # even, two values
+    cases.append(np.array([1e300, 1.5e300, -1e300, 2e300] * 5))         # wide range
+    cases.append(np.array([0.1, 0.2, 0.30000000000000004, 0.3] * 5))    # rounding-sensitive mean
+    return cases
+
+
+@pytest.mark.parametrize("index", range(len(_median_cases())))
+def test_partition_median_equals_np_median(index):
+    x = _median_cases()[index]
+    ours = screening._median(x)
+    assert type(ours) is float
+    assert ours == float(np.median(x))
+
+
+def _screen_records():
+    rng = np.random.default_rng(11)
+    records = []
+    for i in range(120):
+        n = int(rng.choice([20, 21, 64, 100, 101, 1000]))
+        records.append(rng.standard_normal(n))
+        ar = np.empty(n)
+        ar[0] = rng.standard_normal()
+        for t in range(1, n):
+            ar[t] = 0.3 * ar[t - 1] + rng.standard_normal()
+        records.append(ar)
+        t = np.arange(n)
+        f = rng.uniform(0.01, 0.3)
+        records.append(2.0 * np.sin(2 * np.pi * f * t + rng.uniform(-np.pi, np.pi))
+                       + rng.choice([0.0, 0.5, 2.0]) * rng.standard_normal(n))
+    records.append(np.round(rng.standard_normal(200)))  # integer-valued, many ties
+    return [sf.TimeSeries(0.0, 1.0, x) for x in records]
+
+
+@pytest.mark.parametrize("far", [0.01, 0.001])
+def test_screen_decisions_match_an_np_median_reference(monkeypatch, far):
+    records = _screen_records()
+    ours = [sf.screen(r, far) for r in records]
+    monkeypatch.setattr(screening, "_median", lambda x: float(np.median(x)))
+    reference = [sf.screen(r, far) for r in records]
+    assert len(records) > 300
+    assert {d.gate_failed for d in ours} == {"gate1", "gate2", "none"}
+    assert ours == reference
+
+
+def test_estimate_cli_does_not_import_numpy_ma(tmp_path):
+    signal = sf.synthesize(sf.SinusoidParams(2.0, 0.05, 0.6109),
+                           sf.NoiseSpec(sigma=0.5, seed=3), 1000)
+    noise = sf.TimeSeries(0.0, 1.0, np.random.default_rng(5).standard_normal(1000))
+    code = (
+        "import sys\n"
+        "from sinefit import cli\n"
+        "sys.argv = ['sinefit', *sys.argv[1:]]\n"
+        "try:\n"
+        "    cli.main()\n"
+        "except SystemExit as exc:\n"
+        "    print('exit', exc.code)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    for name, record, exit_line in (("signal", signal, ""), ("noise", noise, "exit 2\n")):
+        csv_path = tmp_path / f"{name}.csv"
+        write_timeseries_csv(str(csv_path), record)
+        result = subprocess.run(
+            [sys.executable, "-c", code, "estimate", str(csv_path),
+             "-o", str(tmp_path / f"{name}.json"),
+             "--plot-data", str(tmp_path / f"{name}_plots")],
+            capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.endswith(exit_line + "False\n"), result.stdout
+        assert (tmp_path / f"{name}_plots" / "acf.csv").exists()

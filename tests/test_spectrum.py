@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import sinefit as sf
+from conftest import NON_FINITE, with_non_finite
 
 
 def direct_dft_magnitude(x):
@@ -56,6 +57,13 @@ class TestDftMagnitude:
             f = sf.fundamental_frequency(sf.dft_magnitude(noisy_series(seed)))
             hits += abs(f - 0.05) < 1e-12
         assert hits >= 95
+
+
+    @pytest.mark.parametrize("n", [64, 65])
+    @pytest.mark.parametrize("kind", NON_FINITE)
+    def test_rejects_non_finite_samples(self, kind, n):
+        with pytest.raises(ValueError, match="non-finite"):
+            sf.dft_magnitude(with_non_finite(kind, n))
 
 
 class TestFundamentalFrequency:
