@@ -146,8 +146,6 @@ def spectrum(input_csv, pad, out):
 @click.option("--objective-range", type=click.Choice([ONE_PERIOD, FULL_RECORD]),
               default=ONE_PERIOD, show_default=True,
               help="Samples the phase objective sums over.")
-@click.option("--warm-start", is_flag=True, default=False,
-              help="Narrow the coarse phase sweep around the crossover estimate.")
 @click.option("--max-lag", type=int, default=None,
               help="ACF lag budget [default: N/2].")
 @click.option("--skip-screen", is_flag=True, default=False,
@@ -156,15 +154,14 @@ def spectrum(input_csv, pad, out):
               help="Report JSON path [default: report.json].")
 @click.option("--plot-data", type=click.Path(file_okay=False), default=None,
               help="Also write plot-ready CSV series into this directory.")
-def estimate(input_csv, far, ma_k, objective_range, warm_start, max_lag,
-             skip_screen, out, plot_data):
+def estimate(input_csv, far, ma_k, objective_range, max_lag, skip_screen, out,
+             plot_data):
     """Run the full pipeline and write a JSON report; exit 2 on noise."""
     record = _load(input_csv)
     try:
         config = PipelineConfig(far=far, ma_k=ma_k,
                                 objective_range=objective_range,
-                                warm_start=warm_start, max_lag=max_lag,
-                                skip_screen=skip_screen)
+                                max_lag=max_lag, skip_screen=skip_screen)
         report = estimate_parameters(record, config)
         path = _out_path(out, "report.json")
         io.write_json(path, io.report_to_dict(report))

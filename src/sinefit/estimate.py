@@ -17,11 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .acf import AcfSeries, DegenerateParametersError, frequency_from_acf, model_acf_full
-from .model import SinusoidParams, TimeSeries, TWO_PI, wrap_phase
-from .screening import ScreeningDecision, VERDICT_NOISE, check_finite, record_acf, screen
+from .acf import (AcfSeries, DegenerateParametersError, _circular_acf, frequency_from_acf,
+                  model_acf_full)
+from .model import SinusoidParams, TimeSeries, TWO_PI, check_finite, wrap_phase
+from .screening import ScreeningDecision, VERDICT_NOISE, screen
 from .smoothing import SmoothedSeries, amplitude_estimate, moving_average
-from .spectrum import Spectrum, dft_magnitude, fundamental_frequency
+from .spectrum import Spectrum, _dft, fundamental_frequency
 
 ONE_PERIOD = "one_period"
 FULL_RECORD = "full_record"
@@ -59,6 +60,8 @@ class PhaseObjective:
 
 
 def _objective_points(obj: PhaseObjective) -> tuple[np.ndarray, np.ndarray]:
+    """Sample times and values the objective sums over: a contiguous run of
+    the record (all of it, or 0 <= t <= 1/f), so the times stay evenly spaced."""
     t = obj.data.times()
     x = obj.data.samples
     if obj.t_range == ONE_PERIOD:
@@ -68,16 +71,47 @@ def _objective_points(obj: PhaseObjective) -> tuple[np.ndarray, np.ndarray]:
     return t, x
 
 
-def _objective_polynomial(obj: PhaseObjective):
+# The closed-form double-angle sums lose about eps*m*|u|/|sin(u)| to
+# rounding (u = theta*dt/2); below this |sin(u)|/|u| they fall back to the
+# direct sums, which bounds that loss by about 2.2e-10*m.
+_MIN_SIN_RATIO = 1e-6
+
+
+def _double_angle_sums(t: np.ndarray, theta: float, dt: float) -> tuple[float, float]:
+    """(sum cos(theta*t), sum sin(theta*t)) over evenly spaced times t.
+
+    With t_k = t_0 + k*dt, k = 0..m-1, the sum of exp(i*theta*t_k) is a
+    geometric series:
+    exp(i*theta*(t_0 + (m-1)*dt/2)) * sin(m*u)/sin(u), u = theta*dt/2,
+    so both sums cost O(1) instead of two O(m) trig passes.  When sin(u)
+    is tiny against u (theta*dt near a non-zero multiple of 2*pi, such as
+    f*dt = 0.5, the Nyquist bin an even-N spectrum can pick) the quotient
+    is badly conditioned, and the direct sums are taken instead.
+    """
+    m = t.size
+    if m == 0:
+        return 0.0, 0.0
+    u = theta * dt / 2.0
+    sin_u = math.sin(u)
+    if abs(sin_u) < _MIN_SIN_RATIO * abs(u):
+        return float(np.sum(np.cos(theta * t))), float(np.sum(np.sin(theta * t)))
+    gain = math.sin(m * u) / sin_u
+    middle = theta * (t[0] + (m - 1) * dt / 2.0)
+    return gain * math.cos(middle), gain * math.sin(middle)
+
+
+def _objective_polynomial(obj: PhaseObjective, t: np.ndarray, x: np.ndarray):
     """The objective as a trig polynomial in phi: O(N) sums once, O(1) per phi.
 
     Sum (x - A*sin(wt + phi))^2 = Sxx - 2A(cos(phi)*Sxs + sin(phi)*Sxc) + A^2*(m/2
-    - (cos(2phi)*Sc2 - sin(2phi)*Ss2)/2), from the sine-fit sums of IEEE Std 1057.
+    - (cos(2phi)*Sc2 - sin(2phi)*Ss2)/2), from the sine-fit sums of IEEE Std 1057,
+    over the objective's points ``t, x``.  Sxs and Sxc take one trig pass each;
+    Sc2 and Ss2 are the closed-form geometric sums of ``_double_angle_sums``.
     """
-    t, x = _objective_points(obj)
-    a, wt = obj.fixed_amplitude, TWO_PI * obj.fixed_frequency_hz * t
+    a, w = obj.fixed_amplitude, TWO_PI * obj.fixed_frequency_hz
+    wt = w * t
     sxx, sxs, sxc = x @ x, x @ np.sin(wt), x @ np.cos(wt)
-    sc2, ss2 = np.sum(np.cos(2.0 * wt)), np.sum(np.sin(2.0 * wt))
+    sc2, ss2 = _double_angle_sums(t, 2.0 * w, obj.data.dt)
 
     def curve(phis: np.ndarray) -> np.ndarray:
         linear = np.cos(phis) * sxs + np.sin(phis) * sxc
@@ -87,39 +121,37 @@ def _objective_polynomial(obj: PhaseObjective):
     return curve
 
 
+def _residual_sum(obj: PhaseObjective, t: np.ndarray, x: np.ndarray, phi: float) -> float:
+    w = TWO_PI * obj.fixed_frequency_hz
+    return float(np.sum((x - obj.fixed_amplitude * np.sin(w * t + phi)) ** 2))
+
+
 def phase_objective_value(obj: PhaseObjective, phi: float) -> float:
     """Sum over sample times of [X(t) - A*sin(w*t + phi)]^2, one O(N) pass.
 
     In one_period mode the sum runs over the record's samples with
     0 <= t <= 1/f; in full_record mode over every sample.
     """
-    t, x = _objective_points(obj)
-    w = TWO_PI * obj.fixed_frequency_hz
-    return float(np.sum((x - obj.fixed_amplitude * np.sin(w * t + phi)) ** 2))
+    return _residual_sum(obj, *_objective_points(obj), phi)
 
 
-def phase_grid_search(obj: PhaseObjective, *, coarse_center: float | None = None,
-                      coarse_half_width: float = 0.5) -> tuple[float, float]:
+def phase_grid_search(obj: PhaseObjective) -> tuple[float, float]:
     """Two-stage grid minimization of the phase objective.
 
-    The coarse pass steps phi from -pi to pi in hundredths (or, when a
-    warm-start center is given, across center +- half width); the refine
+    The coarse pass steps phi from -pi to pi in hundredths; the refine
     pass steps in thousandths across the winning coarse cell.  Ties break
     toward the smaller phi.  Points are ranked by the objective's trig
-    polynomial, O(N + G) for G points.  Returns (phi, phase_objective_value).
+    polynomial, O(N + G) for G points, and the winner's value is the
+    direct residual sum.  Returns (phi, phase_objective_value).
     """
-    curve = _objective_polynomial(obj)
-    if coarse_center is None:
-        coarse = np.arange(-math.pi, math.pi, COARSE_STEP)
-    else:
-        coarse = np.arange(coarse_center - coarse_half_width,
-                           coarse_center + coarse_half_width + COARSE_STEP / 2,
-                           COARSE_STEP)
+    t, x = _objective_points(obj)
+    curve = _objective_polynomial(obj, t, x)
+    coarse = np.arange(-math.pi, math.pi, COARSE_STEP)
     phi0 = float(coarse[np.argmin(curve(coarse))])
     refine = np.arange(phi0 - COARSE_STEP, phi0 + COARSE_STEP + REFINE_STEP / 2,
                        REFINE_STEP)
     phi = float(refine[np.argmin(curve(refine))])
-    return phi, phase_objective_value(obj, phi)
+    return phi, _residual_sum(obj, t, x, phi)
 
 
 def phase_from_crossover(period: float, t_2pi: float) -> tuple[float, float]:
@@ -173,14 +205,14 @@ def phase_arcsin_at_time(amplitude: float, omega: float, t: float,
     return wrap_phase(math.asin(y / amplitude) - omega * t)
 
 
-def _zero_crossings(series: TimeSeries) -> list[tuple[float, int]]:
-    """Hysteresis-confirmed zero crossings as (time, direction) pairs.
+def _zero_crossings(series: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
+    """Hysteresis-confirmed zero crossings as (times, directions) arrays.
 
     Raw sign changes are linearly interpolated; a crossing only counts
     once the series has reached beyond +-h on both sides (h is a fixed
     fraction of half the range), and each confirmed transition takes the
-    median raw crossing of its cluster.  Direction is +1 upward, -1
-    downward.
+    median raw crossing of its cluster.  ``times`` is ascending; the
+    matching ``directions`` entry is +1 upward, -1 downward.
     """
     s = series.samples
     t = series.times()
@@ -196,18 +228,21 @@ def _zero_crossings(series: TimeSeries) -> list[tuple[float, int]]:
     ia, ib = confirmed[flips], confirmed[flips + 1]
     lo = np.searchsorted(raw, t[ia], side="left")
     hi = np.searchsorted(raw, t[ib], side="right")
-    return list(zip(raw[(lo + hi) // 2].tolist(), states[ib].tolist()))
+    return raw[(lo + hi) // 2], states[ib]
 
 
-def _second_crossover(crossings: list[tuple[float, int]], group_delay: float) -> float:
+def _second_crossover(times: np.ndarray, directions: np.ndarray,
+                      group_delay: float) -> float:
     """``detect_t2pi`` on crossings already found in the smoothed series."""
-    crossings = [c for c in crossings if c[0] >= 0.0]
-    if len(crossings) < 2:
+    keep = times >= 0.0
+    times, directions = times[keep], directions[keep]
+    if times.size < 2:
         raise ValueError("fewer than two zero crossovers in the record")
-    for time, direction in crossings[1:]:
-        if direction > 0:
-            return float(time - group_delay)
-    raise ValueError("no upward crossover after the first crossover")
+    upward = directions[1:] > 0
+    first = int(np.argmax(upward))
+    if not upward[first]:
+        raise ValueError("no upward crossover after the first crossover")
+    return float(times[1 + first] - group_delay)
 
 
 def detect_t2pi(smoothed: SmoothedSeries) -> float:
@@ -218,16 +253,17 @@ def detect_t2pi(smoothed: SmoothedSeries) -> float:
     crossover" of the record -- then subtracts the MA group delay
     (k-1)/2*dt so the answer refers to the unsmoothed signal.
     """
-    return _second_crossover(_zero_crossings(smoothed.series), smoothed.group_delay)
+    return _second_crossover(*_zero_crossings(smoothed.series), smoothed.group_delay)
 
 
-def _period_from_crossings(crossings: list[tuple[float, int]]) -> float | None:
-    """Average spacing of consecutive same-direction crossings, if any."""
-    spacings = []
-    for direction in (1, -1):
-        times = [time for time, d in crossings if d == direction]
-        spacings.extend(b - a for a, b in zip(times[:-1], times[1:]))
-    if not spacings:
+def _period_from_crossings(times: np.ndarray, directions: np.ndarray) -> float | None:
+    """Average spacing of consecutive same-direction crossings, if any.
+
+    Upward spacings come first, then downward ones, and ``np.mean`` takes
+    them in that order.
+    """
+    spacings = np.concatenate([np.diff(times[directions == d]) for d in (1, -1)])
+    if spacings.size == 0:
         return None
     return float(np.mean(spacings))
 
@@ -279,7 +315,6 @@ class PipelineConfig:
     far: float = 0.01
     ma_k: int = 5
     objective_range: str = ONE_PERIOD
-    warm_start: bool = False
     max_lag: int | None = None
     skip_screen: bool = False
 
@@ -357,18 +392,24 @@ def estimate_parameters(record: TimeSeries,
 
     smoothed = moving_average(record, config.ma_k)
     amplitude = amplitude_estimate(smoothed)
+    if not 1 <= max_lag <= n - 1:
+        raise ValueError(f"max_lag must be in [1, {n - 1}]")
 
-    spec = dft_magnitude(record)
+    # One forward transform per record: the screen's, or one taken here
+    # when it stopped at gate 1 or could not judge the record.
+    if decision is not None and decision.dft is not None:
+        dft = decision.dft
+        acf = AcfSeries(decision.acf.kind, decision.acf.values[:max_lag + 1])
+    else:
+        dft = _dft(record)
+        acf = _circular_acf(record, dft, max_lag)
+    spec = Spectrum(1.0 / (n * dt), np.abs(dft))
     candidates: dict[str, float] = {}
     try:
         candidates["fft"] = fundamental_frequency(spec)
     except ValueError:
         pass
 
-    if not 1 <= max_lag <= n - 1:
-        raise ValueError(f"max_lag must be in [1, {n - 1}]")
-    full_acf = record_acf(record, decision)
-    acf = AcfSeries(full_acf.kind, full_acf.values[:max_lag + 1])
     probe = 2 if acf.max_lag >= 2 else 1
     f_probe = frequency_from_acf(acf.values[probe], probe) / dt
     if f_probe > 0:
@@ -379,8 +420,8 @@ def estimate_parameters(record: TimeSeries,
     try:
         crossings = _zero_crossings(smoothed.series)
     except ValueError:
-        crossings = []
-    ma_period = _period_from_crossings(crossings)
+        crossings = np.empty(0), np.empty(0, dtype=int)
+    ma_period = _period_from_crossings(*crossings)
     if ma_period is not None and ma_period > 0:
         candidates["ma_period"] = 1.0 / ma_period
 
@@ -398,7 +439,7 @@ def estimate_parameters(record: TimeSeries,
     phase_checks: dict[str, float] = {}
     t_2pi: float | None = None
     try:
-        t_2pi = _second_crossover(crossings, smoothed.group_delay)
+        t_2pi = _second_crossover(*crossings, smoothed.group_delay)
         _, crossover_rad = phase_from_crossover(period, t_2pi)
         phase_checks["crossover"] = wrap_phase(crossover_rad)
     except ValueError:
@@ -406,11 +447,7 @@ def estimate_parameters(record: TimeSeries,
 
     objective = PhaseObjective(record, amplitude, frequency,
                                config.objective_range)
-    center = phase_checks.get("crossover") if config.warm_start else None
-    if center is not None:
-        phi, objective_value = phase_grid_search(objective, coarse_center=center)
-    else:
-        phi, objective_value = phase_grid_search(objective)
+    phi, objective_value = phase_grid_search(objective)
 
     params = SinusoidParams(amplitude, frequency, phi)
 

@@ -17,6 +17,12 @@ from .normal import normal_quantile
 TWO_PI = 2.0 * math.pi
 
 NON_FINITE_SAMPLES = "record has non-finite (NaN or inf) samples"
+SAMPLES_TOO_LARGE = "record has samples too large: |x| must not exceed sqrt(float max)/N"
+
+# sqrt of the largest float: a record with |x| <= _SQRT_FLOAT_MAX / N keeps
+# N*max|x|, hence every |DFT bin|, at or below it, so every |bin|^2 and every
+# sum of N squares of samples stays finite.
+_SQRT_FLOAT_MAX = math.sqrt(np.finfo(float).max)
 
 
 def wrap_phase(phi: float) -> float:
@@ -85,6 +91,21 @@ class TimeSeries:
 
     def times(self) -> np.ndarray:
         return self.start_time + self.dt * np.arange(self.samples.size)
+
+
+def check_finite(record: TimeSeries) -> None:
+    """Reject records no stage can judge, from one pass over max|x|.
+
+    NaN or infinite samples raise ``NON_FINITE_SAMPLES``.  Finite samples
+    above sqrt(float max)/N raise ``SAMPLES_TOO_LARGE``: past that limit a
+    sum of squares, such as the power spectrum or the lag-0 ACF sum, can
+    overflow although every sample is finite.
+    """
+    m = float(np.abs(record.samples).max())
+    if not math.isfinite(m):
+        raise ValueError(NON_FINITE_SAMPLES)
+    if m > _SQRT_FLOAT_MAX / len(record):
+        raise ValueError(SAMPLES_TOO_LARGE)
 
 
 @dataclass(frozen=True)

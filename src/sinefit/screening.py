@@ -2,12 +2,13 @@
 
 Gate 1 is a Wald-Wolfowitz runs test about the sample median: a record
 the runs test calls random is discarded as noise and never reaches the
-ACF.  Gate 2 computes the full-lag circular ACF once, judges lags 1..N/2
-and demands enough of them outside the +-z/sqrt(N) significance bounds,
-with excursions on both sides of zero (a cosine-shaped ACF swings both
-ways; a one-sided pattern is a trend, not a periodicity).  The decision
-keeps that ACF for the estimator and the ACF writers.  The gate-2 rule
-is a documented stand-in and is meant to be replaceable.
+ACF.  Gate 2 computes the record's one forward DFT and, from it, the
+full-lag circular ACF, judges lags 1..N/2 and demands enough of them
+outside the +-z/sqrt(N) significance bounds, with excursions on both
+sides of zero (a cosine-shaped ACF swings both ways; a one-sided pattern
+is a trend, not a periodicity).  The decision keeps both the DFT bins
+and the ACF for the estimator and the ACF writers.  The gate-2 rule is a
+documented stand-in and is meant to be replaceable.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .acf import AcfSeries, circular_acf
-from .model import NON_FINITE_SAMPLES, TimeSeries
+from .acf import AcfSeries, _circular_acf, circular_acf
+from .model import TimeSeries, check_finite
 from .normal import normal_quantile
+from .spectrum import _dft
 
 MIN_SAMPLES = 20
 
@@ -29,7 +31,13 @@ VERDICT_NOISE = "noise"
 
 @dataclass(frozen=True)
 class ScreeningDecision:
-    """Per-gate statistics, the verdict, and the full-lag ACF gate 2 judged, if it ran."""
+    """Per-gate statistics, the verdict, and what gate 2 computed, if it ran.
+
+    ``dft`` is the record's one-sided DFT, ``np.fft.rfft(x)`` (read-only),
+    and ``acf`` the full-lag circular ACF taken from it.  Both are None
+    after a gate-1 reject.  Neither takes part in ``==``, ``hash`` or
+    ``repr``: they are per-record intermediates, not statistics.
+    """
 
     runs_statistic: float
     runs_count: int
@@ -41,6 +49,7 @@ class ScreeningDecision:
     verdict: str
     gate_failed: str  # "none", "gate1", or "gate2"
     acf: AcfSeries | None = field(default=None, compare=False, repr=False)
+    dft: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def _gate1_threshold(n: int, far: float) -> float:
@@ -50,12 +59,6 @@ def _gate1_threshold(n: int, far: float) -> float:
     if n < MIN_SAMPLES:
         raise ValueError(f"screening needs at least {MIN_SAMPLES} samples")
     return normal_quantile(1.0 - far / 2.0)
-
-
-def check_finite(record: TimeSeries) -> None:
-    """Reject records with NaN or infinite samples, which no gate can judge."""
-    if not np.all(np.isfinite(record.samples)):
-        raise ValueError(NON_FINITE_SAMPLES)
 
 
 def _median(x: np.ndarray) -> float:
@@ -133,7 +136,9 @@ def screen(record: TimeSeries, far: float = 0.01) -> ScreeningDecision:
     """Run both gates in order and report the verdict.
 
     Gate-1 failure (the runs test calls the record random) stops
-    processing: no ACF is computed (``acf`` is None), ``acf_exceedances`` is 0.
+    processing: no transform is computed (``dft`` and ``acf`` are None),
+    ``acf_exceedances`` is 0.  Otherwise the decision keeps the record's
+    DFT bins and the full-lag ACF, so no later stage transforms it again.
     """
     n = len(record)
     threshold = _gate1_threshold(n, far)
@@ -144,13 +149,15 @@ def screen(record: TimeSeries, far: float = 0.01) -> ScreeningDecision:
         return ScreeningDecision(z, runs, n1, n2, 0, bound, far,
                                  VERDICT_NOISE, "gate1")
 
-    acf = circular_acf(record)
+    dft = _dft(record)
+    dft.setflags(write=False)
+    acf = _circular_acf(record, dft, n - 1)
     passed, count = _gate2_passes(acf.values[1:n // 2 + 1], bound)
     if not passed:
         return ScreeningDecision(z, runs, n1, n2, count, bound, far,
-                                 VERDICT_NOISE, "gate2", acf)
+                                 VERDICT_NOISE, "gate2", acf, dft)
     return ScreeningDecision(z, runs, n1, n2, count, bound, far,
-                             VERDICT_SIGNAL, "none", acf)
+                             VERDICT_SIGNAL, "none", acf, dft)
 
 
 def record_acf(record: TimeSeries, decision: ScreeningDecision | None) -> AcfSeries:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NON_FINITE_SAMPLES, TimeSeries
+from .model import SAMPLES_TOO_LARGE, TimeSeries, check_finite
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,20 +26,30 @@ class Spectrum:
         return self.df * np.arange(self.magnitudes.size)
 
 
+def _dft(record: TimeSeries) -> np.ndarray:
+    """The record's one-sided DFT, ``np.fft.rfft(x)``: bins 0..floor(N/2).
+
+    The one forward transform a record needs: ``dft_magnitude`` takes its
+    modulus, the circular ACF the inverse transform of its power.  A NaN
+    or infinite sample makes the DC bin sum(x) non-finite, and the record
+    is rejected on that one value, with no extra pass over the data.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, huge inputs
+        dft = np.fft.rfft(record.samples)
+    if not math.isfinite(dft[0].real):
+        check_finite(record)  # raises the message that fits
+        raise ValueError(SAMPLES_TOO_LARGE)
+    return dft
+
+
 def dft_magnitude(record: TimeSeries) -> Spectrum:
     """|DFT| for bins 0..floor(N/2); bin m maps to m/(N*dt) Hz.
 
     No windowing or zero padding is applied here; callers that need an
-    off-grid peak can pad the input record first.  A record with a NaN
-    or infinite sample makes the DC magnitude |sum(x)| non-finite and is
-    rejected on it.
+    off-grid peak can pad the input record first.  Records with NaN or
+    infinite samples are rejected on the DC bin (see ``_dft``).
     """
-    x = record.samples
-    with np.errstate(invalid="ignore"):  # inf - inf inside the transform
-        mags = np.abs(np.fft.rfft(x))
-    if not math.isfinite(mags[0]):
-        raise ValueError(NON_FINITE_SAMPLES)
-    return Spectrum(1.0 / (x.size * record.dt), mags)
+    return Spectrum(1.0 / (len(record) * record.dt), np.abs(_dft(record)))
 
 
 def fundamental_frequency(spec: Spectrum) -> float:

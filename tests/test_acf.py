@@ -80,6 +80,18 @@ class TestCircularAcf:
         with pytest.raises(ValueError):
             sf.circular_acf(sf.TimeSeries(0.0, 1.0, np.full(30, 1.5)))
 
+    def test_rejects_constant_input_of_any_length(self):
+        # the transform leaves rounding in the lag-0 sum of most lengths
+        for n in [2, 5, 7, 11, 13, 64, 193, 1009, 4099]:
+            for c in (1.5, -0.7, 1e-3, 12345.678):
+                with pytest.raises(ValueError, match="zero variance"):
+                    sf.circular_acf(sf.TimeSeries(0.0, 1.0, np.full(n, c)))
+
+    def test_small_variance_about_a_large_mean_is_kept(self):
+        x = 1e8 + 1e-3 * np.sin(0.3 * np.arange(100))
+        v = sf.circular_acf(sf.TimeSeries(0.0, 1.0, x)).values
+        assert v[0] == 1.0 and v[1] == pytest.approx(math.cos(0.3), abs=0.05)
+
     @pytest.mark.parametrize("max_lag", [0, 100, -3])
     def test_rejects_bad_max_lag(self, noisy_series, max_lag):
         with pytest.raises(ValueError):

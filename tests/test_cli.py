@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import sinefit as sf
@@ -131,7 +132,7 @@ class TestEstimate:
         run_cli(GENERATE_DEMO + ["-o", str(tmp_path / "noisy.csv")], tmp_path,
                 check=0)
         run_cli(["estimate", str(tmp_path / "noisy.csv"),
-                 "--objective-range", "full_record", "--warm-start",
+                 "--objective-range", "full_record",
                  "--ma-k", "10", "--max-lag", "40", "--far", "0.001",
                  "-o", str(tmp_path / "report.json")], tmp_path, check=0)
         report = json.loads((tmp_path / "report.json").read_text())
@@ -212,6 +213,16 @@ class TestNonFiniteInput:
         assert result.returncode == 1
         assert "non-finite" in result.stderr
         assert not (tmp_path / "out.csv").exists()
+
+    def test_estimate_exits_one_on_samples_too_large(self, tmp_path):
+        from sinefit import io
+        io.write_timeseries_csv(str(tmp_path / "huge.csv"), sf.TimeSeries(
+            0.0, 1.0, 1e200 * np.sin(0.3 * np.arange(100))))
+        result = run_cli(["estimate", str(tmp_path / "huge.csv")], tmp_path)
+        assert result.returncode == 1
+        assert "samples too large" in result.stderr
+        assert "RuntimeWarning" not in result.stderr
+        assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("row", ["1.0,nan", "1.0,inf", "1.0,-inf", "nan,2.0",
                                      "inf,2.0"])

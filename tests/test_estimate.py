@@ -76,15 +76,6 @@ class TestPhaseGridSearch:
         coarse = np.arange(-math.pi, math.pi, COARSE_STEP)
         assert all(value <= sf.phase_objective_value(obj, p) + 1e-12 for p in coarse)
 
-    def test_warm_start_matches_cold_on_clean_data(self, demo_params):
-        # the warm coarse grid is offset from the cold one, so the result
-        # may land on a neighboring thousandths point, not the same one
-        obj = sf.PhaseObjective(clean_record(demo_params), AMPLITUDE, FREQUENCY)
-        cold, _ = sf.phase_grid_search(obj)
-        warm, _ = sf.phase_grid_search(obj, coarse_center=0.63)
-        assert warm == pytest.approx(cold, abs=2e-3)
-        assert warm == pytest.approx(PHASE, abs=1.5e-3)
-
     def test_monte_carlo_error_band(self, pipeline_reports):
         # Oracle-verified bands for the demo noise level (sigma = 0.5,
         # one-period objective); a +-0.03 rad @ 90% band would sit below
@@ -113,13 +104,9 @@ def reference_objective_curve(obj, phis):
     return np.concatenate(rows)
 
 
-def reference_grid_search(obj, coarse_center=None):
+def reference_grid_search(obj):
     """The two-stage grid search ranked by the brute-force objective."""
-    if coarse_center is None:
-        coarse = np.arange(-math.pi, math.pi, COARSE_STEP)
-    else:
-        coarse = np.arange(coarse_center - 0.5, coarse_center + 0.5 + COARSE_STEP / 2,
-                           COARSE_STEP)
+    coarse = np.arange(-math.pi, math.pi, COARSE_STEP)
     phi0 = float(coarse[np.argmin(reference_objective_curve(obj, coarse))])
     refine = np.arange(phi0 - COARSE_STEP, phi0 + COARSE_STEP + REFINE_STEP / 2,
                        REFINE_STEP)
@@ -149,7 +136,7 @@ class TestObjectivePolynomial:
     def test_matches_the_brute_force_curve(self, n, t_range):
         coarse = np.arange(-math.pi, math.pi, COARSE_STEP)
         for obj in noisy_objectives(n, t_range, [(1.05, 0.99)]):
-            curve = estimate._objective_polynomial(obj)
+            curve = estimate._objective_polynomial(obj, *estimate._objective_points(obj))
             reference = reference_objective_curve(obj, coarse)
             np.testing.assert_allclose(curve(coarse), reference, rtol=1e-11, atol=0)
             phi0 = coarse[np.argmin(reference)]
@@ -160,16 +147,30 @@ class TestObjectivePolynomial:
 
     @pytest.mark.parametrize("n", [100, 1000, 10_000])
     @pytest.mark.parametrize("t_range", ["one_period", "full_record"])
-    @pytest.mark.parametrize("center", [None, 0.63])
-    def test_search_matches_the_brute_force_search(self, n, t_range, center):
+    def test_search_matches_the_brute_force_search(self, n, t_range):
         # the brute-force reference is slow at N = 10^4, so there it runs
         # only unperturbed, with A and f both up and with both down
         perturbations = ALL_PERTURBATIONS if n < 10_000 else [
             (1.0, 1.0), (1.05, 1.01), (0.95, 0.99)]
         for obj in noisy_objectives(n, t_range, perturbations):
-            result = sf.phase_grid_search(obj, coarse_center=center)
-            assert result == reference_grid_search(obj, coarse_center=center)
+            result = sf.phase_grid_search(obj)
+            assert result == reference_grid_search(obj)
             assert sf.phase_objective_value(obj, result[0]) == result[1]
+
+    @pytest.mark.parametrize("n", [100, 1001, 10_000])
+    @pytest.mark.parametrize("f_dt", [1e-6, "bin", 0.4999, 0.5])
+    @pytest.mark.parametrize("t_range", ["one_period", "full_record"])
+    def test_closed_form_double_angle_sums(self, n, f_dt, t_range):
+        # f*dt = 0.5 is the Nyquist bin an even-N spectrum can pick; there
+        # the geometric-series quotient is 0/0 in exact arithmetic
+        dt = 0.37
+        f = (7 / n if f_dt == "bin" else f_dt) / dt
+        record = sf.TimeSeries(-2.3, dt, np.sin(np.arange(n)))
+        t, _ = estimate._objective_points(sf.PhaseObjective(record, 1.0, f, t_range))
+        theta = 2.0 * TWO_PI * f
+        sc2, ss2 = estimate._double_angle_sums(t, theta, dt)
+        assert abs(sc2 - np.sum(np.cos(theta * t))) <= 1e-9 * t.size
+        assert abs(ss2 - np.sum(np.sin(theta * t))) <= 1e-9 * t.size
 
     def test_search_memory_is_linear_in_n(self):
         n = 100_000
@@ -310,27 +311,98 @@ def reference_zero_crossings(series):
     return crossings
 
 
+def noisy_tone_series():
+    """300 MA-smoothed noisy tones of random A, f, phase, length, dt and start."""
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        params = sf.SinusoidParams(rng.uniform(0.5, 3.0), rng.uniform(0.01, 0.3),
+                                   rng.uniform(-math.pi, math.pi))
+        noise = sf.NoiseSpec(rng.uniform(0.0, 2.0), int(rng.integers(1 << 30)))
+        record = sf.synthesize(params, noise, int(rng.integers(20, 400)),
+                               dt=rng.uniform(0.1, 2.0), start=rng.uniform(-5, 5))
+        yield sf.moving_average(record, int(rng.integers(1, 8))).series
+
+
+def plateau_series():
+    """Up to 300 integer step records, with exact zeros and plateaus."""
+    rng = np.random.default_rng(6)
+    for _ in range(300):
+        levels = rng.integers(-3, 4, size=int(rng.integers(5, 60)))
+        x = np.repeat(levels, rng.integers(1, 5, size=levels.size)).astype(float)
+        if np.ptp(x) == 0:
+            continue
+        yield sf.TimeSeries(float(rng.integers(-3, 3)), 1.0, x)
+
+
+def reference_period_from_crossings(crossings):
+    """The ``ma_period`` read over (time, direction) tuples, one list per direction."""
+    spacings = []
+    for direction in (1, -1):
+        times = [time for time, d in crossings if d == direction]
+        spacings.extend(b - a for a, b in zip(times[:-1], times[1:]))
+    if not spacings:
+        return None
+    return float(np.mean(spacings))
+
+
+def reference_second_crossover(crossings, group_delay):
+    """The second-crossover read as a loop over (time, direction) tuples."""
+    crossings = [c for c in crossings if c[0] >= 0.0]
+    if len(crossings) < 2:
+        raise ValueError("fewer than two zero crossovers in the record")
+    for time, direction in crossings[1:]:
+        if direction > 0:
+            return float(time - group_delay)
+    raise ValueError("no upward crossover after the first crossover")
+
+
+def outcome(fn, *args):
+    """What fn returns, or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
 class TestZeroCrossings:
     def test_matches_the_loop_on_noisy_tones(self):
-        rng = np.random.default_rng(5)
-        for _ in range(300):
-            params = sf.SinusoidParams(rng.uniform(0.5, 3.0), rng.uniform(0.01, 0.3),
-                                       rng.uniform(-math.pi, math.pi))
-            noise = sf.NoiseSpec(rng.uniform(0.0, 2.0), int(rng.integers(1 << 30)))
-            record = sf.synthesize(params, noise, int(rng.integers(20, 400)),
-                                   dt=rng.uniform(0.1, 2.0), start=rng.uniform(-5, 5))
-            series = sf.moving_average(record, int(rng.integers(1, 8))).series
-            assert _zero_crossings(series) == reference_zero_crossings(series)
+        for series in noisy_tone_series():
+            times, directions = _zero_crossings(series)
+            assert list(zip(times.tolist(), directions.tolist())) == \
+                reference_zero_crossings(series)
 
     def test_matches_the_loop_with_exact_zeros_and_plateaus(self):
-        rng = np.random.default_rng(6)
-        for _ in range(300):
-            levels = rng.integers(-3, 4, size=int(rng.integers(5, 60)))
-            x = np.repeat(levels, rng.integers(1, 5, size=levels.size)).astype(float)
-            if np.ptp(x) == 0:
-                continue
-            series = sf.TimeSeries(float(rng.integers(-3, 3)), 1.0, x)
-            assert _zero_crossings(series) == reference_zero_crossings(series)
+        for series in plateau_series():
+            times, directions = _zero_crossings(series)
+            assert list(zip(times.tolist(), directions.tolist())) == \
+                reference_zero_crossings(series)
+
+    @pytest.mark.parametrize("records", [noisy_tone_series, plateau_series])
+    def test_array_reads_match_the_tuple_reads_bit_for_bit(self, records):
+        for series in records():
+            times, directions = _zero_crossings(series)
+            pairs = list(zip(times.tolist(), directions.tolist()))
+            assert estimate._period_from_crossings(times, directions) == \
+                reference_period_from_crossings(pairs)
+            for delay in (0.0, 1.5 * series.dt):
+                assert outcome(estimate._second_crossover, times, directions, delay) == \
+                    outcome(reference_second_crossover, pairs, delay)
+
+    @pytest.mark.parametrize("start, x, error", [
+        # no crossings; all crossings before t = 0; up, then only down
+        (0.0, [1.0, 2.0, 1.0, 2.0], "fewer than two"),
+        (-9.0, [-1.0, 1.0, -1.0, 1.0, 2.0, 2.0, 2.0, 2.0], "fewer than two"),
+        (0.0, [-1.0, -1.0, 1.0, 1.0, -1.0, -1.0], "no upward"),
+    ])
+    def test_edge_cases_match_the_tuple_reads(self, start, x, error):
+        series = sf.TimeSeries(start, 1.0, x)
+        times, directions = _zero_crossings(series)
+        pairs = list(zip(times.tolist(), directions.tolist()))
+        assert estimate._period_from_crossings(times, directions) == \
+            reference_period_from_crossings(pairs)
+        got = outcome(estimate._second_crossover, times, directions, 0.5)
+        assert got == outcome(reference_second_crossover, pairs, 0.5)
+        assert error in got
 
     def test_estimate_parameters_scans_once(self, noisy_series, monkeypatch):
         calls = []
@@ -458,14 +530,20 @@ class TestPipeline:
         assert report.screening is not None
         assert report.screening.verdict == "noise"
 
-    def test_warm_start_agrees_on_clean_data(self, demo_params):
-        record = clean_record(demo_params)
-        cold = sf.estimate_parameters(record, sf.PipelineConfig(ma_k=1))
-        warm = sf.estimate_parameters(record,
-                                      sf.PipelineConfig(ma_k=1, warm_start=True))
-        assert warm.params.phase_rad == pytest.approx(cold.params.phase_rad,
-                                                      abs=2e-3)
-        assert warm.params.phase_rad == pytest.approx(PHASE, abs=1.5e-3)
+    @pytest.mark.parametrize("f", [0.05, 0.0537, 0.123])
+    @pytest.mark.parametrize("n", [100, 1000])
+    @pytest.mark.parametrize("t_range", ["one_period", "full_record"])
+    def test_scaling_the_samples_scales_only_the_amplitude(self, f, n, t_range):
+        config = sf.PipelineConfig(objective_range=t_range, skip_screen=True)
+        for seed in range(5):
+            record = sf.synthesize(sf.SinusoidParams(AMPLITUDE, f, PHASE),
+                                   sf.NoiseSpec(SIGMA, seed), n)
+            scaled = sf.TimeSeries(0.0, 1.0, record.samples * 1e100)
+            base = sf.estimate_parameters(record, config).params
+            big = sf.estimate_parameters(scaled, config).params
+            assert big.amplitude == pytest.approx(base.amplitude * 1e100, rel=1e-12)
+            assert big.phase_rad == base.phase_rad
+            assert big.frequency_hz == base.frequency_hz
 
     def test_cross_checks_are_populated(self, noisy_series):
         report = sf.estimate_parameters(noisy_series(3))

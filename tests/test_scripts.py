@@ -1,4 +1,4 @@
-"""Smoke tests: the two scripts run end to end on the source tree."""
+"""Smoke tests: the scripts run end to end on the source tree."""
 
 import json
 import os
@@ -37,3 +37,14 @@ def test_monte_carlo_wraps_phase_errors():
     out = run_script("monte_carlo_summary.py", "--phase", "3.1", "--trials", "20")
     mean_abs = float(re.search(r"mean \|err\| ([-+0-9.]+) rad", out).group(1))
     assert mean_abs < 0.2, out
+
+
+def test_same_outputs_prints_one_line_per_case():
+    lines = run_script("same_outputs.py").splitlines()
+    # (27 tone settings, two noise seeds when sigma > 0: 45 tones) + 12 noise
+    # records, each under 4 configs
+    assert len(lines) == (45 + 12) * 4
+    pattern = re.compile(r"\S+ (default|full_record|ma_k=1|skip_screen) [0-9a-f]{64} "
+                         r"acf_arccos=(-|\S+) acf_period=(-|\S+)")
+    assert all(pattern.fullmatch(line) for line in lines), lines[:3]
+    assert len({line.split()[2] for line in lines}) > 100

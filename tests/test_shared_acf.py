@@ -1,6 +1,9 @@
-"""One circular ACF per record: the screen computes it, every consumer reads it."""
+"""One transform per record: the screen computes the DFT and the circular
+ACF from it, and every consumer reads them."""
 
 import csv
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -41,16 +44,15 @@ RECORDS = {"signal": (signal_record, 0.01, "none"),
 
 
 @pytest.fixture
-def irfft_calls(monkeypatch):
-    """Count inverse real FFTs: in sinefit only circular_acf makes them."""
-    calls = []
-    real = np.fft.irfft
+def transforms(monkeypatch):
+    """Count forward and inverse real FFTs."""
+    calls = {"rfft": 0, "irfft": 0}
+    for name in calls:
+        def counting(*args, _real=getattr(np.fft, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "irfft", counting)
+        monkeypatch.setattr(np.fft, name, counting)
     return calls
 
 
@@ -91,47 +93,109 @@ class TestDecisionKeepsTheAcf:
         assert repr(decision) == repr(bare)
 
 
+ONE_PAIR = {"rfft": 1, "irfft": 1}
+
+
 class TestOneAcfPerRecord:
+    """One forward and one inverse transform per record, on every path."""
+
     @pytest.mark.parametrize("name, skip_screen", [
         ("signal", False), ("signal", True), ("gate2", False), ("gate2", True),
         ("gate1", True)])
-    def test_estimate_parameters_runs_one(self, irfft_calls, name, skip_screen):
+    def test_estimate_parameters_runs_one(self, transforms, name, skip_screen):
         make, far, _ = RECORDS[name]
         sf.estimate_parameters(make(), sf.PipelineConfig(far=far, skip_screen=skip_screen))
-        assert len(irfft_calls) == 1
+        assert transforms == ONE_PAIR
 
-    def test_short_record_under_skip_screen_runs_one(self, irfft_calls):
+    def test_short_record_under_skip_screen_runs_one(self, transforms):
         report = sf.estimate_parameters(short_record(), sf.PipelineConfig(skip_screen=True))
         assert report.screening is None and report.params is not None
-        assert len(irfft_calls) == 1
+        assert transforms == ONE_PAIR
 
-    def test_gate1_reject_runs_none(self, irfft_calls):
+    def test_gate1_reject_runs_none(self, transforms):
         report = sf.estimate_parameters(gate1_record(), sf.PipelineConfig(far=0.001))
         assert report.params is None
-        assert len(irfft_calls) == 0
+        assert transforms == {"rfft": 0, "irfft": 0}
 
     @pytest.mark.parametrize("name", sorted(RECORDS))
-    def test_cli_estimate_with_plot_data_runs_one(self, tmp_path, irfft_calls, name):
+    def test_cli_estimate_with_plot_data_runs_one(self, tmp_path, transforms, name):
         make, far, _ = RECORDS[name]
         io.write_timeseries_csv(str(tmp_path / "in.csv"), make())
-        irfft_calls.clear()
+        transforms.update(rfft=0, irfft=0)
         result = CliRunner().invoke(cli, [
             "estimate", str(tmp_path / "in.csv"), "--far", str(far),
             "-o", str(tmp_path / "report.json"), "--plot-data", str(tmp_path / "plots")])
         assert result.exit_code in (0, 2), result.output
-        assert len(irfft_calls) == 1
+        assert transforms == ONE_PAIR
 
     @pytest.mark.parametrize("name", sorted(RECORDS))
-    def test_cli_screen_runs_one(self, tmp_path, irfft_calls, name):
+    def test_cli_screen_runs_one(self, tmp_path, transforms, name):
         make, far, _ = RECORDS[name]
         io.write_timeseries_csv(str(tmp_path / "in.csv"), make())
-        irfft_calls.clear()
+        transforms.update(rfft=0, irfft=0)
         result = CliRunner().invoke(cli, [
             "screen", str(tmp_path / "in.csv"), "--far", str(far),
             "-o", str(tmp_path / "screening.json"),
             "--acf-out", str(tmp_path / "screening_acf.csv")])
         assert result.exit_code in (0, 2), result.output
-        assert len(irfft_calls) == 1
+        assert transforms == ONE_PAIR
+
+
+# (record, far, skip_screen) for every path on which estimate_parameters
+# estimates: past both gates, and stopped at either gate or unjudged (fewer
+# than 20 samples) under skip_screen.
+ESTIMATING_PATHS = {"signal": (signal_record, 0.01, False),
+                    "gate2 skip_screen": (gate2_record, 0.01, True),
+                    "gate1 skip_screen": (gate1_record, 0.001, True),
+                    "short skip_screen": (short_record, 0.01, True)}
+
+
+class TestSpectrumFromTheSharedDft:
+    @pytest.mark.parametrize("path", sorted(ESTIMATING_PATHS))
+    def test_spectrum_is_dft_magnitude_bit_for_bit(self, path):
+        make, far, skip_screen = ESTIMATING_PATHS[path]
+        record = make()
+        report = sf.estimate_parameters(record, sf.PipelineConfig(far=far,
+                                                                  skip_screen=skip_screen))
+        expected = sf.dft_magnitude(record)
+        assert report.spectrum.df == expected.df
+        assert report.spectrum.magnitudes.tobytes() == expected.magnitudes.tobytes()
+
+    @pytest.mark.parametrize("name", ["signal", "gate2"])
+    def test_decision_keeps_the_dft_read_only(self, name):
+        make, far, _ = RECORDS[name]
+        record = make()
+        decision = sf.screen(record, far)
+        assert decision.dft.tobytes() == np.fft.rfft(record.samples).tobytes()
+        assert not decision.dft.flags.writeable
+        assert sf.screen(gate1_record(), 0.001).dft is None
+
+
+def huge_record():
+    """Finite samples whose squares overflow: 1e200*sin(0.3t), N = 100."""
+    return sf.TimeSeries(0.0, 1.0, 1e200 * np.sin(0.3 * np.arange(100)))
+
+
+class TestSamplesTooLarge:
+    @pytest.mark.parametrize("consumer", [sf.circular_acf, sf.screen,
+                                          sf.estimate_parameters])
+    def test_rejected_with_their_own_message(self, consumer):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="samples too large"):
+                consumer(huge_record())
+
+    def test_limit_is_sqrt_float_max_over_n(self):
+        # max|x| at half the limit is estimated; just above it is rejected
+        limit = math.sqrt(np.finfo(float).max) / 100
+        x = signal_record().samples
+        x = x / np.max(np.abs(x))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = sf.estimate_parameters(sf.TimeSeries(0.0, 1.0, 0.5 * limit * x))
+            assert report.params.frequency_hz == 0.05
+            with pytest.raises(ValueError, match="samples too large"):
+                sf.estimate_parameters(sf.TimeSeries(0.0, 1.0, 1.0000001 * limit * x))
 
 
 class TestAcfCsvs:
