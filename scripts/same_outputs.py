@@ -14,12 +14,17 @@ Each line is ``<input> <config> <sha256> acf_arccos=<v> acf_period=<v>``.
 The hash covers the canonical JSON of ``report_to_dict`` (or of the
 error message, when the pipeline raises) without the two ACF-derived
 frequency reads, which follow it rounded to 1e-15 (``-`` when absent):
-they may move in the last bits when the ACF's arithmetic changes.
+they may move in the last bits when the ACF's arithmetic changes.  When
+the pipeline returns a report, the hash also covers the name and the
+bytes of every file of the ``write_plot_data`` bundle, written with the
+screening decision's ACF bound as ``sinefit estimate --plot-data`` does.
 """
 
 import hashlib
 import itertools
 import json
+import os
+import tempfile
 
 import numpy as np
 
@@ -60,14 +65,31 @@ def inputs():
         yield f"ar1:n={n}:seed={seed}", sf.TimeSeries(0.0, 1.0, ar1(seed, n))
 
 
+def plot_data_bytes(record, report):
+    """Name and contents of every file ``write_plot_data`` writes, in order."""
+    bound = report.screening.acf_bound if report.screening else None
+    with tempfile.TemporaryDirectory() as directory:
+        parts = []
+        for path in io.write_plot_data(directory, record, report, bound):
+            with open(path, "rb") as handle:
+                parts += [os.path.basename(path).encode(), handle.read()]
+    return parts
+
+
 def case_line(name, config_name, record):
+    bundle = []
     try:
-        payload = io.report_to_dict(sf.estimate_parameters(record, CONFIGS[config_name]))
+        report = sf.estimate_parameters(record, CONFIGS[config_name])
+        payload = io.report_to_dict(report)
         reads = [payload["frequency_cross_checks_hz"].pop(key, None) for key in ACF_READS]
+        bundle = plot_data_bytes(record, report)
     except ValueError as exc:
         payload, reads = {"error": str(exc)}, [None, None]
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(canonical.encode()).hexdigest()
+    hasher = hashlib.sha256(canonical.encode())
+    for part in bundle:
+        hasher.update(len(part).to_bytes(8, "little") + part)
+    digest = hasher.hexdigest()
     shown = ["-" if v is None else repr(round(v, 15)) for v in reads]
     return f"{name} {config_name} {digest} " + " ".join(
         f"{key}={value}" for key, value in zip(ACF_READS, shown))

@@ -12,15 +12,17 @@ never the pipeline's primary answer.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .acf import (AcfSeries, DegenerateParametersError, _circular_acf, frequency_from_acf,
-                  model_acf_full)
+                  model_acf_full, normalizing_constant)
 from .model import SinusoidParams, TimeSeries, TWO_PI, check_finite, wrap_phase
-from .screening import ScreeningDecision, VERDICT_NOISE, screen
+from .screening import ScreeningDecision, VERDICT_NOISE, _screen
 from .smoothing import SmoothedSeries, amplitude_estimate, moving_average
 from .spectrum import Spectrum, _dft, fundamental_frequency
 
@@ -100,25 +102,68 @@ def _double_angle_sums(t: np.ndarray, theta: float, dt: float) -> tuple[float, f
     return gain * math.cos(middle), gain * math.sin(middle)
 
 
-def _objective_polynomial(obj: PhaseObjective, t: np.ndarray, x: np.ndarray):
+class _PhaseTable(NamedTuple):
+    """Grid phases with the cos(phi), sin(phi), cos(2phi) and sin(2phi) the
+    objective's trig polynomial reads."""
+
+    phis: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
+    cos2: np.ndarray
+    sin2: np.ndarray
+
+
+def _phase_table(phis: np.ndarray) -> _PhaseTable:
+    return _PhaseTable(phis, np.cos(phis), np.sin(phis), np.cos(2.0 * phis),
+                       np.sin(2.0 * phis))
+
+
+def _frozen_table(phis: np.ndarray) -> _PhaseTable:
+    table = _phase_table(phis)
+    for column in table:
+        column.setflags(write=False)
+    return table
+
+
+# The coarse grid is the same for every record, so its table is built once.
+_COARSE = _frozen_table(np.arange(-math.pi, math.pi, COARSE_STEP))
+
+
+@functools.lru_cache(maxsize=None)
+def _refine_table(cell: int) -> _PhaseTable:
+    """Refine grid across coarse point ``cell``, built on first use and kept
+    (at most one per coarse point)."""
+    phi0 = float(_COARSE.phis[cell])
+    return _frozen_table(np.arange(phi0 - COARSE_STEP, phi0 + COARSE_STEP + REFINE_STEP / 2,
+                                   REFINE_STEP))
+
+
+def _objective_on_tables(obj: PhaseObjective, t: np.ndarray, x: np.ndarray):
     """The objective as a trig polynomial in phi: O(N) sums once, O(1) per phi.
 
     Sum (x - A*sin(wt + phi))^2 = Sxx - 2A(cos(phi)*Sxs + sin(phi)*Sxc) + A^2*(m/2
     - (cos(2phi)*Sc2 - sin(2phi)*Ss2)/2), from the sine-fit sums of IEEE Std 1057,
     over the objective's points ``t, x``.  Sxs and Sxc take one trig pass each;
     Sc2 and Ss2 are the closed-form geometric sums of ``_double_angle_sums``.
+    Returns the curve as a function of a ``_PhaseTable``.
     """
     a, w = obj.fixed_amplitude, TWO_PI * obj.fixed_frequency_hz
     wt = w * t
     sxx, sxs, sxc = x @ x, x @ np.sin(wt), x @ np.cos(wt)
     sc2, ss2 = _double_angle_sums(t, 2.0 * w, obj.data.dt)
 
-    def curve(phis: np.ndarray) -> np.ndarray:
-        linear = np.cos(phis) * sxs + np.sin(phis) * sxc
-        square = t.size / 2.0 - (np.cos(2.0 * phis) * sc2 - np.sin(2.0 * phis) * ss2) / 2.0
+    def curve(table: _PhaseTable) -> np.ndarray:
+        linear = table.cos * sxs + table.sin * sxc
+        square = t.size / 2.0 - (table.cos2 * sc2 - table.sin2 * ss2) / 2.0
         return sxx - 2.0 * a * linear + a ** 2 * square
 
     return curve
+
+
+def _objective_polynomial(obj: PhaseObjective, t: np.ndarray, x: np.ndarray):
+    """``_objective_on_tables`` as a function of any array of phases."""
+    curve = _objective_on_tables(obj, t, x)
+    return lambda phis: curve(_phase_table(phis))
 
 
 def _residual_sum(obj: PhaseObjective, t: np.ndarray, x: np.ndarray, phi: float) -> float:
@@ -142,15 +187,16 @@ def phase_grid_search(obj: PhaseObjective) -> tuple[float, float]:
     pass steps in thousandths across the winning coarse cell.  Ties break
     toward the smaller phi.  Points are ranked by the objective's trig
     polynomial, O(N + G) for G points, and the winner's value is the
-    direct residual sum.  Returns (phi, phase_objective_value).
+    direct residual sum.  The grids and their cos/sin of phi and 2*phi
+    do not depend on the record: the coarse table is built at import,
+    each coarse cell's refine table on first use, and both are kept for
+    the life of the process (629 cells at most, about 1 MB), so a
+    call takes no trig of grid points.  Returns (phi, phase_objective_value).
     """
     t, x = _objective_points(obj)
-    curve = _objective_polynomial(obj, t, x)
-    coarse = np.arange(-math.pi, math.pi, COARSE_STEP)
-    phi0 = float(coarse[np.argmin(curve(coarse))])
-    refine = np.arange(phi0 - COARSE_STEP, phi0 + COARSE_STEP + REFINE_STEP / 2,
-                       REFINE_STEP)
-    phi = float(refine[np.argmin(curve(refine))])
+    curve = _objective_on_tables(obj, t, x)
+    refine = _refine_table(int(np.argmin(curve(_COARSE))))
+    phi = float(refine.phis[np.argmin(curve(refine))])
     return phi, _residual_sum(obj, t, x, phi)
 
 
@@ -333,7 +379,16 @@ class EstimationReport:
 
     When screening rejects the record, ``params`` (and the other
     estimation fields) are None and only the screening decision is
-    populated.
+    populated.  ``acf`` is the record's full-lag circular ACF whenever a
+    stage computed it (the screen's past gate 1, or the estimator's own),
+    so writers reuse it instead of transforming the record again.
+
+    ``model_acf``, the full-model ACF of the fitted sinusoid at lags
+    0..max_lag, is computed on first read from ``model_params`` (the fit
+    with frequency in cycles per sample) and ``max_lag``, then kept.  It
+    is None when nothing was estimated or when the fit is degenerate;
+    ``estimate_parameters`` tells the second case from the O(1)
+    normalization check and attaches its warning up front.
     """
 
     params: SinusoidParams | None
@@ -347,8 +402,10 @@ class EstimationReport:
     smoothing_k: int = 1
     warnings: tuple[str, ...] = ()
     smoothed: SmoothedSeries | None = None
-    model_acf: AcfSeries | None = None
     spectrum: Spectrum | None = None
+    acf: AcfSeries | None = field(default=None, repr=False)
+    model_params: SinusoidParams | None = field(default=None, repr=False)
+    max_lag: int | None = None
 
     @property
     def verdict(self) -> str:
@@ -356,10 +413,17 @@ class EstimationReport:
             return self.screening.verdict
         return "signal" if self.params is not None else "noise"
 
+    @functools.cached_property
+    def model_acf(self) -> AcfSeries | None:
+        if self.model_params is None or self.max_lag is None:
+            return None
+        return model_acf_full(self.model_params, self.max_lag)
+
 
 def _noise_report(decision: ScreeningDecision, config: PipelineConfig) -> EstimationReport:
     return EstimationReport(params=None, screening=decision,
-                            frequency_source=None, smoothing_k=config.ma_k)
+                            frequency_source=None, smoothing_k=config.ma_k,
+                            acf=decision.acf)
 
 
 def estimate_parameters(record: TimeSeries,
@@ -371,18 +435,19 @@ def estimate_parameters(record: TimeSeries,
     one-period mark, and the smoothed-record crossover spacing as
     cross-checks (disagreement beyond 20 percent is a warning, the
     spectrum value wins); phase by grid search with the crossover formula
-    recorded as a cross-check; finally the full-model ACF of the fitted
-    sinusoid is attached to the report.
+    recorded as a cross-check.  The report computes the full-model ACF of
+    the fitted sinusoid when it is first read.  ``check_finite`` runs once,
+    here, and the screen does not repeat it.
     """
     check_finite(record)
     decision: ScreeningDecision | None
     if config.skip_screen:
         try:
-            decision = screen(record, config.far)
+            decision = _screen(record, config.far)
         except ValueError:
             decision = None
     else:
-        decision = screen(record, config.far)
+        decision = _screen(record, config.far)
         if decision.verdict == VERDICT_NOISE:
             return _noise_report(decision, config)
 
@@ -398,11 +463,11 @@ def estimate_parameters(record: TimeSeries,
     # One forward transform per record: the screen's, or one taken here
     # when it stopped at gate 1 or could not judge the record.
     if decision is not None and decision.dft is not None:
-        dft = decision.dft
-        acf = AcfSeries(decision.acf.kind, decision.acf.values[:max_lag + 1])
+        dft, full_acf = decision.dft, decision.acf
     else:
         dft = _dft(record)
-        acf = _circular_acf(record, dft, max_lag)
+        full_acf = _circular_acf(record, dft, n - 1)
+    acf = AcfSeries(full_acf.kind, full_acf.values[:max_lag + 1])
     spec = Spectrum(1.0 / (n * dt), np.abs(dft))
     candidates: dict[str, float] = {}
     try:
@@ -451,11 +516,12 @@ def estimate_parameters(record: TimeSeries,
 
     params = SinusoidParams(amplitude, frequency, phi)
 
-    model_acf: AcfSeries | None = None
+    model_params: SinusoidParams | None = SinusoidParams(amplitude, frequency * dt,
+                                                         params.phase_rad)
     try:
-        per_sample = SinusoidParams(amplitude, frequency * dt, params.phase_rad)
-        model_acf = model_acf_full(per_sample, max_lag=max_lag)
+        normalizing_constant(model_params)
     except DegenerateParametersError:
+        model_params = None
         warnings.append("full-model ACF is degenerate for the fitted parameters")
 
     cross_checks = {k: v for k, v in candidates.items() if k != source}
@@ -471,6 +537,8 @@ def estimate_parameters(record: TimeSeries,
         smoothing_k=config.ma_k,
         warnings=tuple(warnings),
         smoothed=smoothed,
-        model_acf=model_acf,
         spectrum=spec,
+        acf=full_acf,
+        model_params=model_params,
+        max_lag=max_lag,
     )

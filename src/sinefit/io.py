@@ -69,7 +69,11 @@ def write_acf_csv(path: str, acf: AcfSeries, bound: float | None) -> None:
 
 
 def read_timeseries_csv(path: str) -> TimeSeries:
-    """Parse a `t,value` CSV into a record of finite, uniformly spaced samples."""
+    """Parse a `t,value` CSV into a record of finite, uniformly spaced samples.
+
+    Errors name the file line of the offending row; blank lines are
+    skipped but still counted.
+    """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -80,9 +84,11 @@ def read_timeseries_csv(path: str) -> TimeSeries:
             raise ValueError(f"{path}: expected header 't,value', got {header!r}")
         times: list[float] = []
         values: list[float] = []
-        for lineno, row in enumerate(reader, start=2):
+        lines: list[int] = []
+        for row in reader:
             if not row:
                 continue
+            lineno = reader.line_num
             if len(row) != 2:
                 raise ValueError(f"{path}: line {lineno}: expected two columns")
             try:
@@ -92,17 +98,19 @@ def read_timeseries_csv(path: str) -> TimeSeries:
                 raise ValueError(f"{path}: line {lineno}: could not parse numbers") from None
             if not (math.isfinite(times[-1]) and math.isfinite(values[-1])):
                 raise ValueError(f"{path}: line {lineno}: non-finite value")
+            lines.append(lineno)
     if len(values) < 2:
         raise ValueError(f"{path}: need at least two data rows")
-    dt = times[1] - times[0]
+    steps = np.diff(times)
+    dt = float(steps[0])
     if not dt > 0:
-        raise ValueError(f"{path}: line 3: time must be strictly increasing")
-    for i in range(2, len(times)):
-        step = times[i] - times[i - 1]
-        if abs(step - dt) > _DT_RTOL * abs(dt):
-            raise ValueError(
-                f"{path}: line {i + 2}: non-uniform sample spacing "
-                f"({step!r} vs {dt!r})")
+        raise ValueError(f"{path}: line {lines[1]}: time must be strictly increasing")
+    uneven = np.flatnonzero(np.abs(steps - dt) > _DT_RTOL * abs(dt))
+    if uneven.size:
+        i = int(uneven[0])
+        raise ValueError(
+            f"{path}: line {lines[i + 1]}: non-uniform sample spacing "
+            f"({float(steps[i])!r} vs {dt!r})")
     return TimeSeries(times[0], dt, values)
 
 
@@ -170,7 +178,8 @@ def write_plot_data(directory: str, record: TimeSeries, report: EstimationReport
     """Emit the plot-ready CSV bundle for a record and its report.
 
     Writes raw data, smoothed data, the circular ACF to lag N/2 with
-    significance bounds (the screening decision's, when it kept one), the
+    significance bounds (the report's or the screening decision's, when
+    either kept one; a fresh one only after a gate-1 reject), the
     model ACFs of the fitted sinusoid, and the magnitude spectrum.
     Returns the paths written.
     """
@@ -187,14 +196,12 @@ def write_plot_data(directory: str, record: TimeSeries, report: EstimationReport
         written.append(path)
 
     path = os.path.join(directory, "acf.csv")
-    write_acf_csv(path, record_acf(record, report.screening), bound)
+    acf = report.acf if report.acf is not None else record_acf(record, report.screening)
+    write_acf_csv(path, acf, bound)
     written.append(path)
 
     if report.params is not None and report.model_acf is not None:
-        per_sample = SinusoidParams(report.params.amplitude,
-                                    report.params.frequency_hz * record.dt,
-                                    report.params.phase_rad)
-        reduced = model_acf_reduced(per_sample, report.model_acf.max_lag)
+        reduced = model_acf_reduced(report.model_params, report.model_acf.max_lag)
         path = os.path.join(directory, "model_acf.csv")
         write_csv(path, ("lag", "full_model", "reduced_model"),
                   (np.arange(report.model_acf.max_lag + 1),

@@ -13,6 +13,7 @@ documented stand-in and is meant to be replaceable.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -52,13 +53,24 @@ class ScreeningDecision:
     dft: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
+@functools.lru_cache(maxsize=64)
+def _two_sided_quantile(far: float) -> float:
+    return normal_quantile(1.0 - far / 2.0)
+
+
 def _gate1_threshold(n: int, far: float) -> float:
-    """Runs-test threshold z_{1-far/2}; divided by sqrt(n) it is the ACF bound."""
+    """Runs-test threshold z_{1-far/2}; divided by sqrt(n) it is the ACF bound.
+
+    Both arguments are checked on every call.  The quantile depends on
+    ``far`` alone, which a screening job rarely changes, so it is kept per
+    ``far`` (the 64 most recent) and each record after the first costs a
+    lookup.
+    """
     if not 0.0 < far < 0.5:
         raise ValueError("false-alarm rate must lie in (0, 0.5)")
     if n < MIN_SAMPLES:
         raise ValueError(f"screening needs at least {MIN_SAMPLES} samples")
-    return normal_quantile(1.0 - far / 2.0)
+    return _two_sided_quantile(far)
 
 
 def _median(x: np.ndarray) -> float:
@@ -76,11 +88,10 @@ def _runs_statistics(record: TimeSeries) -> tuple[float, int, int, int]:
     The median is the middle order statistic for odd n and ``(a + b) / 2.0``
     of the two middle ones for even n, taken from ``np.partition``.  That
     is the arithmetic ``np.median`` applies to the same partition (the mean
-    of one or two elements), so on the finite records that reach it
-    (``check_finite`` runs first) the value is identical, without
+    of one or two elements), so on the finite records that reach it (its
+    callers run ``check_finite`` first) the value is identical, without
     ``np.median``'s generic reduction set-up or its import of ``numpy.ma``.
     """
-    check_finite(record)
     x = record.samples
     median = _median(x)
     above = x > median
@@ -107,6 +118,7 @@ def runs_test(record: TimeSeries, far: float) -> tuple[float, bool]:
     least 20 samples are required.
     """
     threshold = _gate1_threshold(len(record), far)
+    check_finite(record)
     z, _, _, _ = _runs_statistics(record)
     return z, abs(z) < threshold
 
@@ -139,7 +151,16 @@ def screen(record: TimeSeries, far: float = 0.01) -> ScreeningDecision:
     processing: no transform is computed (``dft`` and ``acf`` are None),
     ``acf_exceedances`` is 0.  Otherwise the decision keeps the record's
     DFT bins and the full-lag ACF, so no later stage transforms it again.
+    Records with NaN, infinite or too-large samples are rejected (see
+    ``check_finite``), after the checks on ``far`` and the record length.
     """
+    _gate1_threshold(len(record), far)
+    check_finite(record)
+    return _screen(record, far)
+
+
+def _screen(record: TimeSeries, far: float) -> ScreeningDecision:
+    """``screen`` for a record its caller has already put through ``check_finite``."""
     n = len(record)
     threshold = _gate1_threshold(n, far)
     z, runs, n1, n2 = _runs_statistics(record)

@@ -553,7 +553,7 @@ class TestPipeline:
         assert report.frequency_cross_checks_hz["ma_period"] == pytest.approx(
             0.05, rel=0.2)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("skip_screen", [False, True])
     def test_rejects_non_finite_samples(self, noisy_series, bad, skip_screen):
         x = np.array(noisy_series(0).samples)

@@ -62,3 +62,48 @@ class TestWriteCsv:
         assert read_text(path) == expected
         if bound is None:
             assert read_text(path).splitlines()[1] == "0.0,1.0,nan,nan"
+
+
+class TestReadTimeseriesCsvLineNumbers:
+    """Errors name the file line of the bad row, blank lines included."""
+
+    def write(self, tmp_path, lines):
+        path = tmp_path / "in.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    def test_non_uniform_spacing_after_a_blank_line(self, tmp_path):
+        path = self.write(tmp_path, ["t,value", "0,1", "", "1,2", "2,3", "3.5,4"])
+        with pytest.raises(ValueError, match=r"line 6: non-uniform sample spacing \(1\.5 vs 1\.0\)"):
+            io.read_timeseries_csv(path)
+
+    def test_non_increasing_time_after_a_blank_line(self, tmp_path):
+        path = self.write(tmp_path, ["t,value", "0,1", "", "0,2"])
+        with pytest.raises(ValueError, match="line 4: time must be strictly increasing"):
+            io.read_timeseries_csv(path)
+
+    def test_without_blank_lines(self, tmp_path):
+        path = self.write(tmp_path, ["t,value", "0,1", "1,2", "2,3", "3,4", "4.2,5"])
+        with pytest.raises(ValueError, match="line 6: non-uniform sample spacing"):
+            io.read_timeseries_csv(path)
+        path = self.write(tmp_path, ["t,value", "1,1", "0,2"])
+        with pytest.raises(ValueError, match="line 3: time must be strictly increasing"):
+            io.read_timeseries_csv(path)
+
+    def test_parse_errors_after_blank_lines(self, tmp_path):
+        path = self.write(tmp_path, ["t,value", "0,1", "", "", "1,x"])
+        with pytest.raises(ValueError, match="line 5: could not parse numbers"):
+            io.read_timeseries_csv(path)
+
+    def test_first_uneven_step_is_named(self, tmp_path):
+        rows = [f"{t!r},{t!r}" for t in [0.0, 0.5, 1.0, 1.5, 2.25, 2.5, 3.5]]
+        path = self.write(tmp_path, ["t,value", "", *rows])
+        with pytest.raises(ValueError, match=r"line 7: non-uniform sample spacing \(0\.75 vs 0\.5\)"):
+            io.read_timeseries_csv(path)
+
+    def test_uniform_record_with_blank_lines_reads(self, tmp_path):
+        path = self.write(tmp_path, ["t,value", "", "0.5,1", "", "1.0,2", "1.5,3"])
+        record = io.read_timeseries_csv(path)
+        assert (record.start_time, record.dt) == (0.5, 0.5)
+        assert type(record.dt) is float
+        assert record.samples.tolist() == [1.0, 2.0, 3.0]

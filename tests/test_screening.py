@@ -49,7 +49,7 @@ class TestRunsTest:
         with pytest.raises(ValueError):
             sf.runs_test(series(np.arange(30.0)), far=far)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_samples(self, bad):
         x = np.sin(np.arange(100.0))
         x[7] = bad

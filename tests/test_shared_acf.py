@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import sinefit as sf
-from sinefit import io
+from sinefit import acf, estimate, io, model, screening, spectrum
 from sinefit.cli import cli
 from sinefit.model import standard_normal_draws
 
@@ -128,6 +128,17 @@ class TestOneAcfPerRecord:
         assert result.exit_code in (0, 2), result.output
         assert transforms == ONE_PAIR
 
+    def test_cli_estimate_skip_screen_with_plot_data_runs_one(self, tmp_path, transforms):
+        # gate 1 keeps no ACF, so the estimator's own is what acf.csv reuses
+        io.write_timeseries_csv(str(tmp_path / "in.csv"), gate1_record())
+        transforms.update(rfft=0, irfft=0)
+        result = CliRunner().invoke(cli, [
+            "estimate", str(tmp_path / "in.csv"), "--far", "0.001", "--skip-screen",
+            "-o", str(tmp_path / "report.json"), "--plot-data", str(tmp_path / "plots")])
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "plots" / "acf.csv").exists()
+        assert transforms == ONE_PAIR
+
     @pytest.mark.parametrize("name", sorted(RECORDS))
     def test_cli_screen_runs_one(self, tmp_path, transforms, name):
         make, far, _ = RECORDS[name]
@@ -171,6 +182,53 @@ class TestSpectrumFromTheSharedDft:
         assert sf.screen(gate1_record(), 0.001).dft is None
 
 
+@pytest.fixture
+def finite_checks(monkeypatch):
+    """Count check_finite calls through every module that imports it."""
+    calls = []
+
+    def counting(record, _real=model.check_finite):
+        calls.append(record)
+        return _real(record)
+
+    for module in (model, estimate, screening, acf, spectrum):
+        monkeypatch.setattr(module, "check_finite", counting)
+    return calls
+
+
+class TestOneFiniteCheckPerRecord:
+    @pytest.mark.parametrize("skip_screen", [False, True])
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_estimate_parameters_checks_once(self, finite_checks, name, skip_screen):
+        make, far, _ = RECORDS[name]
+        record = make()
+        sf.estimate_parameters(record, sf.PipelineConfig(far=far, skip_screen=skip_screen))
+        assert finite_checks == [record]
+
+    def test_short_record_under_skip_screen_checks_once(self, finite_checks):
+        record = short_record()
+        sf.estimate_parameters(record, sf.PipelineConfig(skip_screen=True))
+        assert finite_checks == [record]
+
+    def test_screen_and_runs_test_check_on_their_own(self, finite_checks):
+        record = signal_record()
+        sf.screen(record)
+        sf.runs_test(record, 0.01)
+        assert finite_checks == [record, record]
+
+    def test_argument_errors_still_come_first_in_screen(self):
+        x = short_record().samples.copy()
+        x[3] = math.nan
+        with pytest.raises(ValueError, match="at least 20 samples"):
+            sf.screen(sf.TimeSeries(0.0, 1.0, x))
+        with pytest.raises(ValueError, match="false-alarm rate"):
+            sf.screen(sf.TimeSeries(0.0, 1.0, np.full(100, math.nan)), 0.7)
+
+
+def runs_test(record):
+    return sf.runs_test(record, 0.01)
+
+
 def huge_record():
     """Finite samples whose squares overflow: 1e200*sin(0.3t), N = 100."""
     return sf.TimeSeries(0.0, 1.0, 1e200 * np.sin(0.3 * np.arange(100)))
@@ -178,7 +236,7 @@ def huge_record():
 
 class TestSamplesTooLarge:
     @pytest.mark.parametrize("consumer", [sf.circular_acf, sf.screen,
-                                          sf.estimate_parameters])
+                                          sf.estimate_parameters, runs_test])
     def test_rejected_with_their_own_message(self, consumer):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -230,6 +288,16 @@ class TestAcfCsvs:
                                  "--plot-data", str(tmp_path / "plots")])
         header, rows = read_rows(tmp_path / "plots" / "acf.csv")
         assert header == ["lag", "value", "lower_bound", "upper_bound"]
+        assert np.array_equal(rows, expected)
+
+    def test_plot_data_after_gate1_under_skip_screen(self, tmp_path):
+        far, expected = self.expected(tmp_path, "gate1")
+        result = CliRunner().invoke(cli, ["estimate", str(tmp_path / "in.csv"),
+                                          "--far", str(far), "--skip-screen",
+                                          "-o", str(tmp_path / "r.json"),
+                                          "--plot-data", str(tmp_path / "plots")])
+        assert result.exit_code == 0, result.output
+        header, rows = read_rows(tmp_path / "plots" / "acf.csv")
         assert np.array_equal(rows, expected)
 
     def test_plot_data_without_a_decision_has_nan_bounds(self, tmp_path):
