@@ -7,8 +7,11 @@ moves any result of ``estimate_parameters``:
 
 Inputs: tones (A = 2, phi = 0.6109) at f in {0.05, 0.0537, 0.123} Hz,
 N in {100, 1000, 10000} and sigma in {0, 0.5, 2} (noise seeds 0 and 1
-when sigma > 0), plus white-noise and AR(1) (rho = 0.3) records at each
-N, seeds 0 and 1.  Configs: default, full_record, ma_k=1, skip_screen.
+when sigma > 0), the same tones sampled from t = -2.3 s every 0.37 s
+(noise seed 0), plus white-noise and AR(1) (rho = 0.3) records at each
+N, seeds 0 and 1.  The shifted grid exercises the start-time rotation of
+the full-record phase sums and the index arithmetic of the one-period
+window.  Configs: default, full_record, ma_k=1, skip_screen.
 
 Each line is ``<input> <config> <sha256> acf_arccos=<v> acf_period=<v>``.
 The hash covers the canonical JSON of ``report_to_dict`` (or of the
@@ -36,6 +39,7 @@ FREQUENCIES = (0.05, 0.0537, 0.123)
 SIZES = (100, 1000, 10_000)
 SIGMAS = (0.0, 0.5, 2.0)
 SEEDS = (0, 1)
+SHIFTED_GRID = (-2.3, 0.37)  # (start, dt) of the shifted tones
 CONFIGS = {
     "default": sf.PipelineConfig(),
     "full_record": sf.PipelineConfig(objective_range="full_record"),
@@ -60,6 +64,9 @@ def inputs():
         for seed in SEEDS if sigma > 0 else SEEDS[:1]:
             yield (f"tone:f={f}:n={n}:sigma={sigma}:seed={seed}",
                    sf.synthesize(params, sf.NoiseSpec(sigma, seed), n))
+        start, dt = SHIFTED_GRID
+        yield (f"tone:f={f}:n={n}:sigma={sigma}:seed=0:start={start}:dt={dt}",
+               sf.synthesize(params, sf.NoiseSpec(sigma, 0), n, dt=dt, start=start))
     for n, seed in itertools.product(SIZES, SEEDS):
         yield f"white:n={n}:seed={seed}", sf.TimeSeries(0.0, 1.0, standard_normal_draws(seed, n))
         yield f"ar1:n={n}:seed={seed}", sf.TimeSeries(0.0, 1.0, ar1(seed, n))

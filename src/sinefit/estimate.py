@@ -12,6 +12,7 @@ never the pipeline's primary answer.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ from .acf import (AcfSeries, DegenerateParametersError, _circular_acf, frequency
 from .model import SinusoidParams, TimeSeries, TWO_PI, check_finite, wrap_phase
 from .screening import ScreeningDecision, VERDICT_NOISE, _screen
 from .smoothing import SmoothedSeries, amplitude_estimate, moving_average
-from .spectrum import Spectrum, _dft, fundamental_frequency
+from .spectrum import Spectrum, _dft, _peak_bin
 
 ONE_PERIOD = "one_period"
 FULL_RECORD = "full_record"
@@ -63,14 +64,32 @@ class PhaseObjective:
 
 def _objective_points(obj: PhaseObjective) -> tuple[np.ndarray, np.ndarray]:
     """Sample times and values the objective sums over: a contiguous run of
-    the record (all of it, or 0 <= t <= 1/f), so the times stay evenly spaced."""
-    t = obj.data.times()
-    x = obj.data.samples
-    if obj.t_range == ONE_PERIOD:
-        period = 1.0 / obj.fixed_frequency_hz
-        mask = (t >= 0.0) & (t <= period + 1e-12)
-        t, x = t[mask], x[mask]
-    return t, x
+    the record (all of it, or 0 <= t <= 1/f), so the times stay evenly spaced.
+
+    Sample k sits at start + dt*k, which never decreases with k, so the
+    one_period run is the index range [lo, hi) that two bisections over k
+    find with that expression and the comparisons t >= 0 and
+    t <= 1/f + 1e-12; the values are a slice and only the run's times are
+    built.  A one_period run of fewer than 2 samples (a record that starts
+    after 1/f or ends before 0) raises ``ValueError``.
+    """
+    record = obj.data
+    if obj.t_range == FULL_RECORD:
+        return record.times(), record.samples
+    start, dt = float(record.start_time), float(record.dt)
+
+    def time(k: int) -> float:
+        return start + dt * k
+
+    period = 1.0 / obj.fixed_frequency_hz
+    indices = range(len(record))
+    lo = bisect.bisect_left(indices, 0.0, key=time)
+    hi = bisect.bisect_right(indices, period + 1e-12, lo=lo, key=time)
+    if hi - lo < 2:
+        raise ValueError(
+            f"the one_period objective window [0, 1/f] = [0, {period:.6g}] holds "
+            f"{hi - lo} sample(s) of the record, fewer than 2; use the full_record range")
+    return start + dt * np.arange(lo, hi), record.samples[lo:hi]
 
 
 # The closed-form double-angle sums lose about eps*m*|u|/|sin(u)| to
@@ -138,18 +157,25 @@ def _refine_table(cell: int) -> _PhaseTable:
                                    REFINE_STEP))
 
 
-def _objective_on_tables(obj: PhaseObjective, t: np.ndarray, x: np.ndarray):
+def _objective_on_tables(obj: PhaseObjective, t: np.ndarray, x: np.ndarray,
+                         linear: tuple[float, float] | None = None):
     """The objective as a trig polynomial in phi: O(N) sums once, O(1) per phi.
 
     Sum (x - A*sin(wt + phi))^2 = Sxx - 2A(cos(phi)*Sxs + sin(phi)*Sxc) + A^2*(m/2
     - (cos(2phi)*Sc2 - sin(2phi)*Ss2)/2), from the sine-fit sums of IEEE Std 1057,
-    over the objective's points ``t, x``.  Sxs and Sxc take one trig pass each;
-    Sc2 and Ss2 are the closed-form geometric sums of ``_double_angle_sums``.
-    Returns the curve as a function of a ``_PhaseTable``.
+    over the objective's points ``t, x``.  Sxx is one dot product; Sc2 and
+    Ss2 are the closed-form geometric sums of ``_double_angle_sums``.
+    ``linear`` is (Sxs, Sxc) when the caller already has them (the whole
+    record's, from its kept DFT peak bin: ``_peak_bin_sums``); otherwise
+    they take one trig pass each.  Returns the curve as a function of a
+    ``_PhaseTable``.
     """
     a, w = obj.fixed_amplitude, TWO_PI * obj.fixed_frequency_hz
-    wt = w * t
-    sxx, sxs, sxc = x @ x, x @ np.sin(wt), x @ np.cos(wt)
+    if linear is None:
+        wt = w * t
+        linear = x @ np.sin(wt), x @ np.cos(wt)
+    sxs, sxc = linear
+    sxx = x @ x
     sc2, ss2 = _double_angle_sums(t, 2.0 * w, obj.data.dt)
 
     def curve(table: _PhaseTable) -> np.ndarray:
@@ -164,6 +190,17 @@ def _objective_polynomial(obj: PhaseObjective, t: np.ndarray, x: np.ndarray):
     """``_objective_on_tables`` as a function of any array of phases."""
     curve = _objective_on_tables(obj, t, x)
     return lambda phis: curve(_phase_table(phis))
+
+
+def _peak_bin_sums(peak: complex, w: float, t0: float) -> tuple[float, float]:
+    """(Sxs, Sxc) over a whole record from its DFT bin ``peak`` = X[m], for
+    w = 2*pi*m/(N*dt) and first sample time ``t0``.
+
+    w*t_k = w*t0 + 2*pi*m*k/N, so Sxc + i*Sxs = sum x_k*exp(i*w*t_k)
+    = exp(i*w*t0)*conj(X[m]): O(1) instead of two trig passes over N.
+    """
+    z = complex(math.cos(w * t0), math.sin(w * t0)) * complex(peak).conjugate()
+    return z.imag, z.real
 
 
 def _residual_sum(obj: PhaseObjective, t: np.ndarray, x: np.ndarray, phi: float) -> float:
@@ -193,8 +230,14 @@ def phase_grid_search(obj: PhaseObjective) -> tuple[float, float]:
     the life of the process (629 cells at most, about 1 MB), so a
     call takes no trig of grid points.  Returns (phi, phase_objective_value).
     """
-    t, x = _objective_points(obj)
-    curve = _objective_on_tables(obj, t, x)
+    return _grid_search(obj, *_objective_points(obj))
+
+
+def _grid_search(obj: PhaseObjective, t: np.ndarray, x: np.ndarray,
+                 linear: tuple[float, float] | None = None) -> tuple[float, float]:
+    """``phase_grid_search`` over the points ``t, x``, with (Sxs, Sxc) taken
+    from ``linear`` when given (see ``_objective_on_tables``)."""
+    curve = _objective_on_tables(obj, t, x, linear)
     refine = _refine_table(int(np.argmin(curve(_COARSE))))
     phi = float(refine.phis[np.argmin(curve(refine))])
     return phi, _residual_sum(obj, t, x, phi)
@@ -258,23 +301,31 @@ def _zero_crossings(series: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
     once the series has reached beyond +-h on both sides (h is a fixed
     fraction of half the range), and each confirmed transition takes the
     median raw crossing of its cluster.  ``times`` is ascending; the
-    matching ``directions`` entry is +1 upward, -1 downward.
+    matching ``directions`` entry is +1 upward, -1 downward, and the
+    directions strictly alternate (each is a change of confirmed side).
+
+    Raw sign changes are the rises of the boolean arrays s > 0 and s < 0
+    (a <= 0 < b is ~p[i] & p[i+1] for p = s > 0).  The confirmed sides
+    come from s > h and s < -h, and sample times are computed only at the
+    indices read, as start + dt*i, the arithmetic of ``TimeSeries.times``.
     """
     s = series.samples
-    t = series.times()
+    start, dt = float(series.start_time), float(series.dt)
     h = _HYSTERESIS_FRACTION * (s.max() - s.min()) / 2.0
     if h == 0:
         raise ValueError("constant record has no zero crossings")
-    a, b = s[:-1], s[1:]
-    i = np.flatnonzero(((a <= 0.0) & (b > 0.0)) | ((a >= 0.0) & (b < 0.0)))
-    raw = t[i] + series.dt * (0.0 - a[i]) / (b[i] - a[i])  # sorted, for searchsorted
-    states = np.where(s > h, 1, np.where(s < -h, -1, 0))
-    confirmed = np.flatnonzero(states != 0)
-    flips = np.flatnonzero(np.diff(states[confirmed]) != 0)
+    p, q = s > 0.0, s < 0.0
+    i = np.flatnonzero((p[1:] > p[:-1]) | (q[1:] > q[:-1]))
+    a, b = s[i], s[i + 1]
+    raw = (start + dt * i) + dt * (0.0 - a) / (b - a)  # sorted, for searchsorted
+    above = s > h
+    confirmed = np.flatnonzero(above | (s < -h))
+    side = above[confirmed]
+    flips = np.flatnonzero(side[1:] != side[:-1])
     ia, ib = confirmed[flips], confirmed[flips + 1]
-    lo = np.searchsorted(raw, t[ia], side="left")
-    hi = np.searchsorted(raw, t[ib], side="right")
-    return raw[(lo + hi) // 2], states[ib]
+    lo = np.searchsorted(raw, start + dt * ia, side="left")
+    hi = np.searchsorted(raw, start + dt * ib, side="right")
+    return raw[(lo + hi) // 2], np.where(side[flips + 1], 1, -1)
 
 
 def _second_crossover(times: np.ndarray, directions: np.ndarray,
@@ -305,13 +356,15 @@ def detect_t2pi(smoothed: SmoothedSeries) -> float:
 def _period_from_crossings(times: np.ndarray, directions: np.ndarray) -> float | None:
     """Average spacing of consecutive same-direction crossings, if any.
 
-    Upward spacings come first, then downward ones, and ``np.mean`` takes
-    them in that order.
+    The directions of ``_zero_crossings`` alternate, so each direction's
+    times are a stride-2 slice.  Upward spacings come first, then downward
+    ones, and their sum over their count is ``np.mean``'s arithmetic.
     """
-    spacings = np.concatenate([np.diff(times[directions == d]) for d in (1, -1)])
+    up = 1 if directions.size and directions[0] < 0 else 0
+    spacings = np.concatenate([np.diff(times[up::2]), np.diff(times[1 - up::2])])
     if spacings.size == 0:
         return None
-    return float(np.mean(spacings))
+    return float(np.add.reduce(spacings) / spacings.size)
 
 
 def _acf_period_lag(acf: AcfSeries, n: int) -> int | None:
@@ -471,7 +524,8 @@ def estimate_parameters(record: TimeSeries,
     spec = Spectrum(1.0 / (n * dt), np.abs(dft))
     candidates: dict[str, float] = {}
     try:
-        candidates["fft"] = fundamental_frequency(spec)
+        peak = _peak_bin(spec)
+        candidates["fft"] = peak * spec.df  # what fundamental_frequency(spec) returns
     except ValueError:
         pass
 
@@ -512,7 +566,10 @@ def estimate_parameters(record: TimeSeries,
 
     objective = PhaseObjective(record, amplitude, frequency,
                                config.objective_range)
-    phi, objective_value = phase_grid_search(objective)
+    linear = None
+    if source == "fft" and config.objective_range == FULL_RECORD:
+        linear = _peak_bin_sums(dft[peak], TWO_PI * frequency, record.start_time)
+    phi, objective_value = _grid_search(objective, *_objective_points(objective), linear)
 
     params = SinusoidParams(amplitude, frequency, phi)
 

@@ -69,8 +69,10 @@ class SinusoidParams:
 class TimeSeries:
     """A uniformly sampled real-valued record.
 
-    Sample i sits at time start_time + i*dt.  The sample array is copied
-    and frozen so instances can be shared across threads safely.
+    Sample i sits at time start_time + i*dt; both must be finite, since a
+    NaN or infinite time leaves no sample at a usable time.  The sample
+    array is copied and frozen so instances can be shared across threads
+    safely.
     """
 
     start_time: float
@@ -78,8 +80,7 @@ class TimeSeries:
     samples: np.ndarray
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        _check_time_grid(self.start_time, self.dt)
         samples = np.array(self.samples, dtype=float)
         if samples.ndim != 1 or samples.size < 2:
             raise ValueError("a record needs at least two samples")
@@ -91,6 +92,15 @@ class TimeSeries:
 
     def times(self) -> np.ndarray:
         return self.start_time + self.dt * np.arange(self.samples.size)
+
+
+def _check_time_grid(start_time: float, dt: float) -> None:
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    if not math.isfinite(dt):
+        raise ValueError("dt must be finite")
+    if not math.isfinite(start_time):
+        raise ValueError("start_time must be finite")
 
 
 def check_finite(record: TimeSeries) -> None:
@@ -149,8 +159,7 @@ def synthesize(params: SinusoidParams, noise: NoiseSpec, n: int,
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+    _check_time_grid(start, dt)
     t = start + dt * np.arange(n)
     samples = evaluate(params, t)
     if noise.sigma > 0:

@@ -58,7 +58,11 @@ def fundamental_frequency(spec: Spectrum) -> float:
     DC is excluded because the model has no vertical offset, so any
     energy at bin 0 is residual mean, not signal.
     """
+    return _peak_bin(spec) * spec.df
+
+
+def _peak_bin(spec: Spectrum) -> int:
+    """Index of the largest non-DC bin; ties go to the lower bin."""
     if spec.magnitudes.size < 2:
         raise ValueError("spectrum needs at least two bins")
-    m = 1 + int(np.argmax(spec.magnitudes[1:]))
-    return m * spec.df
+    return 1 + int(np.argmax(spec.magnitudes[1:]))

@@ -140,6 +140,24 @@ class TestEstimate:
         assert report["screening"]["far"] == 0.001
         assert len(report["series"]["model_acf_full"]) == 41
 
+    def test_one_period_window_without_samples_exits_one(self, tmp_path):
+        # t runs from 100 to 199, so [0, 1/f] = [0, 20] holds no sample
+        run_cli(GENERATE_DEMO + ["--start", "100", "-o", str(tmp_path / "late.csv")],
+                tmp_path, check=0)
+        result = run_cli(["estimate", str(tmp_path / "late.csv"),
+                          "-o", str(tmp_path / "report.json")], tmp_path)
+        assert result.returncode == 1
+        assert "full_record" in result.stderr
+        assert not (tmp_path / "report.json").exists()
+        run_cli(["estimate", str(tmp_path / "late.csv"), "--objective-range", "full_record",
+                 "-o", str(tmp_path / "report.json")], tmp_path, check=0)
+
+    def test_generate_rejects_a_non_finite_start(self, tmp_path):
+        result = run_cli(GENERATE_DEMO + ["--start", "nan", "-o", str(tmp_path / "a.csv")],
+                         tmp_path)
+        assert result.returncode == 1
+        assert "start_time must be finite" in result.stderr
+
     def test_empty_file_is_a_parse_error(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("")

@@ -569,3 +569,111 @@ class TestPipeline:
             sf.PipelineConfig(ma_k=0)
         with pytest.raises(ValueError):
             sf.PipelineConfig(objective_range="both")
+
+
+def tone(n, f, start=0.0, dt=1.0, sigma=0.5, seed=0):
+    return sf.synthesize(sf.SinusoidParams(AMPLITUDE, f, PHASE), sf.NoiseSpec(sigma, seed),
+                         n, dt=dt, start=start)
+
+
+class TestPeakBinSums:
+    @pytest.mark.parametrize("n", [100, 1001, 10_000])
+    @pytest.mark.parametrize("start, dt", [(0.0, 1.0), (-2.3, 0.37), (7.5, 0.02)])
+    def test_match_the_direct_sums(self, n, start, dt):
+        # bin n/2 of an even n is f*dt = 0.5, the Nyquist bin
+        record = tone(n, 0.0537 / dt, start, dt)
+        x, t = record.samples, record.times()
+        dft = np.fft.rfft(x)
+        bound = 1e-12 * math.sqrt(n * (x @ x))
+        for m in sorted({1, 2, 7, n // 3, (n - 1) // 2, n // 2}):
+            w = TWO_PI * m / (n * dt)
+            sxs, sxc = estimate._peak_bin_sums(dft[m], w, start)
+            assert abs(sxs - x @ np.sin(w * t)) <= bound, m
+            assert abs(sxc - x @ np.cos(w * t)) <= bound, m
+
+    def test_are_the_bin_itself_at_time_zero(self):
+        x = tone(64, 0.05).samples
+        bin7 = np.fft.rfft(x)[7]
+        assert estimate._peak_bin_sums(bin7, TWO_PI * 7 / 64, 0.0) == (-bin7.imag, bin7.real)
+
+    @pytest.mark.parametrize("start, dt", [(0.0, 1.0), (-2.3, 0.37)])
+    def test_full_record_phases_match_the_direct_search(self, start, dt):
+        config = sf.PipelineConfig(objective_range="full_record", skip_screen=True)
+        searched = 0
+        for n, f, sigma, seed in itertools.product((100, 1000), (0.05, 0.0537, 0.123),
+                                                   (0.0, 0.5, 2.0), (0, 1)):
+            record = tone(n, f / dt, start, dt, sigma, seed)
+            report = sf.estimate_parameters(record, config)
+            if report.frequency_source != "fft":
+                continue
+            p = report.params
+            obj = sf.PhaseObjective(record, p.amplitude, p.frequency_hz, "full_record")
+            phi, value = sf.phase_grid_search(obj)
+            assert (p.phase_rad, report.objective_value) == (sf.wrap_phase(phi), value)
+            searched += 1
+        assert searched >= 30
+
+
+def reference_one_period_points(obj):
+    """The one_period objective's points as a mask over every sample time."""
+    t = obj.data.times()
+    mask = (t >= 0.0) & (t <= 1.0 / obj.fixed_frequency_hz + 1e-12)
+    return t[mask], obj.data.samples[mask]
+
+
+def window_cases():
+    """Seeded (n, start, dt, f), plus windows that start at -0.0 or end on a sample."""
+    rng = np.random.default_rng(8)
+    for _ in range(2000):
+        dt = float(rng.choice([1.0, 0.37, rng.uniform(1e-3, 5.0)]))
+        start = float(rng.choice([0.0, -0.0, -2.3, rng.uniform(-60, 60), -dt * 7]))
+        yield int(rng.integers(2, 300)), start, dt, float(rng.uniform(1e-3, 0.6) / dt)
+    for n, dt, k in itertools.product((20, 21, 100), (1.0, 0.1, 0.37, 0.25), (1, 2, 19, 20)):
+        for start in (0.0, -0.0, -3 * dt):
+            yield n, start, dt, 1.0 / (k * dt)
+
+
+class TestObjectiveWindow:
+    def test_equals_the_mask(self):
+        for n, start, dt, f in window_cases():
+            obj = sf.PhaseObjective(sf.TimeSeries(start, dt, np.arange(n) + 0.5), 1.0, f)
+            t, x = reference_one_period_points(obj)
+            if t.size < 2:
+                with pytest.raises(ValueError, match="full_record"):
+                    estimate._objective_points(obj)
+                continue
+            got_t, got_x = estimate._objective_points(obj)
+            assert got_t.tobytes() == t.tobytes(), (n, start, dt, f)
+            assert got_x.tobytes() == x.tobytes(), (n, start, dt, f)
+
+    def test_window_may_end_exactly_on_a_sample(self):
+        obj = sf.PhaseObjective(tone(100, 0.05), AMPLITUDE, 0.05)
+        t, _ = estimate._objective_points(obj)
+        assert (t[0], t[-1], t.size) == (0.0, 20.0, 21)
+
+    @pytest.mark.parametrize("start, n", [(100.0, 100), (-200.0, 100), (19.5, 100)])
+    def test_fewer_than_two_samples_raise(self, start, n):
+        # records that start after 1/f = 20, end before 0, or keep one sample
+        record = tone(n, 0.05, start)
+        obj = sf.PhaseObjective(record, AMPLITUDE, 0.05)
+        with pytest.raises(ValueError, match=r"\[0, 1/f\].*full_record"):
+            sf.phase_objective_value(obj, 0.0)
+        with pytest.raises(ValueError, match=r"\[0, 1/f\].*full_record"):
+            sf.phase_grid_search(obj)
+
+    def test_pipeline_raises_and_full_record_still_estimates(self):
+        record = tone(100, 0.05, start=100.0)
+        with pytest.raises(ValueError, match=r"\[0, 1/f\].*full_record"):
+            sf.estimate_parameters(record)
+        report = sf.estimate_parameters(record, sf.PipelineConfig(objective_range="full_record"))
+        assert report.params.frequency_hz == 0.05
+        assert report.objective_value > 0.0
+
+
+class TestCrossingDirections:
+    @pytest.mark.parametrize("records", [noisy_tone_series, plateau_series])
+    def test_alternate(self, records):
+        for series in records():
+            _, directions = _zero_crossings(series)
+            assert np.all(directions[1:] != directions[:-1])
+            assert set(directions.tolist()) <= {1, -1}

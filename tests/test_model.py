@@ -110,6 +110,19 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             sf.TimeSeries(0.0, 0.0, [1.0, 2.0])
 
+    @pytest.mark.parametrize("start, dt, message", [
+        (math.nan, 1.0, "start_time must be finite"),
+        (math.inf, 1.0, "start_time must be finite"),
+        (-math.inf, 1.0, "start_time must be finite"),
+        (0.0, math.inf, "dt must be finite"),
+        (0.0, math.nan, "dt must be positive"),
+    ])
+    def test_rejects_non_finite_times(self, demo_params, start, dt, message):
+        with pytest.raises(ValueError, match=message):
+            sf.TimeSeries(start, dt, [1.0, 2.0])
+        with pytest.raises(ValueError, match=message):
+            sf.synthesize(demo_params, sf.NoiseSpec(0.5, 0), 10, dt=dt, start=start)
+
     def test_samples_are_frozen(self):
         ts = sf.TimeSeries(0.0, 1.0, [1.0, 2.0, 3.0])
         with pytest.raises(ValueError):

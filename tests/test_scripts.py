@@ -41,9 +41,9 @@ def test_monte_carlo_wraps_phase_errors():
 
 def test_same_outputs_prints_one_line_per_case():
     lines = run_script("same_outputs.py").splitlines()
-    # (27 tone settings, two noise seeds when sigma > 0: 45 tones) + 12 noise
-    # records, each under 4 configs
-    assert len(lines) == (45 + 12) * 4
+    # (27 tone settings, two noise seeds when sigma > 0: 45 tones) + 27 tones
+    # on the shifted time grid + 12 noise records, each under 4 configs
+    assert len(lines) == (45 + 27 + 12) * 4
     pattern = re.compile(r"\S+ (default|full_record|ma_k=1|skip_screen) [0-9a-f]{64} "
                          r"acf_arccos=(-|\S+) acf_period=(-|\S+)")
     assert all(pattern.fullmatch(line) for line in lines), lines[:3]
