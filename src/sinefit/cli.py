@@ -117,12 +117,15 @@ def acf(input_csv, max_lag, out):
 @cli.command()
 @click.argument("input_csv", type=click.Path(exists=True, dir_okay=False))
 @click.option("--pad", type=int, default=None,
-              help="Zero-pad the record to this length for a finer grid.")
+              help="Zero-pad the record to this length (at least N) for a finer grid.")
 @click.option("-o", "--out", type=click.Path(dir_okay=False), default=None,
               help="Output CSV path [default: spectrum.csv].")
 def spectrum(input_csv, pad, out):
     """Write the magnitude spectrum as `frequency_hz,magnitude` CSV."""
     record = _load(input_csv)
+    if pad is not None and pad < len(record):
+        raise click.ClickException(
+            f"--pad must be at least the record length N = {len(record)}, got {pad}")
     try:
         if pad is not None and pad > len(record):
             padded = np.concatenate([record.samples,

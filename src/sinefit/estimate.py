@@ -204,8 +204,14 @@ def _peak_bin_sums(peak: complex, w: float, t0: float) -> tuple[float, float]:
 
 
 def _residual_sum(obj: PhaseObjective, t: np.ndarray, x: np.ndarray, phi: float) -> float:
-    w = TWO_PI * obj.fixed_frequency_hz
-    return float(np.sum((x - obj.fixed_amplitude * np.sin(w * t + phi)) ** 2))
+    """Sum of (x - A*sin(w*t + phi))**2, every step in one N-length buffer."""
+    buf = np.multiply(TWO_PI * obj.fixed_frequency_hz, t)
+    buf += phi
+    np.sin(buf, out=buf)
+    buf *= obj.fixed_amplitude
+    np.subtract(x, buf, out=buf)
+    np.square(buf, out=buf)
+    return float(np.sum(buf))
 
 
 def phase_objective_value(obj: PhaseObjective, phi: float) -> float:

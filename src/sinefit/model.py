@@ -104,14 +104,17 @@ def _check_time_grid(start_time: float, dt: float) -> None:
 
 
 def check_finite(record: TimeSeries) -> None:
-    """Reject records no stage can judge, from one pass over max|x|.
+    """Reject records no stage can judge, from max|x|.
 
     NaN or infinite samples raise ``NON_FINITE_SAMPLES``.  Finite samples
     above sqrt(float max)/N raise ``SAMPLES_TOO_LARGE``: past that limit a
     sum of squares, such as the power spectrum or the lag-0 ACF sum, can
-    overflow although every sample is finite.
+    overflow although every sample is finite.  max|x| is taken as
+    max(max x, -min x), which is exact and needs no N-length |x|; a NaN
+    makes both reductions NaN, so it still fails ``isfinite``.
     """
-    m = float(np.abs(record.samples).max())
+    x = record.samples
+    m = max(float(np.maximum.reduce(x)), -float(np.minimum.reduce(x)))
     if not math.isfinite(m):
         raise ValueError(NON_FINITE_SAMPLES)
     if m > _SQRT_FLOAT_MAX / len(record):

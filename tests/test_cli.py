@@ -219,6 +219,24 @@ class TestSpectrumCommand:
         peak = max(rows[1:], key=lambda row: row[1])
         assert peak[0] == pytest.approx(0.053, abs=0.002)
 
+    @pytest.mark.parametrize("pad", ["50", "99", "0", "-5"])
+    def test_pad_below_the_record_length_exits_one(self, tmp_path, pad):
+        run_cli(["generate", "-A", "2", "-f", "0.05", "-n", "100",
+                 "-o", str(tmp_path / "clean.csv")], tmp_path, check=0)
+        result = run_cli(["spectrum", str(tmp_path / "clean.csv"), "--pad", pad,
+                          "-o", str(tmp_path / "spec.csv")], tmp_path, check=1)
+        assert "N = 100" in result.stderr and pad in result.stderr
+        assert not (tmp_path / "spec.csv").exists()
+
+    def test_pad_equal_to_the_record_length_is_a_no_op(self, tmp_path):
+        run_cli(["generate", "-A", "2", "-f", "0.05", "-n", "100",
+                 "-o", str(tmp_path / "clean.csv")], tmp_path, check=0)
+        run_cli(["spectrum", str(tmp_path / "clean.csv"),
+                 "-o", str(tmp_path / "plain.csv")], tmp_path, check=0)
+        run_cli(["spectrum", str(tmp_path / "clean.csv"), "--pad", "100",
+                 "-o", str(tmp_path / "padded.csv")], tmp_path, check=0)
+        assert (tmp_path / "padded.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("command, token", [

@@ -1,6 +1,6 @@
 """Work that gives the same answer every time is done once: the phase
 grid's trig tables per process, the gate-1 quantile per false-alarm rate,
-and the full-model ACF on first read."""
+the full-model ACF on first read, and the median's selection per record."""
 
 import math
 
@@ -148,3 +148,22 @@ class TestGate1Threshold:
         screening._gate1_threshold(100, 0.01)
         with pytest.raises(ValueError, match="at least 20 samples"):
             screening._gate1_threshold(19, 0.01)
+
+
+class TestGate1Median:
+    @pytest.mark.parametrize("n", [100, 101, 1000, 1001])
+    def test_a_gate1_reject_makes_one_single_kth_partition(self, monkeypatch, n):
+        calls = []
+
+        def counting(a, kth, *args, _real=np.partition, **kwargs):
+            calls.append(kth)
+            return _real(a, kth, *args, **kwargs)
+
+        monkeypatch.setattr(np, "partition", counting)
+        record = sf.TimeSeries(0.0, 1.0, np.random.default_rng(n).standard_normal(n))
+        for run in (lambda: sf.screen(record), lambda: sf.estimate_parameters(record)):
+            calls.clear()
+            run()
+            assert len(calls) == 1
+            assert isinstance(calls[0], (int, np.integer))
+        assert sf.screen(record).gate_failed == "gate1"

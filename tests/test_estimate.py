@@ -47,6 +47,16 @@ class TestPhaseObjective:
         phi = 1.0
         assert sf.phase_objective_value(one, phi) < sf.phase_objective_value(full, phi)
 
+    @pytest.mark.parametrize("objective_range", ["one_period", "full_record"])
+    def test_equals_the_direct_expression_bit_for_bit(self, noisy_series, objective_range):
+        # the residual sum runs in one buffer; the expression form is the reference
+        for seed in range(5):
+            obj = sf.PhaseObjective(noisy_series(seed), AMPLITUDE, FREQUENCY, objective_range)
+            t, x = estimate._objective_points(obj)
+            for phi in np.linspace(-math.pi, math.pi, 13).tolist():
+                expected = float(np.sum((x - AMPLITUDE * np.sin(TWO_PI * FREQUENCY * t + phi)) ** 2))
+                assert sf.phase_objective_value(obj, phi) == expected
+
     def test_validation(self, demo_params):
         record = clean_record(demo_params)
         with pytest.raises(ValueError):

@@ -1,9 +1,11 @@
-"""Gate-1 kernels: the scalar normal quantile and the partition median.
+"""Gate-1 kernels: the scalar normal quantile, the partition median and
+the runs split.
 
-Both replace general NumPy machinery on the screening reject path, so
-both are pinned bit for bit against that machinery: the scalar quantile
-against the array path of ``normal_quantile``, the partition median
-against ``np.median``.
+Each replaces general NumPy machinery on the screening reject path, so
+each is pinned against that machinery: the scalar quantile bit for bit
+against the array path of ``normal_quantile``, the one-kth partition
+median against ``np.median``, and the runs split against a reference
+that gathers the kept signs on every record.
 """
 
 import subprocess
@@ -83,7 +85,7 @@ def test_array_path_still_returns_arrays():
 def _median_cases():
     rng = np.random.default_rng(7)
     cases = []
-    for n in (20, 21, 100, 101, 1000, 1001):
+    for n in (20, 21, 100, 101, 1000, 1001, 10_000, 10_001):
         cases.append(rng.standard_normal(n))                          # continuous
         cases.append(rng.integers(0, 3, n).astype(float))             # heavily tied
         cases.append(rng.integers(-1000, 1000, n).astype(float))      # integer-valued
@@ -94,6 +96,9 @@ def _median_cases():
     cases.append(np.array([1.0, 2.0] * 15))                            # even, two values
     cases.append(np.array([1e300, 1.5e300, -1e300, 2e300] * 5))         # wide range
     cases.append(np.array([0.1, 0.2, 0.30000000000000004, 0.3] * 5))    # rounding-sensitive mean
+    middle = np.array([1.0, np.nextafter(1.0, 2.0)])                   # even, the two middle
+    cases.append(rng.permutation(np.concatenate([                       # values adjacent floats
+        rng.uniform(0.0, 0.5, 29), middle, rng.uniform(1.5, 2.0, 29)])))
     return cases
 
 
@@ -103,6 +108,70 @@ def test_partition_median_equals_np_median(index):
     ours = screening._median(x)
     assert type(ours) is float
     assert ours == float(np.median(x))
+
+
+@pytest.mark.parametrize("index", range(len(_median_cases())))
+def test_partition_median_needs_only_the_partition_contract(monkeypatch, index):
+    # np.partition guarantees only the kth element and which side each
+    # other element lies on; numpy's selection happens to leave its
+    # neighbours nearly sorted, so shuffle each side to take that away.
+    x = _median_cases()[index]
+    expected = float(np.median(x))
+    rng = np.random.default_rng(index)
+
+    def shuffled_sides(a, kth, _real=np.partition):
+        part = _real(a, kth)
+        k = int(kth)
+        part[:k] = rng.permutation(part[:k])
+        part[k + 1:] = rng.permutation(part[k + 1:])
+        return part
+
+    monkeypatch.setattr(np, "partition", shuffled_sides)
+    assert screening._median(x) == expected
+
+
+def test_median_cases_cover_adjacent_middle_values():
+    x = np.sort(_median_cases()[-1])
+    n = x.size
+    assert n % 2 == 0 and x[n // 2] == np.nextafter(x[n // 2 - 1], 2.0)
+    assert screening._median(_median_cases()[-1]) == x[n // 2 - 1]  # the mean rounds down
+
+
+def _gathered_runs_statistics(x):
+    """Runs statistics with the kept signs gathered on every record."""
+    median = float(np.median(x))
+    signs = x[x != median] > median
+    n1 = int(signs.sum())
+    n2 = signs.size - n1
+    runs = 1 + int(np.sum(signs[1:] != signs[:-1]))
+    n = n1 + n2
+    mu = 2.0 * n1 * n2 / n + 1.0
+    var = 2.0 * n1 * n2 * (2.0 * n1 * n2 - n) / (n * n * (n - 1.0))
+    return (runs - mu) / np.sqrt(var), runs, n1, n2
+
+
+def _runs_cases():
+    rng = np.random.default_rng(19)
+    cases = []
+    for n in (20, 21, 100, 101, 1000, 1001):
+        cases.append(rng.standard_normal(n))                          # no ties
+        cases.append(np.sin(0.3 * np.arange(n)) + 0.3 * rng.standard_normal(n))
+        cases.append(rng.integers(0, 5, n).astype(float))             # ties at the median
+        cases.append(np.round(rng.standard_normal(n), 1))
+    return cases
+
+
+def test_runs_cases_have_records_with_and_without_median_ties():
+    tied = [np.count_nonzero(x == np.median(x)) > 0 for x in _runs_cases()]
+    assert 0 < sum(tied) < len(tied)
+
+
+@pytest.mark.parametrize("index", range(len(_runs_cases())))
+def test_runs_split_equals_a_gathering_reference(index):
+    x = _runs_cases()[index]
+    z, runs, n1, n2 = screening._runs_statistics(sf.TimeSeries(0.0, 1.0, x))
+    assert (type(runs), type(n1), type(n2)) == (int, int, int)
+    assert (z, runs, n1, n2) == _gathered_runs_statistics(x)
 
 
 def _screen_records():

@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import norm
 
 import sinefit as sf
+from sinefit.model import NON_FINITE_SAMPLES, SAMPLES_TOO_LARGE, check_finite
 from sinefit.screening import _gate2_passes, required_exceedances
 
 
@@ -156,3 +157,32 @@ class TestScreen:
         x[50] = bad
         with pytest.raises(ValueError, match="non-finite"):
             sf.screen(series(x), far=0.01)
+
+
+class TestCheckFinite:
+    """max|x| is taken as max(max x, -min x), so each sign must reach the verdict."""
+
+    def test_all_negative_record_past_the_limit_is_too_large(self):
+        n = 100
+        limit = math.sqrt(np.finfo(float).max) / n
+        x = -limit * (1.5 + np.sin(np.arange(float(n))) / 4)
+        assert x.max() < -limit
+        with pytest.raises(ValueError) as caught:
+            check_finite(series(x))
+        assert str(caught.value) == SAMPLES_TOO_LARGE
+        check_finite(series(x / 2))  # inside the limit: accepted
+
+    def test_lone_negative_infinity(self):
+        x = np.abs(np.sin(np.arange(100.0))) + 1.0
+        x[63] = -math.inf
+        with pytest.raises(ValueError) as caught:
+            check_finite(series(x))
+        assert str(caught.value) == NON_FINITE_SAMPLES
+
+    @pytest.mark.parametrize("fill", [1.0, -1.0, 0.0])
+    def test_nan_in_the_last_sample(self, fill):
+        x = np.full(100, fill) * np.arange(100.0)
+        x[-1] = math.nan
+        with pytest.raises(ValueError) as caught:
+            check_finite(series(x))
+        assert str(caught.value) == NON_FINITE_SAMPLES
