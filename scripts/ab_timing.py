@@ -1,0 +1,114 @@
+"""Time ``estimate_parameters`` of two source trees against each other.
+
+    python scripts/ab_timing.py PARENT_SRC CHANGE_SRC [--pairs 30] [--batch-ms 50]
+
+Each SRC is a directory holding a ``sinefit`` package (a checkout's
+``src``).  Both are imported into this one process, under the module
+names ``sinefit_parent`` and ``sinefit_change``, and for each setting
+the script alternates timed batches of ``estimate_parameters`` over the
+same seeded records: parent then change, change then parent, and so on.
+Each pair of batches gives one change/parent ratio of the time per
+record.  The script prints the median ratio and its quartiles, one line
+per setting; below 1 the change is faster.  Alternating in one process
+cancels the slow swings of a shared machine's speed (1.3-1.9x for
+minutes at a time on a 2-core VM), which swamp timings taken in separate
+runs.
+
+Settings: N = 100 and N = 1000 under the default ``one_period``
+objective, N = 10^4 under ``full_record``; the records are the demo tone
+(A = 2, f = 0.05 Hz, phi = 0.6109, dt = 1) at sigma = 0.5, seeds 0..R-1.
+"""
+
+import argparse
+import importlib.util
+import os
+import statistics
+import sys
+import time
+
+# (label, N, objective range, records per batch pass)
+SETTINGS = (("n=100 one_period", 100, "one_period", 40),
+            ("n=1000 one_period", 1000, "one_period", 20),
+            ("n=10000 full_record", 10_000, "full_record", 4))
+DEMO = (2.0, 0.05, 0.6109)
+SIGMA = 0.5
+
+
+def load(src, name):
+    """Import the ``sinefit`` package under ``src`` as module ``name``."""
+    package = os.path.join(os.path.abspath(src), "sinefit")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(package, "__init__.py"), submodule_search_locations=[package])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # the package's relative imports resolve through it
+    spec.loader.exec_module(module)
+    return module
+
+
+class Side:
+    """One tree's records and config for one setting, and a timed batch over them."""
+
+    def __init__(self, sf, n, objective_range, count):
+        tone = sf.SinusoidParams(*DEMO)
+        self.sf = sf
+        self.records = [sf.synthesize(tone, sf.NoiseSpec(SIGMA, seed), n)
+                        for seed in range(count)]
+        self.config = sf.PipelineConfig(objective_range=objective_range)
+
+    def batch(self, passes):
+        """Seconds per record over ``passes`` passes through the records."""
+        estimate, config = self.sf.estimate_parameters, self.config
+        start = time.perf_counter()
+        for _ in range(passes):
+            for record in self.records:
+                estimate(record, config)
+        return (time.perf_counter() - start) / (passes * len(self.records))
+
+
+def compare(parent, change, pairs, batch_s):
+    """Median and quartiles of the change/parent time ratio over ``pairs``
+    alternating pairs of batches, plus the parent's median time per record."""
+    for side in (parent, change):  # warm up: lazy tables, caches
+        side.batch(1)
+    per_record = parent.batch(1)
+    passes = max(1, round(batch_s / (per_record * len(parent.records))))
+    ratios, parent_times = [], []
+    for i in range(pairs):
+        if i % 2 == 0:
+            p = parent.batch(passes)
+            c = change.batch(passes)
+        else:
+            c = change.batch(passes)
+            p = parent.batch(passes)
+        ratios.append(c / p)
+        parent_times.append(p)
+    if len(ratios) > 1:
+        q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    else:
+        q1 = q3 = ratios[0]
+    return statistics.median(ratios), q1, q3, statistics.median(parent_times)
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent_src")
+    parser.add_argument("change_src")
+    parser.add_argument("--pairs", type=int, default=30,
+                        help="alternating batch pairs per setting (default 30)")
+    parser.add_argument("--batch-ms", type=float, default=50.0,
+                        help="target length of one batch in ms (default 50)")
+    args = parser.parse_args()
+    if args.pairs < 1 or not args.batch_ms > 0:
+        parser.error("--pairs must be at least 1 and --batch-ms positive")
+    parent = load(args.parent_src, "sinefit_parent")
+    change = load(args.change_src, "sinefit_change")
+    for label, n, objective_range, count in SETTINGS:
+        median, q1, q3, parent_s = compare(Side(parent, n, objective_range, count),
+                                           Side(change, n, objective_range, count),
+                                           args.pairs, args.batch_ms / 1000.0)
+        print(f"{label}: change/parent {median:.3f} (quartiles {q1:.3f}-{q3:.3f}, "
+              f"{args.pairs} pairs, parent {parent_s * 1e3:.4f} ms/record)", flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SAMPLES_TOO_LARGE, SinusoidParams, TimeSeries, TWO_PI, check_finite
+from .model import (SAMPLES_TOO_LARGE, SinusoidParams, TimeSeries, TWO_PI, _adopt,
+                    check_finite)
 from .spectrum import _dft
 
 
@@ -87,35 +88,47 @@ def circular_acf(record: TimeSeries, max_lag: int | None = None) -> AcfSeries:
     y = x - mean(x).  By the Wiener-Khinchin theorem the circular sums
     for all lags are the inverse DFT of the power spectrum |DFT(y)|^2,
     and |DFT(y)|^2 is |DFT(x)|^2 with bin 0 (the mean) set to zero.  So
-    the ACF costs the record's one forward transform, which it shares
-    with ``dft_magnitude``, plus one inverse, O(N log N), divided by the
-    lag-0 term.  The full-lag version (max_lag = N-1, the default)
-    satisfies values[tau] == values[N - tau]: the fold-over symmetry that
-    makes lags beyond N/2 redundant.  Records with NaN or infinite
-    samples, or with samples too large to square-sum (see
-    ``check_finite``), are rejected on the DC bin or the lag-0 sum.
+    the ACF costs the record's one forward transform and modulus, which
+    it shares with ``dft_magnitude``, plus one inverse, O(N log N),
+    divided by the lag-0 term.  The full-lag version (max_lag = N-1, the
+    default) satisfies values[tau] == values[N - tau]: the fold-over
+    symmetry that makes lags beyond N/2 redundant.  Records with NaN,
+    infinite or too-large samples are rejected first (``check_finite``).
     """
     n = len(record)
     if max_lag is None:
         max_lag = n - 1
     if not 1 <= max_lag <= n - 1:
         raise ValueError(f"max_lag must be in [1, {n - 1}]")
-    return _circular_acf(record, _dft(record), max_lag)
+    check_finite(record)
+    _, magnitudes = _dft(record)
+    return _circular_acf(record, magnitudes, max_lag)
 
 
-def _circular_acf(record: TimeSeries, dft: np.ndarray, max_lag: int) -> AcfSeries:
-    """Lags 0..max_lag of the circular ACF from the record's one-sided DFT."""
-    with np.errstate(over="ignore", invalid="ignore"):  # |bin|^2 of huge samples
-        power = np.abs(dft) ** 2
+def _circular_acf(record: TimeSeries, magnitudes: np.ndarray, max_lag: int) -> AcfSeries:
+    """Lags 0..max_lag of the circular ACF from the record's |DFT| bins.
+
+    ``magnitudes`` is |X| for the one-sided DFT X of a record that passed
+    ``check_finite``; its square is |X|^2 bit for bit.  Even so, at the
+    sample limit the rounding of |X|^2 or of the inverse transform's sums
+    can overflow, so both run under an error guard and an infinite lag-0
+    sum raises ``SAMPLES_TOO_LARGE``.  ``magnitudes[0]`` is |sum(x)|, since
+    the DC bin is real.  The inverse transform's output is divided in
+    place and frozen, not copied; lags past ``max_lag`` are cut off as a
+    view.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # |bin|^2 at the sample limit
+        power = magnitudes ** 2
         power[0] = 0.0
         sums = np.fft.irfft(power, len(record))
     lag0 = float(sums[0])
     if not math.isfinite(lag0):
-        check_finite(record)  # raises the message that fits
         raise ValueError(SAMPLES_TOO_LARGE)
-    if not lag0 > 0.0 or math.sqrt(lag0) <= _ROUNDING_FLOOR * abs(dft[0].real):
+    if not lag0 > 0.0 or math.sqrt(lag0) <= _ROUNDING_FLOOR * magnitudes[0]:
         raise ValueError("constant record has zero variance")
-    return AcfSeries(DISCRETE_CIRCULAR, sums[:max_lag + 1] / lag0)
+    sums /= lag0
+    sums.setflags(write=False)
+    return _adopt(AcfSeries, kind=DISCRETE_CIRCULAR, values=sums[:max_lag + 1])
 
 
 def sine_product_integral(p: IntegralParams) -> float:

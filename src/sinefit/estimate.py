@@ -22,9 +22,9 @@ import numpy as np
 
 from .acf import (AcfSeries, DegenerateParametersError, _circular_acf, frequency_from_acf,
                   model_acf_full, normalizing_constant)
-from .model import SinusoidParams, TimeSeries, TWO_PI, check_finite, wrap_phase
+from .model import SinusoidParams, TimeSeries, TWO_PI, _adopt, check_finite, wrap_phase
 from .screening import ScreeningDecision, VERDICT_NOISE, _screen
-from .smoothing import SmoothedSeries, amplitude_estimate, moving_average
+from .smoothing import SmoothedSeries, moving_average
 from .spectrum import Spectrum, _dft, _peak_bin
 
 ONE_PERIOD = "one_period"
@@ -169,6 +169,11 @@ def _objective_on_tables(obj: PhaseObjective, t: np.ndarray, x: np.ndarray,
     record's, from its kept DFT peak bin: ``_peak_bin_sums``); otherwise
     they take one trig pass each.  Returns the curve as a function of a
     ``_PhaseTable``.
+
+    The curve is sxx - (2A)*linear + A^2*square, with linear = cos*Sxs +
+    sin*Sxc and square = m/2 - (cos2*Sc2 - sin2*Ss2)/2, evaluated in that
+    operation order (so the values are those of the plain expression, bit
+    for bit) in three G-length arrays instead of twelve temporaries.
     """
     a, w = obj.fixed_amplitude, TWO_PI * obj.fixed_frequency_hz
     if linear is None:
@@ -177,11 +182,22 @@ def _objective_on_tables(obj: PhaseObjective, t: np.ndarray, x: np.ndarray,
     sxs, sxc = linear
     sxx = x @ x
     sc2, ss2 = _double_angle_sums(t, 2.0 * w, obj.data.dt)
+    two_a, a_squared, half_m = 2.0 * a, a ** 2, t.size / 2.0
 
     def curve(table: _PhaseTable) -> np.ndarray:
-        linear = table.cos * sxs + table.sin * sxc
-        square = t.size / 2.0 - (table.cos2 * sc2 - table.sin2 * ss2) / 2.0
-        return sxx - 2.0 * a * linear + a ** 2 * square
+        out = np.multiply(table.cos, sxs)
+        scratch = np.multiply(table.sin, sxc)
+        out += scratch
+        out *= two_a
+        np.subtract(sxx, out, out)
+        square = np.multiply(table.cos2, sc2)
+        np.multiply(table.sin2, ss2, scratch)
+        square -= scratch
+        square /= 2.0
+        np.subtract(half_m, square, square)
+        square *= a_squared
+        out += square
+        return out
 
     return curve
 
@@ -211,7 +227,7 @@ def _residual_sum(obj: PhaseObjective, t: np.ndarray, x: np.ndarray, phi: float)
     buf *= obj.fixed_amplitude
     np.subtract(x, buf, out=buf)
     np.square(buf, out=buf)
-    return float(np.sum(buf))
+    return float(np.add.reduce(buf))
 
 
 def phase_objective_value(obj: PhaseObjective, phi: float) -> float:
@@ -244,8 +260,8 @@ def _grid_search(obj: PhaseObjective, t: np.ndarray, x: np.ndarray,
     """``phase_grid_search`` over the points ``t, x``, with (Sxs, Sxc) taken
     from ``linear`` when given (see ``_objective_on_tables``)."""
     curve = _objective_on_tables(obj, t, x, linear)
-    refine = _refine_table(int(np.argmin(curve(_COARSE))))
-    phi = float(refine.phis[np.argmin(curve(refine))])
+    refine = _refine_table(int(curve(_COARSE).argmin()))
+    phi = float(refine.phis[curve(refine).argmin()])
     return phi, _residual_sum(obj, t, x, phi)
 
 
@@ -300,12 +316,14 @@ def phase_arcsin_at_time(amplitude: float, omega: float, t: float,
     return wrap_phase(math.asin(y / amplitude) - omega * t)
 
 
-def _zero_crossings(series: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
+def _zero_crossings(series: TimeSeries,
+                    span: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Hysteresis-confirmed zero crossings as (times, directions) arrays.
 
     Raw sign changes are linearly interpolated; a crossing only counts
     once the series has reached beyond +-h on both sides (h is a fixed
-    fraction of half the range), and each confirmed transition takes the
+    fraction of half the range max - min, which a caller that already has
+    it passes as ``span``), and each confirmed transition takes the
     median raw crossing of its cluster.  ``times`` is ascending; the
     matching ``directions`` entry is +1 upward, -1 downward, and the
     directions strictly alternate (each is a change of confirmed side).
@@ -317,20 +335,22 @@ def _zero_crossings(series: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
     """
     s = series.samples
     start, dt = float(series.start_time), float(series.dt)
-    h = _HYSTERESIS_FRACTION * (s.max() - s.min()) / 2.0
+    if span is None:
+        span = s.max() - s.min()
+    h = _HYSTERESIS_FRACTION * span / 2.0
     if h == 0:
         raise ValueError("constant record has no zero crossings")
     p, q = s > 0.0, s < 0.0
-    i = np.flatnonzero((p[1:] > p[:-1]) | (q[1:] > q[:-1]))
+    i = ((p[1:] > p[:-1]) | (q[1:] > q[:-1])).nonzero()[0]
     a, b = s[i], s[i + 1]
     raw = (start + dt * i) + dt * (0.0 - a) / (b - a)  # sorted, for searchsorted
     above = s > h
-    confirmed = np.flatnonzero(above | (s < -h))
+    confirmed = (above | (s < -h)).nonzero()[0]
     side = above[confirmed]
-    flips = np.flatnonzero(side[1:] != side[:-1])
+    flips = (side[1:] != side[:-1]).nonzero()[0]
     ia, ib = confirmed[flips], confirmed[flips + 1]
-    lo = np.searchsorted(raw, start + dt * ia, side="left")
-    hi = np.searchsorted(raw, start + dt * ib, side="right")
+    lo = raw.searchsorted(start + dt * ia, side="left")
+    hi = raw.searchsorted(start + dt * ib, side="right")
     return raw[(lo + hi) // 2], np.where(side[flips + 1], 1, -1)
 
 
@@ -342,7 +362,7 @@ def _second_crossover(times: np.ndarray, directions: np.ndarray,
     if times.size < 2:
         raise ValueError("fewer than two zero crossovers in the record")
     upward = directions[1:] > 0
-    first = int(np.argmax(upward))
+    first = int(upward.argmax())
     if not upward[first]:
         raise ValueError("no upward crossover after the first crossover")
     return float(times[1 + first] - group_delay)
@@ -364,10 +384,12 @@ def _period_from_crossings(times: np.ndarray, directions: np.ndarray) -> float |
 
     The directions of ``_zero_crossings`` alternate, so each direction's
     times are a stride-2 slice.  Upward spacings come first, then downward
-    ones, and their sum over their count is ``np.mean``'s arithmetic.
+    ones (each ``np.diff``'s slice subtraction), and their sum over their
+    count is ``np.mean``'s arithmetic.
     """
     up = 1 if directions.size and directions[0] < 0 else 0
-    spacings = np.concatenate([np.diff(times[up::2]), np.diff(times[1 - up::2])])
+    ups, downs = times[up::2], times[1 - up::2]
+    spacings = np.concatenate([ups[1:] - ups[:-1], downs[1:] - downs[:-1]])
     if spacings.size == 0:
         return None
     return float(np.add.reduce(spacings) / spacings.size)
@@ -383,15 +405,16 @@ def _acf_period_lag(acf: AcfSeries, n: int) -> int | None:
     lag when ``max_lag`` stops short of N/2 for an ``n``-sample record.
     """
     v = acf.values
-    negatives = np.flatnonzero(v[1:] < 0)
-    if negatives.size == 0:
+    negative = v[1:] < 0
+    first = int(negative.argmax())  # the first True, if there is one
+    if not negative[first]:
         return None
-    first_negative = 1 + int(negatives[0])  # about a quarter period in
+    first_negative = 1 + first  # about a quarter period in
     lo = first_negative + 1
     hi = min(v.size, 5 * first_negative + 1)
     if lo >= hi:
         return None
-    lag = lo + int(np.argmax(v[lo:hi]))
+    lag = lo + int(v[lo:hi].argmax())
     falling_start = lag == lo and v[lag - 1] > v[lag]
     short_end = lag == acf.max_lag and acf.max_lag < n // 2
     return None if falling_start or short_end else lag
@@ -428,6 +451,8 @@ class PipelineConfig:
             raise ValueError("far must lie in (0, 0.5)")
         if self.ma_k < 1:
             raise ValueError("ma_k must be at least 1")
+        if self.max_lag is not None and self.max_lag < 1:
+            raise ValueError("max_lag must be at least 1")
         if self.objective_range not in _RANGES:
             raise ValueError(f"objective_range must be one of {_RANGES}")
 
@@ -495,9 +520,14 @@ def estimate_parameters(record: TimeSeries,
     cross-checks (disagreement beyond 20 percent is a warning, the
     spectrum value wins); phase by grid search with the crossover formula
     recorded as a cross-check.  The report computes the full-model ACF of
-    the fitted sinusoid when it is first read.  ``check_finite`` runs once,
-    here, and the screen does not repeat it.
+    the fitted sinusoid when it is first read.  ``max_lag`` is checked
+    against the record length before anything else, so a bad value fails
+    on every record, not only on those past the screen.  ``check_finite``
+    runs once, here, and the screen does not repeat it.
     """
+    # the default, N // 2, always fits, and the config has checked max_lag >= 1
+    if config.max_lag is not None and config.max_lag > len(record) - 1:
+        raise ValueError(f"max_lag must be in [1, {len(record) - 1}]")
     check_finite(record)
     decision: ScreeningDecision | None
     if config.skip_screen:
@@ -513,21 +543,22 @@ def estimate_parameters(record: TimeSeries,
     n = len(record)
     dt = record.dt
     max_lag = config.max_lag if config.max_lag is not None else n // 2
-
     smoothed = moving_average(record, config.ma_k)
-    amplitude = amplitude_estimate(smoothed)
-    if not 1 <= max_lag <= n - 1:
-        raise ValueError(f"max_lag must be in [1, {n - 1}]")
+    # amplitude_estimate(smoothed), from the range the crossing scan reuses
+    smoothed_samples = smoothed.series.samples
+    span = np.maximum.reduce(smoothed_samples) - np.minimum.reduce(smoothed_samples)
+    amplitude = float(span / 2.0)
 
-    # One forward transform per record: the screen's, or one taken here
-    # when it stopped at gate 1 or could not judge the record.
-    if decision is not None and decision.dft is not None:
-        dft, full_acf = decision.dft, decision.acf
+    # One forward transform and one |DFT| per record: the screen's, or
+    # taken here when it stopped at gate 1 or could not judge the record.
+    # The ACF view and the spectrum adopt those read-only arrays uncopied.
+    if decision is not None and decision.magnitudes is not None:
+        dft, magnitudes, full_acf = decision.dft, decision.magnitudes, decision.acf
     else:
-        dft = _dft(record)
-        full_acf = _circular_acf(record, dft, n - 1)
-    acf = AcfSeries(full_acf.kind, full_acf.values[:max_lag + 1])
-    spec = Spectrum(1.0 / (n * dt), np.abs(dft))
+        dft, magnitudes = _dft(record)
+        full_acf = _circular_acf(record, magnitudes, n - 1)
+    acf = _adopt(AcfSeries, kind=full_acf.kind, values=full_acf.values[:max_lag + 1])
+    spec = _adopt(Spectrum, df=1.0 / (n * dt), magnitudes=magnitudes)
     candidates: dict[str, float] = {}
     try:
         peak = _peak_bin(spec)
@@ -543,7 +574,7 @@ def estimate_parameters(record: TimeSeries,
     if period_lag is not None:
         candidates["acf_period"] = 1.0 / (period_lag * dt)
     try:
-        crossings = _zero_crossings(smoothed.series)
+        crossings = _zero_crossings(smoothed.series, span)
     except ValueError:
         crossings = np.empty(0), np.empty(0, dtype=int)
     ma_period = _period_from_crossings(*crossings)

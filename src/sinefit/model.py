@@ -35,8 +35,8 @@ class SinusoidParams:
     """The triple (A, f, phi) describing x(t) = A*sin(2*pi*f*t + phi).
 
     amplitude is in signal units (> 0), frequency_hz in Hz (> 0), and
-    phase_rad in radians.  Phases outside [-pi, pi) are wrapped on
-    construction, never rejected.
+    phase_rad in radians; all three must be finite.  Phases outside
+    [-pi, pi) are wrapped on construction, never rejected.
     """
 
     amplitude: float
@@ -46,8 +46,12 @@ class SinusoidParams:
     def __post_init__(self):
         if not self.amplitude > 0:
             raise ValueError("amplitude must be positive")
+        if not math.isfinite(self.amplitude):
+            raise ValueError("amplitude must be finite")
         if not self.frequency_hz > 0:
             raise ValueError("frequency_hz must be positive")
+        if not math.isfinite(self.frequency_hz):
+            raise ValueError("frequency_hz must be finite")
         if not math.isfinite(self.phase_rad):
             raise ValueError("phase_rad must be finite")
         object.__setattr__(self, "phase_rad", wrap_phase(self.phase_rad))
@@ -94,6 +98,24 @@ class TimeSeries:
         return self.start_time + self.dt * np.arange(self.samples.size)
 
 
+def _adopt(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as given.
+
+    The construction path for arrays the pipeline has just made: each
+    array field is frozen in place (``setflags(write=False)``) instead of
+    copied, and ``__init__`` with its checks is not run.  The caller
+    vouches that the values pass those checks and that nothing else holds
+    a writable reference to the arrays (a view of a read-only array, or a
+    fresh array it then drops).  The public constructors keep copying.
+    """
+    instance = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(instance, name, value)
+    return instance
+
+
 def _check_time_grid(start_time: float, dt: float) -> None:
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -103,18 +125,22 @@ def _check_time_grid(start_time: float, dt: float) -> None:
         raise ValueError("start_time must be finite")
 
 
+def _max_abs(x: np.ndarray) -> float:
+    """max|x| as max(max x, -min x): exact, with no N-length |x|.  A NaN
+    makes both reductions NaN, hence the result."""
+    return max(float(np.maximum.reduce(x)), -float(np.minimum.reduce(x)))
+
+
 def check_finite(record: TimeSeries) -> None:
     """Reject records no stage can judge, from max|x|.
 
     NaN or infinite samples raise ``NON_FINITE_SAMPLES``.  Finite samples
     above sqrt(float max)/N raise ``SAMPLES_TOO_LARGE``: past that limit a
     sum of squares, such as the power spectrum or the lag-0 ACF sum, can
-    overflow although every sample is finite.  max|x| is taken as
-    max(max x, -min x), which is exact and needs no N-length |x|; a NaN
-    makes both reductions NaN, so it still fails ``isfinite``.
+    overflow although every sample is finite.  max|x| is ``_max_abs``'s,
+    which a NaN makes NaN, so it still fails ``isfinite``.
     """
-    x = record.samples
-    m = max(float(np.maximum.reduce(x)), -float(np.minimum.reduce(x)))
+    m = _max_abs(record.samples)
     if not math.isfinite(m):
         raise ValueError(NON_FINITE_SAMPLES)
     if m > _SQRT_FLOAT_MAX / len(record):
@@ -134,6 +160,8 @@ class NoiseSpec:
             raise ValueError(f"unsupported noise kind {self.kind!r}")
         if not self.sigma >= 0:
             raise ValueError("sigma must be non-negative")
+        if not math.isfinite(self.sigma):
+            raise ValueError("sigma must be finite")
 
 
 def evaluate(params: SinusoidParams, t):
@@ -159,14 +187,21 @@ def synthesize(params: SinusoidParams, noise: NoiseSpec, n: int,
     """Sample the sinusoid on a uniform grid and add seeded Gaussian noise.
 
     With sigma = 0 the output equals ``evaluate`` pointwise, bit for bit.
+    A grid on which omega*t overflows, or samples that come out NaN or
+    infinite, raise ``ValueError``: such a record could not be read back.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     _check_time_grid(start, dt)
+    # the grid is monotonic, so its largest |t| is at one end
+    if not math.isfinite(params.omega() * max(abs(start), abs(start + dt * (n - 1)))):
+        raise ValueError("omega*t overflows on this time grid")
     t = start + dt * np.arange(n)
     samples = evaluate(params, t)
     if noise.sigma > 0:
         samples = samples + noise.sigma * standard_normal_draws(noise.seed, n)
+    if not math.isfinite(_max_abs(samples)):
+        raise ValueError(NON_FINITE_SAMPLES)
     return TimeSeries(start, dt, samples)
 
 

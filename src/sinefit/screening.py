@@ -2,12 +2,13 @@
 
 Gate 1 is a Wald-Wolfowitz runs test about the sample median: a record
 the runs test calls random is discarded as noise and never reaches the
-ACF.  Gate 2 computes the record's one forward DFT and, from it, the
-full-lag circular ACF, judges lags 1..N/2 and demands enough of them
-outside the +-z/sqrt(N) significance bounds, with excursions on both
-sides of zero (a cosine-shaped ACF swings both ways; a one-sided pattern
-is a trend, not a periodicity).  The decision keeps both the DFT bins
-and the ACF for the estimator and the ACF writers.  The gate-2 rule is a
+ACF.  Gate 2 computes the record's one forward DFT, its modulus and,
+from that, the full-lag circular ACF, judges lags 1..N/2 and demands
+enough of them outside the +-z/sqrt(N) significance bounds, with
+excursions on both sides of zero (a cosine-shaped ACF swings both ways;
+a one-sided pattern is a trend, not a periodicity).  The decision keeps
+the DFT bins, their moduli and the ACF for the estimator and the ACF
+writers.  The gate-2 rule is a
 documented stand-in and is meant to be replaceable.
 """
 
@@ -34,10 +35,12 @@ VERDICT_NOISE = "noise"
 class ScreeningDecision:
     """Per-gate statistics, the verdict, and what gate 2 computed, if it ran.
 
-    ``dft`` is the record's one-sided DFT, ``np.fft.rfft(x)`` (read-only),
-    and ``acf`` the full-lag circular ACF taken from it.  Both are None
-    after a gate-1 reject.  Neither takes part in ``==``, ``hash`` or
-    ``repr``: they are per-record intermediates, not statistics.
+    ``dft`` is the record's one-sided DFT, ``np.fft.rfft(x)``,
+    ``magnitudes`` its modulus ``np.abs(dft)``, taken once for both the
+    spectrum and the ACF, and ``acf`` the full-lag circular ACF taken from
+    the magnitudes; all three are read-only, and None after a gate-1
+    reject.  None takes part in ``==``, ``hash`` or ``repr``: they are
+    per-record intermediates, not statistics.
     """
 
     runs_statistic: float
@@ -51,6 +54,7 @@ class ScreeningDecision:
     gate_failed: str  # "none", "gate1", or "gate2"
     acf: AcfSeries | None = field(default=None, compare=False, repr=False)
     dft: np.ndarray | None = field(default=None, compare=False, repr=False)
+    magnitudes: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @functools.lru_cache(maxsize=64)
@@ -148,8 +152,8 @@ def _gate2_passes(lag_values: np.ndarray, bound: float) -> tuple[bool, int]:
     count = int(np.count_nonzero(outside))
     if count < required_exceedances(lag_values.size):
         return False, count
-    significant = lag_values[outside]
-    both_signs = bool(np.any(significant > 0)) and bool(np.any(significant < 0))
+    significant = lag_values[outside]  # at least two values
+    both_signs = bool(significant.max() > 0) and bool(significant.min() < 0)
     return both_signs, count
 
 
@@ -157,9 +161,10 @@ def screen(record: TimeSeries, far: float = 0.01) -> ScreeningDecision:
     """Run both gates in order and report the verdict.
 
     Gate-1 failure (the runs test calls the record random) stops
-    processing: no transform is computed (``dft`` and ``acf`` are None),
-    ``acf_exceedances`` is 0.  Otherwise the decision keeps the record's
-    DFT bins and the full-lag ACF, so no later stage transforms it again.
+    processing: no transform is computed (``dft``, ``magnitudes`` and
+    ``acf`` are None), ``acf_exceedances`` is 0.  Otherwise the decision
+    keeps the record's DFT bins, their moduli and the full-lag ACF, so no
+    later stage transforms the record or takes |DFT| again.
     Records with NaN, infinite or too-large samples are rejected (see
     ``check_finite``), after the checks on ``far`` and the record length.
     """
@@ -179,15 +184,14 @@ def _screen(record: TimeSeries, far: float) -> ScreeningDecision:
         return ScreeningDecision(z, runs, n1, n2, 0, bound, far,
                                  VERDICT_NOISE, "gate1")
 
-    dft = _dft(record)
-    dft.setflags(write=False)
-    acf = _circular_acf(record, dft, n - 1)
+    dft, magnitudes = _dft(record)
+    acf = _circular_acf(record, magnitudes, n - 1)
     passed, count = _gate2_passes(acf.values[1:n // 2 + 1], bound)
     if not passed:
         return ScreeningDecision(z, runs, n1, n2, count, bound, far,
-                                 VERDICT_NOISE, "gate2", acf, dft)
+                                 VERDICT_NOISE, "gate2", acf, dft, magnitudes)
     return ScreeningDecision(z, runs, n1, n2, count, bound, far,
-                             VERDICT_SIGNAL, "none", acf, dft)
+                             VERDICT_SIGNAL, "none", acf, dft, magnitudes)
 
 
 def record_acf(record: TimeSeries, decision: ScreeningDecision | None) -> AcfSeries:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SinusoidParams, TimeSeries, evaluate
+from .model import SinusoidParams, TimeSeries, _adopt, _check_time_grid, evaluate
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,6 +34,7 @@ def moving_average(record: TimeSeries, k: int) -> SmoothedSeries:
 
     Window sizes that divide the period evenly preserve the waveform
     best, but the optimal size is data dependent and left to the caller.
+    The smoothed samples are the filter's fresh array, frozen, not copied.
     """
     n = len(record)
     if k < 1:
@@ -44,7 +45,9 @@ def moving_average(record: TimeSeries, k: int) -> SmoothedSeries:
         raise ValueError(f"window {k} leaves fewer than two samples")
     smoothed = np.convolve(record.samples, np.ones(k), mode="valid") / k
     start = record.start_time + (k - 1) * record.dt
-    return SmoothedSeries(k, TimeSeries(start, record.dt, smoothed), n)
+    _check_time_grid(start, record.dt)
+    series = _adopt(TimeSeries, start_time=start, dt=record.dt, samples=smoothed)
+    return SmoothedSeries(k, series, n)
 
 
 def rms_error(smoothed: SmoothedSeries, reference: SinusoidParams) -> float:

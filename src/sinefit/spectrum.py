@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SAMPLES_TOO_LARGE, TimeSeries, check_finite
+from .model import TimeSeries, _adopt, check_finite
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,30 +25,34 @@ class Spectrum:
         return self.df * np.arange(self.magnitudes.size)
 
 
-def _dft(record: TimeSeries) -> np.ndarray:
-    """The record's one-sided DFT, ``np.fft.rfft(x)``: bins 0..floor(N/2).
+def _dft(record: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
+    """The record's one-sided DFT X = ``np.fft.rfft(x)`` (bins 0..floor(N/2))
+    and its modulus |X|, both read-only.
 
-    The one forward transform a record needs: ``dft_magnitude`` takes its
-    modulus, the circular ACF the inverse transform of its power.  A NaN
-    or infinite sample makes the DC bin sum(x) non-finite, and the record
-    is rejected on that one value, with no extra pass over the data.
+    The one forward transform a record needs, and the one modulus:
+    ``dft_magnitude`` reports |X|, and the circular ACF is the inverse
+    transform of |X|^2.  The caller has put the record through
+    ``check_finite``: with every |x| <= sqrt(float max)/N no bin can
+    overflow, so the transform needs no floating-point error guard.
     """
-    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, huge inputs
-        dft = np.fft.rfft(record.samples)
-    if not math.isfinite(dft[0].real):
-        check_finite(record)  # raises the message that fits
-        raise ValueError(SAMPLES_TOO_LARGE)
-    return dft
+    dft = np.fft.rfft(record.samples)
+    dft.setflags(write=False)
+    magnitudes = np.abs(dft)
+    magnitudes.setflags(write=False)
+    return dft, magnitudes
 
 
 def dft_magnitude(record: TimeSeries) -> Spectrum:
     """|DFT| for bins 0..floor(N/2); bin m maps to m/(N*dt) Hz.
 
     No windowing or zero padding is applied here; callers that need an
-    off-grid peak can pad the input record first.  Records with NaN or
-    infinite samples are rejected on the DC bin (see ``_dft``).
+    off-grid peak can pad the input record first.  Records with NaN,
+    infinite or too-large samples are rejected first (``check_finite``).
+    The magnitudes are the transform's fresh array, frozen, not copied.
     """
-    return Spectrum(1.0 / (len(record) * record.dt), np.abs(_dft(record)))
+    check_finite(record)
+    _, magnitudes = _dft(record)
+    return _adopt(Spectrum, df=1.0 / (len(record) * record.dt), magnitudes=magnitudes)
 
 
 def fundamental_frequency(spec: Spectrum) -> float:
@@ -65,4 +68,4 @@ def _peak_bin(spec: Spectrum) -> int:
     """Index of the largest non-DC bin; ties go to the lower bin."""
     if spec.magnitudes.size < 2:
         raise ValueError("spectrum needs at least two bins")
-    return 1 + int(np.argmax(spec.magnitudes[1:]))
+    return 1 + int(spec.magnitudes[1:].argmax())

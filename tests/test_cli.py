@@ -65,6 +65,18 @@ class TestGenerate:
         result = run_cli(["generate", "-A", "-2", "-f", "0.05"], tmp_path)
         assert result.returncode == 1
 
+    @pytest.mark.parametrize("args,message", [
+        (["-A", "inf", "-f", "0.05"], "amplitude must be finite"),
+        (["-A", "2", "-f", "inf"], "frequency_hz must be finite"),
+        (["-A", "2", "-f", "0.05", "--sigma", "inf"], "sigma must be finite"),
+        (["-A", "2", "-f", "1e308", "--dt", "1e10"], "omega*t overflows")])
+    def test_rejects_non_finite_models_without_writing(self, tmp_path, args, message):
+        result = run_cli(["generate", *args, "-o", str(tmp_path / "out.csv")], tmp_path)
+        assert result.returncode == 1
+        assert message in result.stderr
+        assert "RuntimeWarning" not in result.stderr
+        assert not (tmp_path / "out.csv").exists()
+
     def test_usage_error_exits_one(self, tmp_path):
         result = run_cli(["generate", "--no-such-flag"], tmp_path)
         assert result.returncode == 1
@@ -99,6 +111,19 @@ class TestEstimate:
         assert list(report.keys()) == REPORT_KEYS
         assert list(report["params"].keys()) == PARAMS_KEYS
         assert list(report["screening"].keys()) == SCREENING_KEYS
+
+    @pytest.mark.parametrize("kind", ["tone", "noise"])
+    @pytest.mark.parametrize("max_lag", ["0", "-3", "100", "5000"])
+    def test_bad_max_lag_exits_one_on_every_record(self, tmp_path, kind, max_lag):
+        sigma = "0.5" if kind == "tone" else "80"
+        run_cli(["generate", "-A", "2", "-f", "0.05", "--sigma", sigma, "--seed", "11",
+                 "-n", "100", "-o", str(tmp_path / "in.csv")], tmp_path, check=0)
+        result = run_cli(["estimate", str(tmp_path / "in.csv"), "--far", "0.001",
+                          "--max-lag", max_lag, "-o", str(tmp_path / "report.json")],
+                         tmp_path)
+        assert result.returncode == 1, result.stdout
+        assert "max_lag must be" in result.stderr
+        assert not (tmp_path / "report.json").exists()
 
     def test_screening_rejection_exits_two(self, tmp_path):
         run_cli(["generate", "-A", "2", "-f", "0.05", "--sigma", "80",

@@ -1,8 +1,11 @@
 """Work that gives the same answer every time is done once: the phase
 grid's trig tables per process, the gate-1 quantile per false-alarm rate,
-the full-model ACF on first read, and the median's selection per record."""
+the full-model ACF on first read, the median's selection per record, the
+record's |DFT| and the smoothed record's range per record; and arrays the
+pipeline has just made are frozen, not copied."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ import pytest
 import sinefit as sf
 from sinefit import estimate, screening
 from sinefit.estimate import COARSE_STEP, REFINE_STEP
+from sinefit.model import check_finite
 from sinefit.normal import normal_quantile
 
 
@@ -167,3 +171,207 @@ class TestGate1Median:
             assert len(calls) == 1
             assert isinstance(calls[0], (int, np.integer))
         assert sf.screen(record).gate_failed == "gate1"
+
+
+def decision_arrays(decision):
+    return {"dft": decision.dft, "magnitudes": decision.magnitudes,
+            "acf": decision.acf.values}
+
+
+def report_arrays(report):
+    arrays = {"acf": report.acf.values, "spectrum": report.spectrum.magnitudes,
+              "smoothed": report.smoothed.series.samples,
+              "model_acf": report.model_acf.values}
+    if report.screening is not None and report.screening.dft is not None:
+        arrays.update(("screening." + name, value)
+                      for name, value in decision_arrays(report.screening).items())
+    return arrays
+
+
+class TestOneModulusPerRecord:
+    """The screen's |X| is the spectrum's magnitudes and the ACF's power."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_spectrum_is_the_decisions_modulus(self, noisy_series, seed):
+        record = noisy_series(seed)
+        report = sf.estimate_parameters(record)
+        assert report.spectrum.magnitudes is report.screening.magnitudes
+        expected = np.abs(np.fft.rfft(record.samples))
+        assert report.spectrum.magnitudes.tobytes() == expected.tobytes()
+        assert report.spectrum.magnitudes.tobytes() == \
+            sf.dft_magnitude(record).magnitudes.tobytes()
+
+    @pytest.mark.parametrize("config", [sf.PipelineConfig(),
+                                        sf.PipelineConfig(skip_screen=True, max_lag=7),
+                                        sf.PipelineConfig(objective_range="full_record")])
+    @pytest.mark.parametrize("n", [100, 101, 1000])
+    def test_report_acf_is_circular_acf(self, noisy_series, config, n):
+        record = noisy_series(1, n=n)
+        report = sf.estimate_parameters(record, config)
+        assert report.acf.kind == "discrete_circular"
+        assert report.acf.values.tobytes() == sf.circular_acf(record).values.tobytes()
+
+    def test_gate1_record_under_skip_screen_takes_its_own_pair(self, pure_noise):
+        record = pure_noise(0)
+        report = sf.estimate_parameters(record, sf.PipelineConfig(skip_screen=True))
+        assert report.screening.gate_failed == "gate1"
+        assert report.screening.magnitudes is None
+        assert report.spectrum.magnitudes.tobytes() == \
+            np.abs(np.fft.rfft(record.samples)).tobytes()
+        assert report.acf.values.tobytes() == sf.circular_acf(record).values.tobytes()
+
+    @pytest.mark.parametrize("n", [20, 21, 64, 99, 100, 1000, 1001])
+    def test_acf_is_the_inverse_transform_of_the_squared_modulus(self, n):
+        # the former expression, from np.abs(dft) taken by the ACF itself
+        x = np.random.default_rng(n).standard_normal(n) + np.sin(0.3 * np.arange(n))
+        power = np.abs(np.fft.rfft(x)) ** 2
+        power[0] = 0.0
+        sums = np.fft.irfft(power, n)
+        expected = sums / float(sums[0])
+        got = sf.circular_acf(sf.TimeSeries(0.0, 1.0, x)).values
+        assert got.tobytes() == expected.tobytes()
+
+    def test_decision_equality_ignores_the_modulus(self, noisy_series):
+        record = noisy_series(2)
+        first, second = sf.screen(record), sf.screen(record)
+        assert first.magnitudes is not second.magnitudes
+        assert first == second and hash(first) == hash(second)
+        assert "magnitudes" not in repr(first)
+
+
+class TestFrozenNotCopied:
+    @pytest.mark.parametrize("config", [sf.PipelineConfig(),
+                                        sf.PipelineConfig(skip_screen=True, max_lag=3),
+                                        sf.PipelineConfig(objective_range="full_record")])
+    def test_every_array_of_a_report_and_its_decision_is_read_only(self, noisy_series,
+                                                                    config):
+        report = sf.estimate_parameters(noisy_series(4), config)
+        for name, array in report_arrays(report).items():
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_gate1_skip_screen_report_is_read_only(self, pure_noise):
+        report = sf.estimate_parameters(pure_noise(0), sf.PipelineConfig(skip_screen=True))
+        for name, array in report_arrays(report).items():
+            assert not array.flags.writeable, name
+
+    def test_public_stage_results_are_read_only(self, noisy_series):
+        record = noisy_series(5)
+        arrays = [sf.moving_average(record, 5).series.samples,
+                  sf.dft_magnitude(record).magnitudes,
+                  sf.circular_acf(record).values, sf.circular_acf(record, 4).values]
+        arrays += decision_arrays(sf.screen(record)).values()
+        for array in arrays:
+            assert not array.flags.writeable
+
+    def test_a_frozen_view_cannot_be_made_writable(self, noisy_series):
+        values = sf.circular_acf(noisy_series(5), 4).values
+        assert values.base is not None and not values.base.flags.writeable
+        with pytest.raises(ValueError):
+            values.setflags(write=True)
+
+    def test_smoothed_samples_are_the_filter_output(self, noisy_series):
+        record = noisy_series(6)
+        expected = np.convolve(record.samples, np.ones(5), mode="valid") / 5
+        smoothed = sf.moving_average(record, 5).series
+        assert smoothed.samples.tobytes() == expected.tobytes()
+        assert smoothed.start_time == 4.0 and smoothed.dt == 1.0
+
+    def test_smoothed_start_time_is_still_checked(self):
+        record = sf.TimeSeries(1.7e308, 1e308, np.arange(4.0))
+        with pytest.raises(ValueError, match="start_time must be finite"):
+            sf.moving_average(record, 3)
+
+    @pytest.mark.parametrize("writable", [True, False])
+    def test_public_constructors_do_not_alias_the_callers_array(self, writable):
+        made = [lambda a: (sf.TimeSeries(0.0, 1.0, a), "samples"),
+                lambda a: (sf.AcfSeries("discrete_circular", a), "values"),
+                lambda a: (sf.Spectrum(0.1, a), "magnitudes")]
+        for make in made:
+            given = np.linspace(1.0, 2.0, 8)
+            given.setflags(write=writable)
+            instance, name = make(given)
+            kept = getattr(instance, name)
+            assert kept is not given and not np.shares_memory(kept, given)
+            assert not kept.flags.writeable
+            if writable:
+                given[0] = 99.0
+                assert kept[0] == 1.0
+
+
+class TestSharedRange:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("ma_k", [1, 5])
+    def test_hysteresis_is_the_former_expression(self, noisy_series, monkeypatch, seed, ma_k):
+        spans = []
+
+        def recording(series, span=None, _real=estimate._zero_crossings):
+            spans.append((series, span))
+            return _real(series, span)
+
+        monkeypatch.setattr(estimate, "_zero_crossings", recording)
+        report = sf.estimate_parameters(noisy_series(seed), sf.PipelineConfig(ma_k=ma_k))
+        [(series, span)] = spans
+        s = series.samples
+        assert series is report.smoothed.series
+        assert estimate._HYSTERESIS_FRACTION * span / 2.0 == 0.2 * (s.max() - s.min()) / 2.0
+        assert report.params.amplitude == sf.amplitude_estimate(report.smoothed)
+
+    def test_crossings_with_and_without_the_range_agree(self, noisy_series):
+        series = sf.moving_average(noisy_series(7), 5).series
+        s = series.samples
+        shared = estimate._zero_crossings(series, s.max() - s.min())
+        own = estimate._zero_crossings(series)
+        for a, b in zip(shared, own):
+            assert a.tobytes() == b.tobytes()
+
+
+def at_the_sample_limit(n):
+    """Records whose max|x| is exactly sqrt(float max)/n: the largest accepted."""
+    m = math.sqrt(np.finfo(float).max) / n
+    k = np.arange(n)
+    return {"alternating": np.where(k % 2 == 0, m, -m),
+            "one_flipped": np.where(k == 0, -m, m),
+            "tone": m * np.sin(0.3 * k) / np.abs(np.sin(0.3 * k)).max(),
+            "random_signs": np.where(np.random.default_rng(n).random(n) < 0.5, m, -m)}
+
+
+class TestErrorGuards:
+    """The forward transform needs no floating-point error guard once the
+    record passed check_finite; the ACF's squares and inverse transform do."""
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 10, 18, 20, 100, 101, 1000, 4097])
+    def test_forward_transform_at_the_sample_limit_warns_nothing(self, n):
+        for name, x in at_the_sample_limit(n).items():
+            record = sf.TimeSeries(0.0, 1.0, x)
+            check_finite(record)  # accepted
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                spec = sf.dft_magnitude(record)
+            assert np.isfinite(spec.magnitudes).all(), name
+
+    def test_the_acf_guard_is_not_idle(self):
+        overflowed = 0
+        for n in (6, 10, 12, 18, 20):
+            for x in at_the_sample_limit(n).values():
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        power = np.abs(np.fft.rfft(x)) ** 2
+                        np.fft.irfft(power, n)
+                    except RuntimeWarning:
+                        overflowed += 1
+        assert overflowed > 0
+
+    @pytest.mark.parametrize("n", [6, 10, 12, 18, 20, 100])
+    def test_acf_consumers_at_the_sample_limit_warn_nothing(self, n):
+        for x in at_the_sample_limit(n).values():
+            record = sf.TimeSeries(0.0, 1.0, x)
+            for consumer in (sf.circular_acf, sf.screen, sf.estimate_parameters):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        consumer(record)
+                    except ValueError:
+                        pass  # a clean rejection; a RuntimeWarning would raise here

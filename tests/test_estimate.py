@@ -417,9 +417,9 @@ class TestZeroCrossings:
     def test_estimate_parameters_scans_once(self, noisy_series, monkeypatch):
         calls = []
 
-        def counting(series):
+        def counting(series, *args):
             calls.append(series)
-            return _zero_crossings(series)
+            return _zero_crossings(series, *args)
 
         monkeypatch.setattr(estimate, "_zero_crossings", counting)
         report = sf.estimate_parameters(noisy_series(3))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,15 @@ class TestSinusoidParams:
     @pytest.mark.parametrize("amplitude,frequency", [(0, 1), (-1, 1), (1, 0), (1, -2)])
     def test_rejects_nonpositive(self, amplitude, frequency):
         with pytest.raises(ValueError):
+            sf.SinusoidParams(amplitude, frequency, 0.0)
+
+    @pytest.mark.parametrize("amplitude,frequency,message", [
+        (math.inf, 0.1, "amplitude must be finite"),
+        (math.nan, 0.1, "amplitude must be positive"),
+        (1.0, math.inf, "frequency_hz must be finite"),
+        (1.0, math.nan, "frequency_hz must be positive")])
+    def test_rejects_non_finite(self, amplitude, frequency, message):
+        with pytest.raises(ValueError, match=message):
             sf.SinusoidParams(amplitude, frequency, 0.0)
 
     @given(st.floats(min_value=-1e6, max_value=1e6))
@@ -99,6 +109,30 @@ class TestSynthesize:
             sf.NoiseSpec(sigma=-0.5, seed=0)
         with pytest.raises(ValueError):
             sf.NoiseSpec(sigma=0.5, seed=0, kind="uniform")
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            sf.NoiseSpec(sigma=math.inf, seed=0)
+        with pytest.raises(ValueError, match="sigma must be non-negative"):
+            sf.NoiseSpec(sigma=math.nan, seed=0)
+
+    @pytest.mark.parametrize("frequency,dt,start", [(1e308, 1e10, 0.0), (1e300, 1.0, 1e10),
+                                                     (2e307, 1.0, 0.0)])
+    def test_rejects_a_grid_where_omega_t_overflows(self, frequency, dt, start):
+        params = sf.SinusoidParams(1.0, frequency, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="omega\\*t overflows"):
+                sf.synthesize(params, sf.NoiseSpec(0.0, 0), 10, dt=dt, start=start)
+
+    def test_rejects_samples_that_come_out_non_finite(self):
+        params = sf.SinusoidParams(1e308, 0.05, 0.0)
+        with pytest.raises(ValueError, match="non-finite"), \
+                np.errstate(over="ignore"):
+            sf.synthesize(params, sf.NoiseSpec(1e308, 0), 100)
+
+    def test_largest_finite_grid_still_synthesizes(self):
+        record = sf.synthesize(sf.SinusoidParams(1.0, 1e300, 0.0), sf.NoiseSpec(0.0, 0), 10,
+                               dt=1e-300)
+        assert np.isfinite(record.samples).all()
 
 
 class TestTimeSeries:

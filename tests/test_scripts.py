@@ -48,3 +48,16 @@ def test_same_outputs_prints_one_line_per_case():
                          r"acf_arccos=(-|\S+) acf_period=(-|\S+)")
     assert all(pattern.fullmatch(line) for line in lines), lines[:3]
     assert len({line.split()[2] for line in lines}) > 100
+
+
+def test_ab_timing_prints_one_ratio_per_setting():
+    src = os.path.join(ROOT, "src")
+    lines = run_script("ab_timing.py", src, src, "--pairs", "2", "--batch-ms", "1").splitlines()
+    assert len(lines) == 3, lines
+    pattern = re.compile(r"n=\d+ (one_period|full_record): change/parent ([0-9.]+) "
+                         r"\(quartiles ([0-9.]+)-([0-9.]+), 2 pairs, parent [0-9.]+ ms/record\)")
+    for line in lines:
+        match = pattern.fullmatch(line)
+        assert match, line
+        q1, median, q3 = (float(match.group(i)) for i in (3, 2, 4))
+        assert 0 < q1 <= median <= q3

@@ -311,11 +311,23 @@ class TestAcfCsvs:
 
 class TestMaxLag:
     @pytest.mark.parametrize("skip_screen", [False, True])
-    @pytest.mark.parametrize("max_lag", [0, 100, 10 ** 6])
+    @pytest.mark.parametrize("max_lag", [0, -1, 100, 10 ** 6])
     def test_out_of_range_max_lag_raises(self, max_lag, skip_screen):
-        config = sf.PipelineConfig(max_lag=max_lag, skip_screen=skip_screen)
-        with pytest.raises(ValueError, match=r"max_lag must be in \[1, 99\]"):
+        # below 1 the config rejects it; above N - 1 the pipeline, up front
+        message = ("max_lag must be at least 1" if max_lag < 1
+                   else r"max_lag must be in \[1, 99\]")
+        with pytest.raises(ValueError, match=message):
+            config = sf.PipelineConfig(max_lag=max_lag, skip_screen=skip_screen)
             sf.estimate_parameters(signal_record(), config)
+
+    @pytest.mark.parametrize("make", [gate1_record, gate2_record])
+    @pytest.mark.parametrize("skip_screen", [False, True])
+    @pytest.mark.parametrize("max_lag", [100, 5000])
+    def test_too_large_max_lag_raises_before_the_screen(self, make, skip_screen, max_lag):
+        # noise records, which stop at the screen, raise too
+        config = sf.PipelineConfig(far=0.001, max_lag=max_lag, skip_screen=skip_screen)
+        with pytest.raises(ValueError, match=r"max_lag must be in \[1, 99\]"):
+            sf.estimate_parameters(make(), config)
 
     def test_largest_max_lag_works(self):
         record = signal_record()
