@@ -17,6 +17,8 @@ runs.
 Settings: N = 100 and N = 1000 under the default ``one_period``
 objective, N = 10^4 under ``full_record``; the records are the demo tone
 (A = 2, f = 0.05 Hz, phi = 0.6109, dt = 1) at sigma = 0.5, seeds 0..R-1.
+A fourth setting times unit white noise at N = 1000 (seeds 0..R-1), which
+the default screen almost always rejects at gate 1: the reject path.
 """
 
 import argparse
@@ -26,10 +28,11 @@ import statistics
 import sys
 import time
 
-# (label, N, objective range, records per batch pass)
-SETTINGS = (("n=100 one_period", 100, "one_period", 40),
-            ("n=1000 one_period", 1000, "one_period", 20),
-            ("n=10000 full_record", 10_000, "full_record", 4))
+# (label, N, objective range, records per batch pass, record kind)
+SETTINGS = (("n=100 one_period", 100, "one_period", 40, "tone"),
+            ("n=1000 one_period", 1000, "one_period", 20, "tone"),
+            ("n=10000 full_record", 10_000, "full_record", 4, "tone"),
+            ("n=1000 white_noise", 1000, "one_period", 40, "white"))
 DEMO = (2.0, 0.05, 0.6109)
 SIGMA = 0.5
 
@@ -48,11 +51,15 @@ def load(src, name):
 class Side:
     """One tree's records and config for one setting, and a timed batch over them."""
 
-    def __init__(self, sf, n, objective_range, count):
+    def __init__(self, sf, n, objective_range, count, kind):
         tone = sf.SinusoidParams(*DEMO)
         self.sf = sf
-        self.records = [sf.synthesize(tone, sf.NoiseSpec(SIGMA, seed), n)
-                        for seed in range(count)]
+        if kind == "white":
+            self.records = [sf.TimeSeries(0.0, 1.0, sf.model.standard_normal_draws(seed, n))
+                            for seed in range(count)]
+        else:
+            self.records = [sf.synthesize(tone, sf.NoiseSpec(SIGMA, seed), n)
+                            for seed in range(count)]
         self.config = sf.PipelineConfig(objective_range=objective_range)
 
     def batch(self, passes):
@@ -102,9 +109,8 @@ def main():
         parser.error("--pairs must be at least 1 and --batch-ms positive")
     parent = load(args.parent_src, "sinefit_parent")
     change = load(args.change_src, "sinefit_change")
-    for label, n, objective_range, count in SETTINGS:
-        median, q1, q3, parent_s = compare(Side(parent, n, objective_range, count),
-                                           Side(change, n, objective_range, count),
+    for label, *setting in SETTINGS:
+        median, q1, q3, parent_s = compare(Side(parent, *setting), Side(change, *setting),
                                            args.pairs, args.batch_ms / 1000.0)
         print(f"{label}: change/parent {median:.3f} (quartiles {q1:.3f}-{q3:.3f}, "
               f"{args.pairs} pairs, parent {parent_s * 1e3:.4f} ms/record)", flush=True)

@@ -21,6 +21,11 @@ they may move in the last bits when the ACF's arithmetic changes.  When
 the pipeline returns a report, the hash also covers the name and the
 bytes of every file of the ``write_plot_data`` bundle, written with the
 screening decision's ACF bound as ``sinefit estimate --plot-data`` does.
+
+Each input also gets one ``<input> screen <sha256>`` line: the hash of
+``sinefit screen``'s exit code and of the bytes of the ``screening.json``
+and ``screening_acf.csv`` it writes for the input saved as CSV (or of
+its error message, when it exits 1).
 """
 
 import hashlib
@@ -30,9 +35,11 @@ import os
 import tempfile
 
 import numpy as np
+from click.testing import CliRunner
 
 import sinefit as sf
 from sinefit import io
+from sinefit.cli import cli
 from sinefit.model import standard_normal_draws
 
 FREQUENCIES = (0.05, 0.0537, 0.123)
@@ -102,10 +109,31 @@ def case_line(name, config_name, record):
         f"{key}={value}" for key, value in zip(ACF_READS, shown))
 
 
+def screen_line(name, record):
+    with tempfile.TemporaryDirectory() as directory:
+        paths = [os.path.join(directory, f) for f in
+                 ("in.csv", "screening.json", "screening_acf.csv")]
+        io.write_timeseries_csv(paths[0], record)
+        result = CliRunner().invoke(cli, ["screen", paths[0], "-o", paths[1],
+                                          "--acf-out", paths[2]])
+        parts = [str(result.exit_code).encode()]
+        if result.exit_code == 1:
+            parts.append(result.output.replace(directory, "").encode())
+        for path in paths[1:]:
+            if os.path.exists(path):
+                with open(path, "rb") as handle:
+                    parts += [os.path.basename(path).encode(), handle.read()]
+    hasher = hashlib.sha256()
+    for part in parts:
+        hasher.update(len(part).to_bytes(8, "little") + part)
+    return f"{name} screen {hasher.hexdigest()}"
+
+
 def main():
     for name, record in inputs():
         for config_name in CONFIGS:
             print(case_line(name, config_name, record))
+        print(screen_line(name, record))
 
 
 if __name__ == "__main__":

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .model import (SAMPLES_TOO_LARGE, SinusoidParams, TimeSeries, TWO_PI, _adopt,
-                    check_finite)
+from .model import SinusoidParams, TimeSeries, TWO_PI, _adopt, check_finite
 from .spectrum import _dft
 
 
@@ -109,26 +109,38 @@ def _circular_acf(record: TimeSeries, magnitudes: np.ndarray, max_lag: int) -> A
     """Lags 0..max_lag of the circular ACF from the record's |DFT| bins.
 
     ``magnitudes`` is |X| for the one-sided DFT X of a record that passed
-    ``check_finite``; its square is |X|^2 bit for bit.  Even so, at the
-    sample limit the rounding of |X|^2 or of the inverse transform's sums
-    can overflow, so both run under an error guard and an infinite lag-0
-    sum raises ``SAMPLES_TOO_LARGE``.  ``magnitudes[0]`` is |sum(x)|, since
-    the DC bin is real.  The inverse transform's output is divided in
-    place and frozen, not copied; lags past ``max_lag`` are cut off as a
-    view.
+    ``check_finite``; its square is |X|^2 bit for bit, and that check's
+    limit keeps |X|^2 and the inverse transform's sums finite.
+    ``magnitudes[0]`` is |sum(x)|, since the DC bin is real.  The inverse
+    transform's output is divided in place and frozen, not copied; lags
+    past ``max_lag`` are cut off as a view.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # |bin|^2 at the sample limit
-        power = magnitudes ** 2
-        power[0] = 0.0
-        sums = np.fft.irfft(power, len(record))
+    power = magnitudes ** 2
+    power[0] = 0.0
+    sums = np.fft.irfft(power, len(record))
     lag0 = float(sums[0])
-    if not math.isfinite(lag0):
-        raise ValueError(SAMPLES_TOO_LARGE)
     if not lag0 > 0.0 or math.sqrt(lag0) <= _ROUNDING_FLOOR * magnitudes[0]:
         raise ValueError("constant record has zero variance")
     sums /= lag0
     sums.setflags(write=False)
     return _adopt(AcfSeries, kind=DISCRETE_CIRCULAR, values=sums[:max_lag + 1])
+
+
+class _Transform(NamedTuple):
+    """A record's transform triple: its one-sided DFT X = ``np.fft.rfft(x)``,
+    the modulus |X| and the full-lag circular ACF, the inverse transform of
+    |X|^2; all read-only."""
+
+    dft: np.ndarray
+    magnitudes: np.ndarray
+    acf: AcfSeries
+
+
+def _transform(record: TimeSeries) -> _Transform:
+    """The one forward and one inverse transform a record needs, for a
+    record that passed ``check_finite``."""
+    dft, magnitudes = _dft(record)
+    return _Transform(dft, magnitudes, _circular_acf(record, magnitudes, len(record) - 1))
 
 
 def sine_product_integral(p: IntegralParams) -> float:

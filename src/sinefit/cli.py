@@ -19,7 +19,7 @@ from . import io
 from .acf import circular_acf
 from .estimate import FULL_RECORD, ONE_PERIOD, PipelineConfig, estimate_parameters
 from .model import NoiseSpec, SinusoidParams, TimeSeries, synthesize
-from .screening import VERDICT_NOISE, record_acf, screen
+from .screening import VERDICT_NOISE, _checked_screen
 from .spectrum import dft_magnitude
 
 ENV_OUT_DIR = "SINEFIT_OUT_DIR"
@@ -82,11 +82,12 @@ def screen_cmd(input_csv, far, out, acf_out):
     """Run the two-gate screen; exit 2 when the verdict is noise."""
     record = _load(input_csv)
     try:
-        decision = screen(record, far)
+        decision, transform = _checked_screen(record, far)
         json_path = _out_path(out, "screening.json")
         io.write_json(json_path, io.decision_to_dict(decision))
         csv_path = _out_path(acf_out, "screening_acf.csv")
-        io.write_acf_csv(csv_path, record_acf(record, decision), decision.acf_bound)
+        acf = transform.acf if transform is not None else circular_acf(record)
+        io.write_acf_csv(csv_path, acf, decision.acf_bound)
     except (ValueError, OSError) as exc:
         raise click.ClickException(str(exc))
     click.echo(f"verdict: {decision.verdict} (gate_failed={decision.gate_failed})")

@@ -2,12 +2,13 @@
 
 The pipeline in ``estimate_parameters`` runs the two-gate screen, smooths
 with MA-k, reads amplitude from the smoothed range, takes frequency from
-the spectrum peak (with ACF-based reads as cross-checks), and recovers
-phase by a two-stage least-squares grid search with the crossover formula
-recorded as a cross-check.  The closed-form phase constructions
-(crossover, general landmarks, arctangent at the origin, arcsine at a
-point) live here as well; the last two have restricted domains and are
-never the pipeline's primary answer.
+the spectrum peak, always (two ACF reads and the crossing spacing are
+cross-checks only), and recovers phase by a two-stage least-squares grid
+search with the crossover formula recorded as a cross-check.  The
+closed-form phase constructions (crossover, general landmarks,
+arctangent at the origin, arcsine at a point) live here as well; the
+last two have restricted domains and are never the pipeline's primary
+answer.
 """
 
 from __future__ import annotations
@@ -20,12 +21,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .acf import (AcfSeries, DegenerateParametersError, _circular_acf, frequency_from_acf,
+from .acf import (AcfSeries, DegenerateParametersError, _transform, frequency_from_acf,
                   model_acf_full, normalizing_constant)
 from .model import SinusoidParams, TimeSeries, TWO_PI, _adopt, check_finite, wrap_phase
 from .screening import ScreeningDecision, VERDICT_NOISE, _screen
 from .smoothing import SmoothedSeries, moving_average
-from .spectrum import Spectrum, _dft, _peak_bin
+from .spectrum import Spectrum, _peak_bin
 
 ONE_PERIOD = "one_period"
 FULL_RECORD = "full_record"
@@ -69,9 +70,10 @@ def _objective_points(obj: PhaseObjective) -> tuple[np.ndarray, np.ndarray]:
     Sample k sits at start + dt*k, which never decreases with k, so the
     one_period run is the index range [lo, hi) that two bisections over k
     find with that expression and the comparisons t >= 0 and
-    t <= 1/f + 1e-12; the values are a slice and only the run's times are
-    built.  A one_period run of fewer than 2 samples (a record that starts
-    after 1/f or ends before 0) raises ``ValueError``.
+    t <= 1/f + 1e-12*dt (a sample at 1/f counts despite rounding, and the
+    slack scales with the time axis); the values are a slice and only the
+    run's times are built.  A one_period run of fewer than 2 samples (a
+    record that starts after 1/f or ends before 0) raises ``ValueError``.
     """
     record = obj.data
     if obj.t_range == FULL_RECORD:
@@ -84,7 +86,7 @@ def _objective_points(obj: PhaseObjective) -> tuple[np.ndarray, np.ndarray]:
     period = 1.0 / obj.fixed_frequency_hz
     indices = range(len(record))
     lo = bisect.bisect_left(indices, 0.0, key=time)
-    hi = bisect.bisect_right(indices, period + 1e-12, lo=lo, key=time)
+    hi = bisect.bisect_right(indices, period + 1e-12 * dt, lo=lo, key=time)
     if hi - lo < 2:
         raise ValueError(
             f"the one_period objective window [0, 1/f] = [0, {period:.6g}] holds "
@@ -200,12 +202,6 @@ def _objective_on_tables(obj: PhaseObjective, t: np.ndarray, x: np.ndarray,
         return out
 
     return curve
-
-
-def _objective_polynomial(obj: PhaseObjective, t: np.ndarray, x: np.ndarray):
-    """``_objective_on_tables`` as a function of any array of phases."""
-    curve = _objective_on_tables(obj, t, x)
-    return lambda phis: curve(_phase_table(phis))
 
 
 def _peak_bin_sums(peak: complex, w: float, t0: float) -> tuple[float, float]:
@@ -420,18 +416,6 @@ def _acf_period_lag(acf: AcfSeries, n: int) -> int | None:
     return None if falling_start or short_end else lag
 
 
-# Order in which frequency reads are trusted when earlier ones are missing.
-_FREQUENCY_PRIORITY = ("fft", "acf_arccos", "ma_period")
-
-
-def _choose_frequency(candidates: dict[str, float]) -> tuple[float, str]:
-    for source in _FREQUENCY_PRIORITY:
-        value = candidates.get(source)
-        if value is not None and value > 0:
-            return value, source
-    raise ValueError("no usable frequency estimate for this record")
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     """Free parameters of the estimation pipeline.
@@ -504,44 +488,49 @@ class EstimationReport:
         return model_acf_full(self.model_params, self.max_lag)
 
 
-def _noise_report(decision: ScreeningDecision, config: PipelineConfig) -> EstimationReport:
-    return EstimationReport(params=None, screening=decision,
-                            frequency_source=None, smoothing_k=config.ma_k,
-                            acf=decision.acf)
-
-
 def estimate_parameters(record: TimeSeries,
                         config: PipelineConfig = PipelineConfig()) -> EstimationReport:
     """Run the full two-stage pipeline on a sampled record.
 
     Order: screen; smooth with MA-k; amplitude from the smoothed range;
-    frequency from the spectrum peak with the ACF arccosine read, the ACF
-    one-period mark, and the smoothed-record crossover spacing as
-    cross-checks (disagreement beyond 20 percent is a warning, the
-    spectrum value wins); phase by grid search with the crossover formula
-    recorded as a cross-check.  The report computes the full-model ACF of
-    the fitted sinusoid when it is first read.  ``max_lag`` is checked
+    frequency from the spectrum peak, always, with the ACF arccosine
+    read, the ACF one-period mark and the smoothed-record crossover
+    spacing as cross-checks only (disagreement beyond 20 percent is a
+    warning); phase by grid search with the crossover formula recorded
+    as a cross-check.  The report computes the full-model ACF of the
+    fitted sinusoid when it is first read.  ``max_lag`` is checked
     against the record length before anything else, so a bad value fails
     on every record, not only on those past the screen.  ``check_finite``
-    runs once, here, and the screen does not repeat it.
+    runs once, here, and the screen does not repeat it.  Past the screen,
+    a record whose sample spacing puts the bin frequencies m/(N*dt) or
+    their angular frequencies outside the finite positive floats raises
+    ``ValueError``.
     """
     # the default, N // 2, always fits, and the config has checked max_lag >= 1
     if config.max_lag is not None and config.max_lag > len(record) - 1:
         raise ValueError(f"max_lag must be in [1, {len(record) - 1}]")
     check_finite(record)
     decision: ScreeningDecision | None
+    transform = None
     if config.skip_screen:
         try:
-            decision = _screen(record, config.far)
+            decision, transform = _screen(record, config.far)
         except ValueError:
             decision = None
     else:
-        decision = _screen(record, config.far)
+        decision, transform = _screen(record, config.far)
         if decision.verdict == VERDICT_NOISE:
-            return _noise_report(decision, config)
+            return EstimationReport(params=None, screening=decision, frequency_source=None,
+                                    smoothing_k=config.ma_k,
+                                    acf=None if transform is None else transform.acf)
 
     n = len(record)
     dt = record.dt
+    # bins 1..N/2 sit at m*df Hz; the phase search needs 2*pi*m*df finite
+    df = 1.0 / (n * dt)
+    if not (df > 0.0 and math.isfinite(TWO_PI * ((n // 2) * df))):
+        raise ValueError(f"sample spacing dt = {dt!r} puts the spectrum's bin frequencies "
+                         "m/(N*dt) outside the finite positive floats; rescale the times")
     max_lag = config.max_lag if config.max_lag is not None else n // 2
     smoothed = moving_average(record, config.ma_k)
     # amplitude_estimate(smoothed), from the range the crossing scan reuses
@@ -552,44 +541,32 @@ def estimate_parameters(record: TimeSeries,
     # One forward transform and one |DFT| per record: the screen's, or
     # taken here when it stopped at gate 1 or could not judge the record.
     # The ACF view and the spectrum adopt those read-only arrays uncopied.
-    if decision is not None and decision.magnitudes is not None:
-        dft, magnitudes, full_acf = decision.dft, decision.magnitudes, decision.acf
-    else:
-        dft, magnitudes = _dft(record)
-        full_acf = _circular_acf(record, magnitudes, n - 1)
+    dft, magnitudes, full_acf = transform if transform is not None else _transform(record)
     acf = _adopt(AcfSeries, kind=full_acf.kind, values=full_acf.values[:max_lag + 1])
-    spec = _adopt(Spectrum, df=1.0 / (n * dt), magnitudes=magnitudes)
-    candidates: dict[str, float] = {}
-    try:
-        peak = _peak_bin(spec)
-        candidates["fft"] = peak * spec.df  # what fundamental_frequency(spec) returns
-    except ValueError:
-        pass
+    spec = _adopt(Spectrum, df=df, magnitudes=magnitudes)
+    peak = _peak_bin(spec)
+    frequency = peak * df  # what fundamental_frequency(spec) returns
 
+    cross_checks: dict[str, float] = {}
     probe = 2 if acf.max_lag >= 2 else 1
     f_probe = frequency_from_acf(acf.values[probe], probe) / dt
     if f_probe > 0:
-        candidates["acf_arccos"] = f_probe
+        cross_checks["acf_arccos"] = f_probe
     period_lag = _acf_period_lag(acf, n)
     if period_lag is not None:
-        candidates["acf_period"] = 1.0 / (period_lag * dt)
+        cross_checks["acf_period"] = 1.0 / (period_lag * dt)
     try:
         crossings = _zero_crossings(smoothed.series, span)
     except ValueError:
         crossings = np.empty(0), np.empty(0, dtype=int)
     ma_period = _period_from_crossings(*crossings)
     if ma_period is not None and ma_period > 0:
-        candidates["ma_period"] = 1.0 / ma_period
+        cross_checks["ma_period"] = 1.0 / ma_period
 
-    frequency, source = _choose_frequency(candidates)
-    warnings = []
-    for name, value in candidates.items():
-        if name == source:
-            continue
-        if abs(value - frequency) > _FREQ_AGREEMENT * frequency:
-            warnings.append(
-                f"{name} frequency {value:.6g} Hz differs from the {source} "
-                f"estimate {frequency:.6g} Hz by more than 20%")
+    warnings = [f"{name} frequency {value:.6g} Hz differs from the fft "
+                f"estimate {frequency:.6g} Hz by more than 20%"
+                for name, value in cross_checks.items()
+                if abs(value - frequency) > _FREQ_AGREEMENT * frequency]
 
     period = 1.0 / frequency
     phase_checks: dict[str, float] = {}
@@ -604,7 +581,7 @@ def estimate_parameters(record: TimeSeries,
     objective = PhaseObjective(record, amplitude, frequency,
                                config.objective_range)
     linear = None
-    if source == "fft" and config.objective_range == FULL_RECORD:
+    if config.objective_range == FULL_RECORD:
         linear = _peak_bin_sums(dft[peak], TWO_PI * frequency, record.start_time)
     phi, objective_value = _grid_search(objective, *_objective_points(objective), linear)
 
@@ -618,11 +595,10 @@ def estimate_parameters(record: TimeSeries,
         model_params = None
         warnings.append("full-model ACF is degenerate for the fitted parameters")
 
-    cross_checks = {k: v for k, v in candidates.items() if k != source}
     return EstimationReport(
         params=params,
         screening=decision,
-        frequency_source=source,
+        frequency_source="fft",
         frequency_cross_checks_hz=cross_checks,
         t_2pi=t_2pi,
         delta_t=params.time_delay(),

@@ -9,6 +9,7 @@ half-written file.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -17,10 +18,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .acf import AcfSeries, model_acf_reduced
+from .acf import AcfSeries, circular_acf, model_acf_reduced
 from .estimate import EstimationReport
 from .model import SinusoidParams, TimeSeries
-from .screening import ScreeningDecision, record_acf
+from .screening import ScreeningDecision
 
 # Relative tolerance on sample spacing when ingesting CSV records.
 _DT_RTOL = 1e-9
@@ -125,17 +126,7 @@ def params_to_dict(params: SinusoidParams) -> dict:
 
 
 def decision_to_dict(decision: ScreeningDecision) -> dict:
-    return {
-        "runs_statistic": decision.runs_statistic,
-        "runs_count": decision.runs_count,
-        "n_above": decision.n_above,
-        "n_below": decision.n_below,
-        "acf_exceedances": decision.acf_exceedances,
-        "acf_bound": decision.acf_bound,
-        "far": decision.far,
-        "verdict": decision.verdict,
-        "gate_failed": decision.gate_failed,
-    }
+    return dataclasses.asdict(decision)
 
 
 def report_to_dict(report: EstimationReport) -> dict:
@@ -178,9 +169,9 @@ def write_plot_data(directory: str, record: TimeSeries, report: EstimationReport
     """Emit the plot-ready CSV bundle for a record and its report.
 
     Writes raw data, smoothed data, the circular ACF to lag N/2 with
-    significance bounds (the report's or the screening decision's, when
-    either kept one; a fresh one only after a gate-1 reject), the
-    model ACFs of the fitted sinusoid, and the magnitude spectrum.
+    significance bounds (the report's, or a fresh one when the report
+    keeps none: after a gate-1 reject), the model ACFs of the fitted
+    sinusoid, and the magnitude spectrum.
     Returns the paths written.
     """
     os.makedirs(directory, exist_ok=True)
@@ -196,7 +187,7 @@ def write_plot_data(directory: str, record: TimeSeries, report: EstimationReport
         written.append(path)
 
     path = os.path.join(directory, "acf.csv")
-    acf = report.acf if report.acf is not None else record_acf(record, report.screening)
+    acf = report.acf if report.acf is not None else circular_acf(record)
     write_acf_csv(path, acf, bound)
     written.append(path)
 

@@ -17,12 +17,11 @@ from .normal import normal_quantile
 TWO_PI = 2.0 * math.pi
 
 NON_FINITE_SAMPLES = "record has non-finite (NaN or inf) samples"
-SAMPLES_TOO_LARGE = "record has samples too large: |x| must not exceed sqrt(float max)/N"
+SAMPLES_TOO_LARGE = ("record has samples too large: |x| must not exceed "
+                     "sqrt(float max)/(2N)")
 
-# sqrt of the largest float: a record with |x| <= _SQRT_FLOAT_MAX / N keeps
-# N*max|x|, hence every |DFT bin|, at or below it, so every |bin|^2 and every
-# sum of N squares of samples stays finite.
-_SQRT_FLOAT_MAX = math.sqrt(np.finfo(float).max)
+# Largest max|x| of an N-sample record, times N (see ``check_finite``).
+_SAMPLE_LIMIT_TIMES_N = math.sqrt(np.finfo(float).max) / 2.0
 
 
 def wrap_phase(phi: float) -> float:
@@ -135,15 +134,22 @@ def check_finite(record: TimeSeries) -> None:
     """Reject records no stage can judge, from max|x|.
 
     NaN or infinite samples raise ``NON_FINITE_SAMPLES``.  Finite samples
-    above sqrt(float max)/N raise ``SAMPLES_TOO_LARGE``: past that limit a
-    sum of squares, such as the power spectrum or the lag-0 ACF sum, can
-    overflow although every sample is finite.  max|x| is ``_max_abs``'s,
-    which a NaN makes NaN, so it still fails ``isfinite``.
+    above L = sqrt(float max)/(2N) raise ``SAMPLES_TOO_LARGE``: past a
+    limit of that order a sum of squares, such as the power spectrum or
+    the lag-0 ACF sum, can overflow although every sample is finite.
+    Within it, every DFT bin has |X[m]| <= sum|x| <= N*L, so |X|^2 <=
+    (float max)/4; the inverse transform of the power spectrum sums at
+    most N*sum((x - mean)^2) <= N*sum(x^2) <= (N*L)^2, and each of its
+    partial sums is bounded by the same total; and sum(x^2) <= N*L^2 is
+    smaller still.  The factor 4 below float max covers the rounding of
+    the transforms, whose relative error grows only like eps*log(N).
+    max|x| is ``_max_abs``'s, which a NaN makes NaN, so it still fails
+    ``isfinite``.
     """
     m = _max_abs(record.samples)
     if not math.isfinite(m):
         raise ValueError(NON_FINITE_SAMPLES)
-    if m > _SQRT_FLOAT_MAX / len(record):
+    if m > _SAMPLE_LIMIT_TIMES_N / len(record):
         raise ValueError(SAMPLES_TOO_LARGE)
 
 

@@ -6,24 +6,26 @@ ACF.  Gate 2 computes the record's one forward DFT, its modulus and,
 from that, the full-lag circular ACF, judges lags 1..N/2 and demands
 enough of them outside the +-z/sqrt(N) significance bounds, with
 excursions on both sides of zero (a cosine-shaped ACF swings both ways;
-a one-sided pattern is a trend, not a periodicity).  The decision keeps
-the DFT bins, their moduli and the ACF for the estimator and the ACF
-writers.  The gate-2 rule is a
-documented stand-in and is meant to be replaceable.
+a one-sided pattern is a trend, not a periodicity).  ``_screen`` hands
+that transform over next to the decision.  The estimator takes its
+frequency from it, always the spectrum peak, and reads two of its three
+cross-checks (the ACF arccosine read and one-period mark; the third is
+the crossing spacing) from its ACF, without transforming the record
+again.  The gate-2 rule is a documented stand-in and is meant to be
+replaceable.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .acf import AcfSeries, _circular_acf, circular_acf
+from .acf import _Transform, _transform
 from .model import TimeSeries, check_finite
 from .normal import normal_quantile
-from .spectrum import _dft
 
 MIN_SAMPLES = 20
 
@@ -33,15 +35,7 @@ VERDICT_NOISE = "noise"
 
 @dataclass(frozen=True)
 class ScreeningDecision:
-    """Per-gate statistics, the verdict, and what gate 2 computed, if it ran.
-
-    ``dft`` is the record's one-sided DFT, ``np.fft.rfft(x)``,
-    ``magnitudes`` its modulus ``np.abs(dft)``, taken once for both the
-    spectrum and the ACF, and ``acf`` the full-lag circular ACF taken from
-    the magnitudes; all three are read-only, and None after a gate-1
-    reject.  None takes part in ``==``, ``hash`` or ``repr``: they are
-    per-record intermediates, not statistics.
-    """
+    """Per-gate statistics and the verdict."""
 
     runs_statistic: float
     runs_count: int
@@ -52,9 +46,6 @@ class ScreeningDecision:
     far: float
     verdict: str
     gate_failed: str  # "none", "gate1", or "gate2"
-    acf: AcfSeries | None = field(default=None, compare=False, repr=False)
-    dft: np.ndarray | None = field(default=None, compare=False, repr=False)
-    magnitudes: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @functools.lru_cache(maxsize=64)
@@ -161,20 +152,24 @@ def screen(record: TimeSeries, far: float = 0.01) -> ScreeningDecision:
     """Run both gates in order and report the verdict.
 
     Gate-1 failure (the runs test calls the record random) stops
-    processing: no transform is computed (``dft``, ``magnitudes`` and
-    ``acf`` are None), ``acf_exceedances`` is 0.  Otherwise the decision
-    keeps the record's DFT bins, their moduli and the full-lag ACF, so no
-    later stage transforms the record or takes |DFT| again.
+    processing: no transform is computed and ``acf_exceedances`` is 0.
     Records with NaN, infinite or too-large samples are rejected (see
     ``check_finite``), after the checks on ``far`` and the record length.
     """
+    return _checked_screen(record, far)[0]
+
+
+def _checked_screen(record: TimeSeries,
+                    far: float) -> tuple[ScreeningDecision, _Transform | None]:
+    """``screen``'s checks, then ``_screen``."""
     _gate1_threshold(len(record), far)
     check_finite(record)
     return _screen(record, far)
 
 
-def _screen(record: TimeSeries, far: float) -> ScreeningDecision:
-    """``screen`` for a record its caller has already put through ``check_finite``."""
+def _screen(record: TimeSeries, far: float) -> tuple[ScreeningDecision, _Transform | None]:
+    """``screen`` for a record its caller has already put through
+    ``check_finite``, with the transform gate 2 took (None after gate 1)."""
     n = len(record)
     threshold = _gate1_threshold(n, far)
     z, runs, n1, n2 = _runs_statistics(record)
@@ -182,21 +177,12 @@ def _screen(record: TimeSeries, far: float) -> ScreeningDecision:
 
     if abs(z) < threshold:
         return ScreeningDecision(z, runs, n1, n2, 0, bound, far,
-                                 VERDICT_NOISE, "gate1")
+                                 VERDICT_NOISE, "gate1"), None
 
-    dft, magnitudes = _dft(record)
-    acf = _circular_acf(record, magnitudes, n - 1)
-    passed, count = _gate2_passes(acf.values[1:n // 2 + 1], bound)
+    transform = _transform(record)
+    passed, count = _gate2_passes(transform.acf.values[1:n // 2 + 1], bound)
     if not passed:
         return ScreeningDecision(z, runs, n1, n2, count, bound, far,
-                                 VERDICT_NOISE, "gate2", acf, dft, magnitudes)
+                                 VERDICT_NOISE, "gate2"), transform
     return ScreeningDecision(z, runs, n1, n2, count, bound, far,
-                             VERDICT_SIGNAL, "none", acf, dft, magnitudes)
-
-
-def record_acf(record: TimeSeries, decision: ScreeningDecision | None) -> AcfSeries:
-    """The full-lag circular ACF of ``record``: the one ``decision`` kept, or
-    a fresh one when the screen stopped before gate 2 (or never ran)."""
-    if decision is not None and decision.acf is not None:
-        return decision.acf
-    return circular_acf(record)
+                             VERDICT_SIGNAL, "none"), transform

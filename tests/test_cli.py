@@ -285,6 +285,19 @@ class TestNonFiniteInput:
         assert "RuntimeWarning" not in result.stderr
         assert not (tmp_path / "report.json").exists()
 
+    # N*dt overflows at 1.8e306 although the last sample time, 99*dt, does not
+    @pytest.mark.parametrize("dt", [1.8e306, 1e-310])
+    def test_estimate_exits_one_on_bin_frequencies_past_float_range(self, tmp_path, dt):
+        from sinefit import io
+        tone = sf.synthesize(sf.SinusoidParams(2.0, 0.05, 0.6109), sf.NoiseSpec(0.5, 0), 100)
+        io.write_timeseries_csv(str(tmp_path / "grid.csv"),
+                                sf.TimeSeries(0.0, dt, tone.samples))
+        result = run_cli(["estimate", str(tmp_path / "grid.csv")], tmp_path)
+        assert result.returncode == 1
+        assert "bin frequencies m/(N*dt)" in result.stderr
+        assert "Warning" not in result.stderr
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize("row", ["1.0,nan", "1.0,inf", "1.0,-inf", "nan,2.0",
                                      "inf,2.0"])
     def test_reader_names_the_line(self, tmp_path, row):

@@ -12,8 +12,9 @@ import pytest
 
 import sinefit as sf
 from sinefit import estimate, screening
+from sinefit.acf import _transform
 from sinefit.estimate import COARSE_STEP, REFINE_STEP
-from sinefit.model import check_finite
+from sinefit.model import SAMPLES_TOO_LARGE, check_finite
 from sinefit.normal import normal_quantile
 
 
@@ -52,13 +53,12 @@ class TestPhaseTables:
 
     def test_curve_still_takes_any_array_and_leaves_it_writable(self, noisy_series):
         obj = sf.PhaseObjective(noisy_series(1), 2.0, 0.05)
-        curve = estimate._objective_polynomial(obj, *estimate._objective_points(obj))
+        curve = estimate._objective_on_tables(obj, *estimate._objective_points(obj))
         phis = np.linspace(-3.0, 3.0, 7)
-        values = curve(phis)
+        values = curve(estimate._phase_table(phis))
         assert values.shape == (7,) and phis.flags.writeable
-        on_tables = estimate._objective_on_tables(obj, *estimate._objective_points(obj))
-        assert values.tobytes() == on_tables(estimate._phase_table(phis)).tobytes()
-        assert curve(estimate._COARSE.phis).tobytes() == on_tables(estimate._COARSE).tobytes()
+        fresh = curve(estimate._phase_table(estimate._COARSE.phis))
+        assert fresh.tobytes() == curve(estimate._COARSE).tobytes()
 
 
 class TestModelAcfOnFirstRead:
@@ -173,29 +173,41 @@ class TestGate1Median:
         assert sf.screen(record).gate_failed == "gate1"
 
 
-def decision_arrays(decision):
-    return {"dft": decision.dft, "magnitudes": decision.magnitudes,
-            "acf": decision.acf.values}
+def transform_arrays(transform):
+    return {"dft": transform.dft, "magnitudes": transform.magnitudes,
+            "acf": transform.acf.values}
 
 
 def report_arrays(report):
-    arrays = {"acf": report.acf.values, "spectrum": report.spectrum.magnitudes,
-              "smoothed": report.smoothed.series.samples,
-              "model_acf": report.model_acf.values}
-    if report.screening is not None and report.screening.dft is not None:
-        arrays.update(("screening." + name, value)
-                      for name, value in decision_arrays(report.screening).items())
-    return arrays
+    return {"acf": report.acf.values, "spectrum": report.spectrum.magnitudes,
+            "smoothed": report.smoothed.series.samples,
+            "model_acf": report.model_acf.values}
+
+
+@pytest.fixture
+def screened(monkeypatch):
+    """The transforms the estimator's screen hands over, in call order."""
+    transforms = []
+
+    def recording(record, far, _real=estimate._screen):
+        decision, transform = _real(record, far)
+        transforms.append(transform)
+        return decision, transform
+
+    monkeypatch.setattr(estimate, "_screen", recording)
+    return transforms
 
 
 class TestOneModulusPerRecord:
     """The screen's |X| is the spectrum's magnitudes and the ACF's power."""
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_spectrum_is_the_decisions_modulus(self, noisy_series, seed):
+    def test_spectrum_is_the_screens_modulus(self, noisy_series, screened, seed):
         record = noisy_series(seed)
         report = sf.estimate_parameters(record)
-        assert report.spectrum.magnitudes is report.screening.magnitudes
+        [transform] = screened
+        assert report.spectrum.magnitudes is transform.magnitudes
+        assert report.acf is transform.acf
         expected = np.abs(np.fft.rfft(record.samples))
         assert report.spectrum.magnitudes.tobytes() == expected.tobytes()
         assert report.spectrum.magnitudes.tobytes() == \
@@ -211,11 +223,11 @@ class TestOneModulusPerRecord:
         assert report.acf.kind == "discrete_circular"
         assert report.acf.values.tobytes() == sf.circular_acf(record).values.tobytes()
 
-    def test_gate1_record_under_skip_screen_takes_its_own_pair(self, pure_noise):
+    def test_gate1_record_under_skip_screen_takes_its_own_pair(self, pure_noise, screened):
         record = pure_noise(0)
         report = sf.estimate_parameters(record, sf.PipelineConfig(skip_screen=True))
         assert report.screening.gate_failed == "gate1"
-        assert report.screening.magnitudes is None
+        assert screened == [None]
         assert report.spectrum.magnitudes.tobytes() == \
             np.abs(np.fft.rfft(record.samples)).tobytes()
         assert report.acf.values.tobytes() == sf.circular_acf(record).values.tobytes()
@@ -231,10 +243,10 @@ class TestOneModulusPerRecord:
         got = sf.circular_acf(sf.TimeSeries(0.0, 1.0, x)).values
         assert got.tobytes() == expected.tobytes()
 
-    def test_decision_equality_ignores_the_modulus(self, noisy_series):
+    def test_decisions_compare_by_their_statistics_alone(self, noisy_series):
         record = noisy_series(2)
-        first, second = sf.screen(record), sf.screen(record)
-        assert first.magnitudes is not second.magnitudes
+        (first, one), (second, other) = (screening._screen(record, 0.01) for _ in range(2))
+        assert one.magnitudes is not other.magnitudes
         assert first == second and hash(first) == hash(second)
         assert "magnitudes" not in repr(first)
 
@@ -243,10 +255,13 @@ class TestFrozenNotCopied:
     @pytest.mark.parametrize("config", [sf.PipelineConfig(),
                                         sf.PipelineConfig(skip_screen=True, max_lag=3),
                                         sf.PipelineConfig(objective_range="full_record")])
-    def test_every_array_of_a_report_and_its_decision_is_read_only(self, noisy_series,
-                                                                    config):
+    def test_every_array_of_a_report_and_its_transform_is_read_only(self, noisy_series,
+                                                                     screened, config):
         report = sf.estimate_parameters(noisy_series(4), config)
-        for name, array in report_arrays(report).items():
+        arrays = report_arrays(report)
+        arrays.update(("transform." + name, value)
+                      for name, value in transform_arrays(screened[0]).items())
+        for name, array in arrays.items():
             assert not array.flags.writeable, name
             with pytest.raises(ValueError):
                 array[0] = 1.0
@@ -261,7 +276,7 @@ class TestFrozenNotCopied:
         arrays = [sf.moving_average(record, 5).series.samples,
                   sf.dft_magnitude(record).magnitudes,
                   sf.circular_acf(record).values, sf.circular_acf(record, 4).values]
-        arrays += decision_arrays(sf.screen(record)).values()
+        arrays += transform_arrays(_transform(record)).values()
         for array in arrays:
             assert not array.flags.writeable
 
@@ -328,18 +343,22 @@ class TestSharedRange:
 
 
 def at_the_sample_limit(n):
-    """Records whose max|x| is exactly sqrt(float max)/n: the largest accepted."""
-    m = math.sqrt(np.finfo(float).max) / n
+    """Records whose max|x| is exactly sqrt(float max)/(2n): the largest accepted."""
+    m = math.sqrt(np.finfo(float).max) / 2.0 / n
     k = np.arange(n)
     return {"alternating": np.where(k % 2 == 0, m, -m),
             "one_flipped": np.where(k == 0, -m, m),
-            "tone": m * np.sin(0.3 * k) / np.abs(np.sin(0.3 * k)).max(),
-            "random_signs": np.where(np.random.default_rng(n).random(n) < 0.5, m, -m)}
+            "tone": m * (np.sin(0.3 * k) / np.abs(np.sin(0.3 * k)).max()),
+            "random_signs": np.where(np.random.default_rng(n).random(n) < 0.5, m, -m),
+            "bin_one": m * np.cos(2.0 * math.pi * k / n),
+            "ramp": m * (2.0 * k / (n - 1) - 1.0),
+            "square": np.where(k < n // 2, m, -m)}
 
 
 class TestErrorGuards:
-    """The forward transform needs no floating-point error guard once the
-    record passed check_finite; the ACF's squares and inverse transform do."""
+    """Once a record passed check_finite, neither the forward transform nor
+    the ACF's squares and inverse transform need a floating-point error
+    guard."""
 
     @pytest.mark.parametrize("n", [2, 3, 6, 10, 18, 20, 100, 101, 1000, 4097])
     def test_forward_transform_at_the_sample_limit_warns_nothing(self, n):
@@ -351,18 +370,41 @@ class TestErrorGuards:
                 spec = sf.dft_magnitude(record)
             assert np.isfinite(spec.magnitudes).all(), name
 
-    def test_the_acf_guard_is_not_idle(self):
-        overflowed = 0
-        for n in (6, 10, 12, 18, 20):
-            for x in at_the_sample_limit(n).values():
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    try:
-                        power = np.abs(np.fft.rfft(x)) ** 2
-                        np.fft.irfft(power, n)
-                    except RuntimeWarning:
-                        overflowed += 1
-        assert overflowed > 0
+    def test_the_limit_is_what_keeps_the_acf_finite(self):
+        # at twice the limit (sqrt(float max)/n) the power spectrum overflows
+        overflowed = {1.0: 0, 2.0: 0}
+        for factor in overflowed:
+            for n in (6, 10, 12, 18, 20):
+                for x in at_the_sample_limit(n).values():
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        try:
+                            power = np.abs(np.fft.rfft(factor * x)) ** 2
+                            np.fft.irfft(power, n)
+                        except RuntimeWarning:
+                            overflowed[factor] += 1
+        assert overflowed[1.0] == 0 and overflowed[2.0] > 0
+
+    def test_no_record_at_the_limit_is_too_large_and_one_ulp_above_is(self):
+        config = sf.PipelineConfig(ma_k=1, skip_screen=True)
+        consumers = (sf.circular_acf, sf.screen,
+                     lambda record: sf.estimate_parameters(record, config))
+        for n in [*range(2, 130), 1000, 4096, 4097, 65536]:
+            for name, x in at_the_sample_limit(n).items():
+                record = sf.TimeSeries(0.0, 1.0, x)
+                for consumer in consumers:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        try:
+                            consumer(record)
+                        except ValueError as exc:  # too short, constant, one-sided
+                            assert str(exc) != SAMPLES_TOO_LARGE, (n, name)
+                i = int(np.abs(x).argmax())
+                assert abs(x[i]) == math.sqrt(np.finfo(float).max) / 2.0 / n, (n, name)
+                above = x.copy()
+                above[i] = math.copysign(math.nextafter(abs(x[i]), math.inf), x[i])
+                with pytest.raises(ValueError, match="samples too large"):
+                    check_finite(sf.TimeSeries(0.0, 1.0, above))
 
     @pytest.mark.parametrize("n", [6, 10, 12, 18, 20, 100])
     def test_acf_consumers_at_the_sample_limit_warn_nothing(self, n):

@@ -7,8 +7,7 @@ import pytest
 
 import sinefit as sf
 from sinefit import estimate
-from sinefit.estimate import (_choose_frequency, _zero_crossings, COARSE_STEP,
-                              REFINE_STEP)
+from sinefit.estimate import _zero_crossings, COARSE_STEP, REFINE_STEP
 from conftest import AMPLITUDE, FREQUENCY, PHASE, PHASE_EXACT, SIGMA
 
 TWO_PI = 2.0 * math.pi
@@ -16,6 +15,12 @@ TWO_PI = 2.0 * math.pi
 
 def clean_record(params, n=100, dt=1.0):
     return sf.synthesize(params, sf.NoiseSpec(sigma=0.0, seed=0), n, dt=dt)
+
+
+def objective_polynomial(obj):
+    """The objective's trig polynomial as a function of any array of phases."""
+    curve = estimate._objective_on_tables(obj, *estimate._objective_points(obj))
+    return lambda phis: curve(estimate._phase_table(phis))
 
 
 class TestPhaseObjective:
@@ -146,7 +151,7 @@ class TestObjectivePolynomial:
     def test_matches_the_brute_force_curve(self, n, t_range):
         coarse = np.arange(-math.pi, math.pi, COARSE_STEP)
         for obj in noisy_objectives(n, t_range, [(1.05, 0.99)]):
-            curve = estimate._objective_polynomial(obj, *estimate._objective_points(obj))
+            curve = objective_polynomial(obj)
             reference = reference_objective_curve(obj, coarse)
             np.testing.assert_allclose(curve(coarse), reference, rtol=1e-11, atol=0)
             phi0 = coarse[np.argmin(reference)]
@@ -479,23 +484,6 @@ class TestAcfPeriod:
         assert report.frequency_cross_checks_hz["acf_period"] == pytest.approx(0.02)
 
 
-class TestFrequencySelection:
-    def test_spectrum_read_wins(self):
-        f, source = _choose_frequency(
-            {"fft": 0.05, "acf_arccos": 0.06, "ma_period": 0.048})
-        assert (f, source) == (0.05, "fft")
-
-    def test_falls_back_in_documented_order(self):
-        f, source = _choose_frequency({"acf_arccos": 0.06, "ma_period": 0.048})
-        assert (f, source) == (0.06, "acf_arccos")
-        f, source = _choose_frequency({"ma_period": 0.048, "acf_period": 0.05})
-        assert (f, source) == (0.048, "ma_period")
-
-    def test_no_candidates_is_an_error(self):
-        with pytest.raises(ValueError):
-            _choose_frequency({"acf_arccos": 0.0})
-
-
 class TestPipeline:
     def test_noise_free_recovery(self, demo_params):
         report = sf.estimate_parameters(clean_record(demo_params),
@@ -554,6 +542,40 @@ class TestPipeline:
             assert big.amplitude == pytest.approx(base.amplitude * 1e100, rel=1e-12)
             assert big.phase_rad == base.phase_rad
             assert big.frequency_hz == base.frequency_hz
+
+    @pytest.mark.parametrize("skip_screen", [False, True])
+    def test_frequency_is_always_the_spectrum_peak(self, noisy_series, skip_screen):
+        config = sf.PipelineConfig(skip_screen=skip_screen)
+        for seed in range(20):
+            for sigma in (0.5, 2.0, 8.0):
+                record = noisy_series(seed, sigma=sigma)
+                report = sf.estimate_parameters(record, config)
+                if report.params is None:
+                    continue
+                assert report.frequency_source == "fft"
+                assert "fft" not in report.frequency_cross_checks_hz
+                assert report.params.frequency_hz == \
+                    sf.fundamental_frequency(sf.dft_magnitude(record))
+
+    @pytest.mark.parametrize("dt, n", [(2e306, 100), (1e-310, 100), (1e307, 20),
+                                       (5e-324, 1000)])
+    @pytest.mark.parametrize("skip_screen", [False, True])
+    def test_bin_frequencies_out_of_float_range_are_rejected(self, dt, n, skip_screen):
+        # N*dt overflows at 2e306 and 1e307 (df = 0), 2*pi*(N/2)*df at
+        # 1e-310, and df itself at 5e-324
+        samples = sf.synthesize(sf.SinusoidParams(AMPLITUDE, FREQUENCY, PHASE),
+                                sf.NoiseSpec(SIGMA, 0), n).samples
+        record = sf.TimeSeries(0.0, dt, samples)
+        with pytest.raises(ValueError, match=r"bin frequencies m/\(N\*dt\)"):
+            sf.estimate_parameters(record, sf.PipelineConfig(skip_screen=skip_screen))
+
+    @pytest.mark.parametrize("dt", [1e300, 1e-300, 2.0 ** -1000, 2.0 ** 1000])
+    def test_extreme_but_representable_grids_still_estimate(self, dt, demo_params):
+        record = sf.TimeSeries(0.0, dt, clean_record(demo_params).samples)
+        report = sf.estimate_parameters(record)
+        base = sf.estimate_parameters(clean_record(demo_params)).params
+        assert report.params.frequency_hz * dt == pytest.approx(base.frequency_hz, rel=1e-12)
+        assert report.params.phase_rad == pytest.approx(base.phase_rad, abs=REFINE_STEP)
 
     def test_cross_checks_are_populated(self, noisy_series):
         report = sf.estimate_parameters(noisy_series(3))
@@ -614,8 +636,6 @@ class TestPeakBinSums:
                                                    (0.0, 0.5, 2.0), (0, 1)):
             record = tone(n, f / dt, start, dt, sigma, seed)
             report = sf.estimate_parameters(record, config)
-            if report.frequency_source != "fft":
-                continue
             p = report.params
             obj = sf.PhaseObjective(record, p.amplitude, p.frequency_hz, "full_record")
             phi, value = sf.phase_grid_search(obj)
@@ -627,7 +647,7 @@ class TestPeakBinSums:
 def reference_one_period_points(obj):
     """The one_period objective's points as a mask over every sample time."""
     t = obj.data.times()
-    mask = (t >= 0.0) & (t <= 1.0 / obj.fixed_frequency_hz + 1e-12)
+    mask = (t >= 0.0) & (t <= 1.0 / obj.fixed_frequency_hz + 1e-12 * obj.data.dt)
     return t[mask], obj.data.samples[mask]
 
 

@@ -164,7 +164,7 @@ class TestCheckFinite:
 
     def test_all_negative_record_past_the_limit_is_too_large(self):
         n = 100
-        limit = math.sqrt(np.finfo(float).max) / n
+        limit = math.sqrt(np.finfo(float).max) / 2.0 / n
         x = -limit * (1.5 + np.sin(np.arange(float(n))) / 4)
         assert x.max() < -limit
         with pytest.raises(ValueError) as caught:

@@ -42,19 +42,26 @@ def test_monte_carlo_wraps_phase_errors():
 def test_same_outputs_prints_one_line_per_case():
     lines = run_script("same_outputs.py").splitlines()
     # (27 tone settings, two noise seeds when sigma > 0: 45 tones) + 27 tones
-    # on the shifted time grid + 12 noise records, each under 4 configs
-    assert len(lines) == (45 + 27 + 12) * 4
+    # on the shifted time grid + 12 noise records, each under 4 configs and
+    # through `sinefit screen`
+    assert len(lines) == (45 + 27 + 12) * 5
     pattern = re.compile(r"\S+ (default|full_record|ma_k=1|skip_screen) [0-9a-f]{64} "
                          r"acf_arccos=(-|\S+) acf_period=(-|\S+)")
-    assert all(pattern.fullmatch(line) for line in lines), lines[:3]
+    screen_lines = [line for line in lines if line.split()[1] == "screen"]
+    assert len(screen_lines) == 45 + 27 + 12
+    assert all(re.fullmatch(r"\S+ screen [0-9a-f]{64}", line) for line in screen_lines)
+    assert all(pattern.fullmatch(line) for line in lines if line not in screen_lines), lines[:3]
     assert len({line.split()[2] for line in lines}) > 100
+    # signal and noise verdicts both occur, so the screen lines differ
+    assert len({line.split()[2] for line in screen_lines}) == len(screen_lines)
 
 
 def test_ab_timing_prints_one_ratio_per_setting():
     src = os.path.join(ROOT, "src")
     lines = run_script("ab_timing.py", src, src, "--pairs", "2", "--batch-ms", "1").splitlines()
-    assert len(lines) == 3, lines
-    pattern = re.compile(r"n=\d+ (one_period|full_record): change/parent ([0-9.]+) "
+    assert len(lines) == 4, lines
+    assert lines[-1].startswith("n=1000 white_noise: ")
+    pattern = re.compile(r"n=\d+ (one_period|full_record|white_noise): change/parent ([0-9.]+) "
                          r"\(quartiles ([0-9.]+)-([0-9.]+), 2 pairs, parent [0-9.]+ ms/record\)")
     for line in lines:
         match = pattern.fullmatch(line)

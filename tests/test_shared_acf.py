@@ -1,7 +1,9 @@
 """One transform per record: the screen computes the DFT and the circular
-ACF from it, and every consumer reads them."""
+ACF from it, hands them over next to its decision, and every consumer
+reads them."""
 
 import csv
+import dataclasses
 import math
 import warnings
 
@@ -68,29 +70,26 @@ def test_records_stop_where_named(name):
     assert sf.screen(make(), far).gate_failed == gate
 
 
-class TestDecisionKeepsTheAcf:
+class TestScreenHandsOverTheAcf:
     @pytest.mark.parametrize("name", ["signal", "gate2"])
     def test_acf_is_the_full_lag_circular_acf(self, name):
         make, far, _ = RECORDS[name]
         record = make()
-        decision = sf.screen(record, far)
+        _, transform = screening._screen(record, far)
         expected = sf.circular_acf(record).values
-        assert decision.acf.values.size == len(record)
-        assert np.array_equal(decision.acf.values, expected)
-        assert decision.acf.values.tobytes() == expected.tobytes()
+        assert transform.acf.values.size == len(record)
+        assert np.array_equal(transform.acf.values, expected)
+        assert transform.acf.values.tobytes() == expected.tobytes()
 
     def test_no_acf_after_a_gate1_reject(self):
-        assert sf.screen(gate1_record(), 0.001).acf is None
+        assert screening._screen(gate1_record(), 0.001)[1] is None
 
-    def test_acf_takes_no_part_in_equality_or_repr(self):
-        record = signal_record()
-        decision = sf.screen(record)
-        bare = sf.ScreeningDecision(*(getattr(decision, f) for f in (
+    def test_decision_holds_only_its_nine_statistics(self):
+        decision, _ = screening._screen(signal_record(), 0.01)
+        assert [f.name for f in dataclasses.fields(decision)] == [
             "runs_statistic", "runs_count", "n_above", "n_below",
-            "acf_exceedances", "acf_bound", "far", "verdict", "gate_failed")))
-        assert bare.acf is None and decision.acf is not None
-        assert decision == bare and hash(decision) == hash(bare)
-        assert repr(decision) == repr(bare)
+            "acf_exceedances", "acf_bound", "far", "verdict", "gate_failed"]
+        assert decision == sf.screen(signal_record())
 
 
 ONE_PAIR = {"rfft": 1, "irfft": 1}
@@ -173,13 +172,12 @@ class TestSpectrumFromTheSharedDft:
         assert report.spectrum.magnitudes.tobytes() == expected.magnitudes.tobytes()
 
     @pytest.mark.parametrize("name", ["signal", "gate2"])
-    def test_decision_keeps_the_dft_read_only(self, name):
+    def test_screen_hands_over_the_dft_read_only(self, name):
         make, far, _ = RECORDS[name]
         record = make()
-        decision = sf.screen(record, far)
-        assert decision.dft.tobytes() == np.fft.rfft(record.samples).tobytes()
-        assert not decision.dft.flags.writeable
-        assert sf.screen(gate1_record(), 0.001).dft is None
+        _, transform = screening._screen(record, far)
+        assert transform.dft.tobytes() == np.fft.rfft(record.samples).tobytes()
+        assert not transform.dft.flags.writeable
 
 
 @pytest.fixture
@@ -243,9 +241,9 @@ class TestSamplesTooLarge:
             with pytest.raises(ValueError, match="samples too large"):
                 consumer(huge_record())
 
-    def test_limit_is_sqrt_float_max_over_n(self):
+    def test_limit_is_sqrt_float_max_over_2n(self):
         # max|x| at half the limit is estimated; just above it is rejected
-        limit = math.sqrt(np.finfo(float).max) / 100
+        limit = math.sqrt(np.finfo(float).max) / 2.0 / 100
         x = signal_record().samples
         x = x / np.max(np.abs(x))
         with warnings.catch_warnings():
