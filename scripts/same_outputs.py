@@ -11,7 +11,11 @@ when sigma > 0), the same tones sampled from t = -2.3 s every 0.37 s
 (noise seed 0), plus white-noise and AR(1) (rho = 0.3) records at each
 N, seeds 0 and 1.  The shifted grid exercises the start-time rotation of
 the full-record phase sums and the index arithmetic of the one-period
-window.  Configs: default, full_record, ma_k=1, skip_screen.
+window.  Two edge records close the list: [1, 2, -3, 0, 0] repeated to
+N = 100, which passes the screen but which MA-5 smooths to a constant,
+and the N = 100 tone at sigma = 0.5 (seed 3) on dt = float max/100, where
+the crossing spacings sum past float max.  Configs: default,
+full_record, ma_k=1, skip_screen.
 
 Each line is ``<input> <config> <sha256> acf_arccos=<v> acf_period=<v>``.
 The hash covers the canonical JSON of ``report_to_dict`` (or of the
@@ -77,6 +81,10 @@ def inputs():
     for n, seed in itertools.product(SIZES, SEEDS):
         yield f"white:n={n}:seed={seed}", sf.TimeSeries(0.0, 1.0, standard_normal_draws(seed, n))
         yield f"ar1:n={n}:seed={seed}", sf.TimeSeries(0.0, 1.0, ar1(seed, n))
+    yield "flat_after_ma5:n=100", sf.TimeSeries(0.0, 1.0, np.tile([1.0, 2.0, -3.0, 0.0, 0.0], 20))
+    tone = sf.synthesize(sf.SinusoidParams(2.0, 0.05, 0.6109), sf.NoiseSpec(0.5, 3), 100)
+    yield ("tone:f=0.05:n=100:sigma=0.5:seed=3:dt=max/100",
+           sf.TimeSeries(0.0, float(np.finfo(float).max) / 100, tone.samples))
 
 
 def plot_data_bytes(record, report):

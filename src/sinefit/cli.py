@@ -2,9 +2,10 @@
 
 Exit codes: 0 on success, 2 when screening rejects the input as noise,
 1 for every other failure (parse errors, bad arguments, unwritable
-paths).  When an output path is not given, files land in the directory
-named by the SINEFIT_OUT_DIR environment variable (default: the current
-directory).
+paths): the command group turns any ``ValueError`` or ``OSError`` a
+command raises into ``Error: <message>`` on stderr and exit 1.  When
+an output path is not given, files land in the directory named by the
+SINEFIT_OUT_DIR environment variable (default: the current directory).
 """
 
 from __future__ import annotations
@@ -31,14 +32,17 @@ def _out_path(explicit: str | None, default_name: str) -> str:
     return os.path.join(os.environ.get(ENV_OUT_DIR, "."), default_name)
 
 
-def _load(path: str) -> TimeSeries:
-    try:
-        return io.read_timeseries_csv(path)
-    except (OSError, ValueError) as exc:
-        raise click.ClickException(str(exc))
+class _Group(click.Group):
+    """Turns a ``ValueError`` or ``OSError`` from any command into exit 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, OSError) as exc:
+            raise click.ClickException(str(exc))
 
 
-@click.group()
+@click.group(cls=_Group)
 def cli():
     """Estimate amplitude, frequency, and phase of a noisy sinusoid."""
 
@@ -59,14 +63,11 @@ def cli():
               help="Output CSV path [default: timeseries.csv in SINEFIT_OUT_DIR].")
 def generate(amplitude, frequency, phase, sigma, seed, samples, dt, start, out):
     """Write a seeded synthetic record as `t,value` CSV."""
-    try:
-        params = SinusoidParams(amplitude, frequency, phase)
-        noise = NoiseSpec(sigma=sigma, seed=seed)
-        series = synthesize(params, noise, samples, dt=dt, start=start)
-        path = _out_path(out, "timeseries.csv")
-        io.write_timeseries_csv(path, series)
-    except (ValueError, OSError) as exc:
-        raise click.ClickException(str(exc))
+    params = SinusoidParams(amplitude, frequency, phase)
+    noise = NoiseSpec(sigma=sigma, seed=seed)
+    series = synthesize(params, noise, samples, dt=dt, start=start)
+    path = _out_path(out, "timeseries.csv")
+    io.write_timeseries_csv(path, series)
     click.echo(f"wrote {path}")
 
 
@@ -80,16 +81,13 @@ def generate(amplitude, frequency, phase, sigma, seed, samples, dt, start, out):
               help="ACF-with-bounds CSV path [default: screening_acf.csv].")
 def screen_cmd(input_csv, far, out, acf_out):
     """Run the two-gate screen; exit 2 when the verdict is noise."""
-    record = _load(input_csv)
-    try:
-        decision, transform = _checked_screen(record, far)
-        json_path = _out_path(out, "screening.json")
-        io.write_json(json_path, io.decision_to_dict(decision))
-        csv_path = _out_path(acf_out, "screening_acf.csv")
-        acf = transform.acf if transform is not None else circular_acf(record)
-        io.write_acf_csv(csv_path, acf, decision.acf_bound)
-    except (ValueError, OSError) as exc:
-        raise click.ClickException(str(exc))
+    record = io.read_timeseries_csv(input_csv)
+    decision, transform = _checked_screen(record, far)
+    json_path = _out_path(out, "screening.json")
+    io.write_json(json_path, io.decision_to_dict(decision))
+    csv_path = _out_path(acf_out, "screening_acf.csv")
+    acf = transform.acf if transform is not None else circular_acf(record)
+    io.write_acf_csv(csv_path, acf, decision.acf_bound)
     click.echo(f"verdict: {decision.verdict} (gate_failed={decision.gate_failed})")
     click.echo(f"wrote {json_path} and {csv_path}")
     if decision.verdict == VERDICT_NOISE:
@@ -104,14 +102,11 @@ def screen_cmd(input_csv, far, out, acf_out):
               help="Output CSV path [default: acf.csv].")
 def acf(input_csv, max_lag, out):
     """Write the discrete circular ACF as `lag,value` CSV."""
-    record = _load(input_csv)
-    try:
-        series = circular_acf(record, max_lag=max_lag)
-        path = _out_path(out, "acf.csv")
-        io.write_csv(path, ("lag", "value"),
-                     (np.arange(series.values.size), series.values))
-    except (ValueError, OSError) as exc:
-        raise click.ClickException(str(exc))
+    record = io.read_timeseries_csv(input_csv)
+    series = circular_acf(record, max_lag=max_lag)
+    path = _out_path(out, "acf.csv")
+    io.write_csv(path, ("lag", "value"),
+                 (np.arange(series.values.size), series.values))
     click.echo(f"wrote {path}")
 
 
@@ -123,21 +118,18 @@ def acf(input_csv, max_lag, out):
               help="Output CSV path [default: spectrum.csv].")
 def spectrum(input_csv, pad, out):
     """Write the magnitude spectrum as `frequency_hz,magnitude` CSV."""
-    record = _load(input_csv)
+    record = io.read_timeseries_csv(input_csv)
     if pad is not None and pad < len(record):
         raise click.ClickException(
             f"--pad must be at least the record length N = {len(record)}, got {pad}")
-    try:
-        if pad is not None and pad > len(record):
-            padded = np.concatenate([record.samples,
-                                     np.zeros(pad - len(record))])
-            record = TimeSeries(record.start_time, record.dt, padded)
-        spec = dft_magnitude(record)
-        path = _out_path(out, "spectrum.csv")
-        io.write_csv(path, ("frequency_hz", "magnitude"),
-                     (spec.frequencies(), spec.magnitudes))
-    except (ValueError, OSError) as exc:
-        raise click.ClickException(str(exc))
+    if pad is not None and pad > len(record):
+        padded = np.concatenate([record.samples,
+                                 np.zeros(pad - len(record))])
+        record = TimeSeries(record.start_time, record.dt, padded)
+    spec = dft_magnitude(record)
+    path = _out_path(out, "spectrum.csv")
+    io.write_csv(path, ("frequency_hz", "magnitude"),
+                 (spec.frequencies(), spec.magnitudes))
     click.echo(f"wrote {path}")
 
 
@@ -161,19 +153,16 @@ def spectrum(input_csv, pad, out):
 def estimate(input_csv, far, ma_k, objective_range, max_lag, skip_screen, out,
              plot_data):
     """Run the full pipeline and write a JSON report; exit 2 on noise."""
-    record = _load(input_csv)
-    try:
-        config = PipelineConfig(far=far, ma_k=ma_k,
-                                objective_range=objective_range,
-                                max_lag=max_lag, skip_screen=skip_screen)
-        report = estimate_parameters(record, config)
-        path = _out_path(out, "report.json")
-        io.write_json(path, io.report_to_dict(report))
-        if plot_data is not None:
-            bound = report.screening.acf_bound if report.screening else None
-            io.write_plot_data(plot_data, record, report, bound)
-    except (ValueError, OSError) as exc:
-        raise click.ClickException(str(exc))
+    record = io.read_timeseries_csv(input_csv)
+    config = PipelineConfig(far=far, ma_k=ma_k,
+                            objective_range=objective_range,
+                            max_lag=max_lag, skip_screen=skip_screen)
+    report = estimate_parameters(record, config)
+    path = _out_path(out, "report.json")
+    io.write_json(path, io.report_to_dict(report))
+    if plot_data is not None:
+        bound = report.screening.acf_bound if report.screening else None
+        io.write_plot_data(plot_data, record, report, bound)
     click.echo(f"wrote {path}")
     if report.params is None:
         click.echo("verdict: noise -- no parameters estimated")

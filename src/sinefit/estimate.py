@@ -13,7 +13,6 @@ answer.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -68,25 +67,29 @@ def _objective_points(obj: PhaseObjective) -> tuple[np.ndarray, np.ndarray]:
     the record (all of it, or 0 <= t <= 1/f), so the times stay evenly spaced.
 
     Sample k sits at start + dt*k, which never decreases with k, so the
-    one_period run is the index range [lo, hi) that two bisections over k
-    find with that expression and the comparisons t >= 0 and
+    one_period run is the index range [lo, hi) of the k with t >= 0 and
     t <= 1/f + 1e-12*dt (a sample at 1/f counts despite rounding, and the
-    slack scales with the time axis); the values are a slice and only the
-    run's times are built.  A one_period run of fewer than 2 samples (a
-    record that starts after 1/f or ends before 0) raises ``ValueError``.
+    slack scales with the time axis).  Each end is the index nearest its
+    bound over dt, clamped to [0, N - 1], or the next one, as one
+    comparison of that expression decides: exact while the times near the
+    bounds stay below about 2**50*dt, so their rounding is far below dt.
+    The values are a slice and only the run's times are built.
+    A one_period run of fewer than 2 samples (a record that starts after
+    1/f or ends before 0) raises ``ValueError``.
     """
     record = obj.data
     if obj.t_range == FULL_RECORD:
         return record.times(), record.samples
+    last = len(record) - 1.0
     start, dt = float(record.start_time), float(record.dt)
-
-    def time(k: int) -> float:
-        return start + dt * k
-
     period = 1.0 / obj.fixed_frequency_hz
-    indices = range(len(record))
-    lo = bisect.bisect_left(indices, 0.0, key=time)
-    hi = bisect.bisect_right(indices, period + 1e-12 * dt, lo=lo, key=time)
+    end = period + 1e-12 * dt
+    lo = round(min(max(-start / dt, 0.0), last))
+    if start + dt * lo < 0.0:
+        lo += 1
+    hi = round(min(max((end - start) / dt, 0.0), last))
+    if start + dt * hi <= end:
+        hi += 1
     if hi - lo < 2:
         raise ValueError(
             f"the one_period objective window [0, 1/f] = [0, {period:.6g}] holds "
@@ -536,6 +539,9 @@ def estimate_parameters(record: TimeSeries,
     # amplitude_estimate(smoothed), from the range the crossing scan reuses
     smoothed_samples = smoothed.series.samples
     span = np.maximum.reduce(smoothed_samples) - np.minimum.reduce(smoothed_samples)
+    if not span > 0:
+        raise ValueError(f"MA-{config.ma_k} smoothing leaves a constant record: no "
+                         "amplitude, crossings or phase to estimate")
     amplitude = float(span / 2.0)
 
     # One forward transform and one |DFT| per record: the screen's, or
@@ -547,21 +553,17 @@ def estimate_parameters(record: TimeSeries,
     peak = _peak_bin(spec)
     frequency = peak * df  # what fundamental_frequency(spec) returns
 
-    cross_checks: dict[str, float] = {}
     probe = 2 if acf.max_lag >= 2 else 1
-    f_probe = frequency_from_acf(acf.values[probe], probe) / dt
-    if f_probe > 0:
-        cross_checks["acf_arccos"] = f_probe
+    reads = {"acf_arccos": frequency_from_acf(acf.values[probe], probe) / dt}
     period_lag = _acf_period_lag(acf, n)
     if period_lag is not None:
-        cross_checks["acf_period"] = 1.0 / (period_lag * dt)
-    try:
-        crossings = _zero_crossings(smoothed.series, span)
-    except ValueError:
-        crossings = np.empty(0), np.empty(0, dtype=int)
+        reads["acf_period"] = 1.0 / (period_lag * dt)
+    crossings = _zero_crossings(smoothed.series, span)
     ma_period = _period_from_crossings(*crossings)
     if ma_period is not None and ma_period > 0:
-        cross_checks["ma_period"] = 1.0 / ma_period
+        reads["ma_period"] = 1.0 / ma_period
+    # a read counts only as a finite positive frequency (no NaN, no 0 Hz of an infinite period)
+    cross_checks = {name: f for name, f in reads.items() if 0.0 < f < math.inf}
 
     warnings = [f"{name} frequency {value:.6g} Hz differs from the fft "
                 f"estimate {frequency:.6g} Hz by more than 20%"

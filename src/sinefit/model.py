@@ -72,10 +72,10 @@ class SinusoidParams:
 class TimeSeries:
     """A uniformly sampled real-valued record.
 
-    Sample i sits at time start_time + i*dt; both must be finite, since a
-    NaN or infinite time leaves no sample at a usable time.  The sample
-    array is copied and frozen so instances can be shared across threads
-    safely.
+    Sample i sits at time start_time + i*dt; both, and the last sample
+    time start_time + (N - 1)*dt, must be finite, since a NaN or infinite
+    time leaves no sample at a usable time.  The sample array is copied
+    and frozen so instances can be shared across threads safely.
     """
 
     start_time: float
@@ -87,6 +87,8 @@ class TimeSeries:
         samples = np.array(self.samples, dtype=float)
         if samples.ndim != 1 or samples.size < 2:
             raise ValueError("a record needs at least two samples")
+        if not math.isfinite(float(self.start_time) + float(self.dt) * (samples.size - 1)):
+            raise ValueError("the last sample time start_time + (N - 1)*dt must be finite")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 
@@ -124,12 +126,6 @@ def _check_time_grid(start_time: float, dt: float) -> None:
         raise ValueError("start_time must be finite")
 
 
-def _max_abs(x: np.ndarray) -> float:
-    """max|x| as max(max x, -min x): exact, with no N-length |x|.  A NaN
-    makes both reductions NaN, hence the result."""
-    return max(float(np.maximum.reduce(x)), -float(np.minimum.reduce(x)))
-
-
 def check_finite(record: TimeSeries) -> None:
     """Reject records no stage can judge, from max|x|.
 
@@ -143,10 +139,9 @@ def check_finite(record: TimeSeries) -> None:
     partial sums is bounded by the same total; and sum(x^2) <= N*L^2 is
     smaller still.  The factor 4 below float max covers the rounding of
     the transforms, whose relative error grows only like eps*log(N).
-    max|x| is ``_max_abs``'s, which a NaN makes NaN, so it still fails
-    ``isfinite``.
+    A NaN sample makes max|x| NaN, so it fails ``isfinite`` as inf does.
     """
-    m = _max_abs(record.samples)
+    m = float(np.abs(record.samples).max())
     if not math.isfinite(m):
         raise ValueError(NON_FINITE_SAMPLES)
     if m > _SAMPLE_LIMIT_TIMES_N / len(record):
@@ -206,7 +201,7 @@ def synthesize(params: SinusoidParams, noise: NoiseSpec, n: int,
     samples = evaluate(params, t)
     if noise.sigma > 0:
         samples = samples + noise.sigma * standard_normal_draws(noise.seed, n)
-    if not math.isfinite(_max_abs(samples)):
+    if not np.isfinite(samples).all():
         raise ValueError(NON_FINITE_SAMPLES)
     return TimeSeries(start, dt, samples)
 

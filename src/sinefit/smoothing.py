@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SinusoidParams, TimeSeries, _adopt, _check_time_grid, evaluate
+from .model import SinusoidParams, TimeSeries, _adopt, evaluate
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,8 +44,7 @@ def moving_average(record: TimeSeries, k: int) -> SmoothedSeries:
     if n - k + 1 < 2:
         raise ValueError(f"window {k} leaves fewer than two samples")
     smoothed = np.convolve(record.samples, np.ones(k), mode="valid") / k
-    start = record.start_time + (k - 1) * record.dt
-    _check_time_grid(start, record.dt)
+    start = record.start_time + (k - 1) * record.dt  # no later than the last time, so finite
     series = _adopt(TimeSeries, start_time=start, dt=record.dt, samples=smoothed)
     return SmoothedSeries(k, series, n)
 

@@ -332,3 +332,54 @@ class TestScreenCommand:
         decision = json.loads((tmp_path / "screening.json").read_text())
         assert decision["verdict"] == "noise"
         assert decision["gate_failed"] == "gate1"
+
+
+class TestExitOne:
+    """Each subcommand turns a ValueError or an OSError into exit 1, with
+    ``Error: <message>`` on stderr and no traceback."""
+
+    # a bad value for each command (spectrum's is a row off the time grid)
+    VALUE_ERRORS = {
+        "generate": (["-A", "2", "-f", "0.05", "-n", "1"], "n must be at least 2"),
+        "screen": (["{csv}", "--far", "0.7"], "false-alarm rate must lie in (0, 0.5)"),
+        "acf": (["{csv}", "--max-lag", "0"], "max_lag must be in [1, 99]"),
+        "spectrum": (["{bad_csv}"], "line 4"),
+        "estimate": (["{csv}", "--ma-k", "0"], "ma_k must be at least 1"),
+    }
+
+    @staticmethod
+    def inputs(tmp_path):
+        from sinefit import io
+        csv_path, bad = tmp_path / "demo.csv", tmp_path / "bad.csv"
+        io.write_timeseries_csv(str(csv_path), sf.synthesize(
+            sf.SinusoidParams(2.0, 0.05, 0.6109), sf.NoiseSpec(0.5, 3), 100))
+        bad.write_text("t,value\n0.0,1.0\n1.0,2.0\n2.5,3.0\n3.0,1.0\n")
+        return {"csv": str(csv_path), "bad_csv": str(bad)}
+
+    @staticmethod
+    def assert_exit_one(result, message):
+        assert result.returncode == 1, result.stderr
+        assert result.stderr.startswith("Error: ") and message in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("command", list(VALUE_ERRORS))
+    def test_value_error(self, tmp_path, command):
+        args, message = self.VALUE_ERRORS[command]
+        paths = self.inputs(tmp_path)
+        result = run_cli([command, *(arg.format(**paths) for arg in args)], tmp_path)
+        self.assert_exit_one(result, message)
+
+    @pytest.mark.parametrize("command", list(VALUE_ERRORS))
+    def test_os_error_from_an_output_path_under_a_file(self, tmp_path, command):
+        paths = self.inputs(tmp_path)
+        args = GENERATE_DEMO[1:] if command == "generate" else [paths["csv"]]
+        result = run_cli([command, *args, "-o", str(tmp_path / "demo.csv" / "out")], tmp_path)
+        self.assert_exit_one(result, "[Errno")
+
+    def test_a_record_that_ma_5_smooths_flat(self, tmp_path):
+        from sinefit import io
+        io.write_timeseries_csv(str(tmp_path / "flat.csv"), sf.TimeSeries(
+            0.0, 1.0, np.tile([1.0, 2.0, -3.0, 0.0, 0.0], 20)))
+        result = run_cli(["estimate", str(tmp_path / "flat.csv")], tmp_path)
+        self.assert_exit_one(result, "MA-5 smoothing leaves a constant record")
+        assert not (tmp_path / "report.json").exists()

@@ -293,11 +293,6 @@ class TestFrozenNotCopied:
         assert smoothed.samples.tobytes() == expected.tobytes()
         assert smoothed.start_time == 4.0 and smoothed.dt == 1.0
 
-    def test_smoothed_start_time_is_still_checked(self):
-        record = sf.TimeSeries(1.7e308, 1e308, np.arange(4.0))
-        with pytest.raises(ValueError, match="start_time must be finite"):
-            sf.moving_average(record, 3)
-
     @pytest.mark.parametrize("writable", [True, False])
     def test_public_constructors_do_not_alias_the_callers_array(self, writable):
         made = [lambda a: (sf.TimeSeries(0.0, 1.0, a), "samples"),

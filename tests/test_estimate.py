@@ -557,12 +557,13 @@ class TestPipeline:
                 assert report.params.frequency_hz == \
                     sf.fundamental_frequency(sf.dft_magnitude(record))
 
-    @pytest.mark.parametrize("dt, n", [(2e306, 100), (1e-310, 100), (1e307, 20),
+    @pytest.mark.parametrize("dt, n", [(1.8e306, 100), (1e-310, 100), (9e306, 20),
                                        (5e-324, 1000)])
     @pytest.mark.parametrize("skip_screen", [False, True])
     def test_bin_frequencies_out_of_float_range_are_rejected(self, dt, n, skip_screen):
-        # N*dt overflows at 2e306 and 1e307 (df = 0), 2*pi*(N/2)*df at
-        # 1e-310, and df itself at 5e-324
+        # N*dt overflows at 1.8e306 and 9e306 (df = 0) although the last
+        # sample time (N - 1)*dt does not, 2*pi*(N/2)*df at 1e-310, and df
+        # itself at 5e-324
         samples = sf.synthesize(sf.SinusoidParams(AMPLITUDE, FREQUENCY, PHASE),
                                 sf.NoiseSpec(SIGMA, 0), n).samples
         record = sf.TimeSeries(0.0, dt, samples)
@@ -584,6 +585,32 @@ class TestPipeline:
         assert "acf_period" in report.frequency_cross_checks_hz
         assert report.frequency_cross_checks_hz["ma_period"] == pytest.approx(
             0.05, rel=0.2)
+
+    @pytest.mark.parametrize("objective_range", ["one_period", "full_record"])
+    def test_an_overflowing_crossing_spacing_drops_the_ma_period_read(self, objective_range):
+        # at dt = float max/100 the crossing spacings sum to more than float
+        # max; the read used to be recorded as 0 Hz, with a warning
+        samples = sf.synthesize(sf.SinusoidParams(AMPLITUDE, FREQUENCY, PHASE),
+                                sf.NoiseSpec(SIGMA, 0), 100).samples
+        dt = np.finfo(float).max / 100
+        config = sf.PipelineConfig(objective_range=objective_range)
+        with np.errstate(over="ignore"):
+            report = sf.estimate_parameters(sf.TimeSeries(0.0, dt, samples), config)
+        assert report.params.frequency_hz * dt == pytest.approx(FREQUENCY, rel=1e-12)
+        assert "ma_period" not in report.frequency_cross_checks_hz
+        assert not any(w.startswith("ma_period") for w in report.warnings)
+        assert all(0.0 < f < math.inf for f in report.frequency_cross_checks_hz.values())
+
+    @pytest.mark.parametrize("config", [sf.PipelineConfig(),
+                                        sf.PipelineConfig(objective_range="full_record"),
+                                        sf.PipelineConfig(skip_screen=True)])
+    def test_a_record_that_ma_k_smooths_flat_is_rejected_by_name(self, config):
+        # the screen passes it; every MA-5 window sums to zero
+        record = sf.TimeSeries(0.0, 1.0, np.tile([1.0, 2.0, -3.0, 0.0, 0.0], 20))
+        assert sf.screen(record, config.far).verdict == "signal"
+        with pytest.raises(ValueError, match="^MA-5 smoothing leaves a constant record"):
+            sf.estimate_parameters(record, config)
+        assert sf.estimate_parameters(record, sf.PipelineConfig(ma_k=1)).params is not None
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("skip_screen", [False, True])

@@ -157,6 +157,16 @@ class TestTimeSeries:
         with pytest.raises(ValueError, match=message):
             sf.synthesize(demo_params, sf.NoiseSpec(0.5, 0), 10, dt=dt, start=start)
 
+    @pytest.mark.parametrize("start, dt, n", [(1e308, 1e306, 100), (1.7e308, 1e308, 4),
+                                              (0.0, np.finfo(float).max / 50, 100)])
+    def test_rejects_a_last_sample_time_that_overflows(self, start, dt, n):
+        with pytest.raises(ValueError, match=r"last sample time start_time \+ \(N - 1\)\*dt"):
+            sf.TimeSeries(start, dt, np.ones(n))
+
+    def test_a_last_sample_time_near_float_max_is_kept(self):
+        record = sf.TimeSeries(0.0, np.finfo(float).max / 100, np.ones(100))
+        assert np.isfinite(record.times()).all()
+
     def test_samples_are_frozen(self):
         ts = sf.TimeSeries(0.0, 1.0, [1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
