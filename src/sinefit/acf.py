@@ -13,18 +13,19 @@ Three ACF flavors live here:
 The closed forms work in lag-sample units: when lags count samples, the
 angular frequency fed to them must be radians per sample (fold dt into
 the frequency before constructing the parameter object).
+
+A record's DFT, |DFT| and circular ACF come from its working set,
+``_Record``, which every consumer of them builds or reads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .model import SinusoidParams, TimeSeries, TWO_PI, _adopt, check_finite
-from .spectrum import _dft
 
 
 class DegenerateParametersError(ValueError):
@@ -81,6 +82,58 @@ class IntegralParams:
             raise ValueError("upper limit v must be >= lower limit u")
 
 
+class _Record:
+    """One record's working set: the record, put through ``check_finite``
+    once on construction, and what the pipeline reads of its one forward
+    and one inverse transform.
+
+    ``dft`` is the one-sided DFT X = ``np.fft.rfft(x)`` (bins 0..floor(N/2)),
+    ``magnitudes`` its modulus |X| and ``acf`` the full-lag circular ACF,
+    the inverse transform of |X|^2.  Each is computed on first read and
+    kept read-only, so a record nothing asks to transform (a gate-1
+    reject) costs no transform.  With every |x| <= sqrt(float max)/(2N)
+    no bin, no |X|^2 and no sum of the inverse transform can overflow, so
+    neither transform needs a floating-point error guard.
+    """
+
+    __slots__ = ("record", "_dft", "_magnitudes", "_acf")
+
+    def __init__(self, record: TimeSeries):
+        check_finite(record)
+        self.record = record
+        self._dft = self._magnitudes = self._acf = None
+
+    @property
+    def dft(self) -> np.ndarray:
+        if self._dft is None:
+            self._dft = np.fft.rfft(self.record.samples)
+            self._dft.setflags(write=False)
+        return self._dft
+
+    @property
+    def magnitudes(self) -> np.ndarray:
+        if self._magnitudes is None:
+            self._magnitudes = np.abs(self.dft)
+            self._magnitudes.setflags(write=False)
+        return self._magnitudes
+
+    @property
+    def acf(self) -> AcfSeries:
+        # |X| squares to |X|^2 bit for bit and magnitudes[0] is |sum(x)|;
+        # the inverse transform's output is divided in place, not copied
+        if self._acf is None:
+            magnitudes = self.magnitudes
+            power = magnitudes ** 2
+            power[0] = 0.0
+            sums = np.fft.irfft(power, len(self.record))
+            lag0 = float(sums[0])
+            if not lag0 > 0.0 or math.sqrt(lag0) <= _ROUNDING_FLOOR * magnitudes[0]:
+                raise ValueError("constant record has zero variance")
+            sums /= lag0
+            self._acf = _adopt(AcfSeries, kind=DISCRETE_CIRCULAR, values=sums)
+        return self._acf
+
+
 def circular_acf(record: TimeSeries, max_lag: int | None = None) -> AcfSeries:
     """Mean-centered circular serial correlation, normalized at lag 0.
 
@@ -88,8 +141,8 @@ def circular_acf(record: TimeSeries, max_lag: int | None = None) -> AcfSeries:
     y = x - mean(x).  By the Wiener-Khinchin theorem the circular sums
     for all lags are the inverse DFT of the power spectrum |DFT(y)|^2,
     and |DFT(y)|^2 is |DFT(x)|^2 with bin 0 (the mean) set to zero.  So
-    the ACF costs the record's one forward transform and modulus, which
-    it shares with ``dft_magnitude``, plus one inverse, O(N log N),
+    the ACF costs the record's one forward transform and modulus, the
+    same ones ``dft_magnitude`` reports, plus one inverse, O(N log N),
     divided by the lag-0 term.  The full-lag version (max_lag = N-1, the
     default) satisfies values[tau] == values[N - tau]: the fold-over
     symmetry that makes lags beyond N/2 redundant.  Records with NaN,
@@ -100,47 +153,8 @@ def circular_acf(record: TimeSeries, max_lag: int | None = None) -> AcfSeries:
         max_lag = n - 1
     if not 1 <= max_lag <= n - 1:
         raise ValueError(f"max_lag must be in [1, {n - 1}]")
-    check_finite(record)
-    _, magnitudes = _dft(record)
-    return _circular_acf(record, magnitudes, max_lag)
-
-
-def _circular_acf(record: TimeSeries, magnitudes: np.ndarray, max_lag: int) -> AcfSeries:
-    """Lags 0..max_lag of the circular ACF from the record's |DFT| bins.
-
-    ``magnitudes`` is |X| for the one-sided DFT X of a record that passed
-    ``check_finite``; its square is |X|^2 bit for bit, and that check's
-    limit keeps |X|^2 and the inverse transform's sums finite.
-    ``magnitudes[0]`` is |sum(x)|, since the DC bin is real.  The inverse
-    transform's output is divided in place and frozen, not copied; lags
-    past ``max_lag`` are cut off as a view.
-    """
-    power = magnitudes ** 2
-    power[0] = 0.0
-    sums = np.fft.irfft(power, len(record))
-    lag0 = float(sums[0])
-    if not lag0 > 0.0 or math.sqrt(lag0) <= _ROUNDING_FLOOR * magnitudes[0]:
-        raise ValueError("constant record has zero variance")
-    sums /= lag0
-    sums.setflags(write=False)
-    return _adopt(AcfSeries, kind=DISCRETE_CIRCULAR, values=sums[:max_lag + 1])
-
-
-class _Transform(NamedTuple):
-    """A record's transform triple: its one-sided DFT X = ``np.fft.rfft(x)``,
-    the modulus |X| and the full-lag circular ACF, the inverse transform of
-    |X|^2; all read-only."""
-
-    dft: np.ndarray
-    magnitudes: np.ndarray
-    acf: AcfSeries
-
-
-def _transform(record: TimeSeries) -> _Transform:
-    """The one forward and one inverse transform a record needs, for a
-    record that passed ``check_finite``."""
-    dft, magnitudes = _dft(record)
-    return _Transform(dft, magnitudes, _circular_acf(record, magnitudes, len(record) - 1))
+    values = _Record(record).acf.values
+    return _adopt(AcfSeries, kind=DISCRETE_CIRCULAR, values=values[:max_lag + 1])
 
 
 def sine_product_integral(p: IntegralParams) -> float:

@@ -17,10 +17,10 @@ import click
 import numpy as np
 
 from . import io
-from .acf import circular_acf
+from .acf import _Record, circular_acf
 from .estimate import FULL_RECORD, ONE_PERIOD, PipelineConfig, estimate_parameters
 from .model import NoiseSpec, SinusoidParams, TimeSeries, synthesize
-from .screening import VERDICT_NOISE, _checked_screen
+from .screening import VERDICT_NOISE, _screen
 from .spectrum import dft_magnitude
 
 ENV_OUT_DIR = "SINEFIT_OUT_DIR"
@@ -81,13 +81,12 @@ def generate(amplitude, frequency, phase, sigma, seed, samples, dt, start, out):
               help="ACF-with-bounds CSV path [default: screening_acf.csv].")
 def screen_cmd(input_csv, far, out, acf_out):
     """Run the two-gate screen; exit 2 when the verdict is noise."""
-    record = io.read_timeseries_csv(input_csv)
-    decision, transform = _checked_screen(record, far)
+    work = _Record(io.read_timeseries_csv(input_csv))
+    decision = _screen(work, far)
     json_path = _out_path(out, "screening.json")
     io.write_json(json_path, io.decision_to_dict(decision))
     csv_path = _out_path(acf_out, "screening_acf.csv")
-    acf = transform.acf if transform is not None else circular_acf(record)
-    io.write_acf_csv(csv_path, acf, decision.acf_bound)
+    io.write_acf_csv(csv_path, work.acf, decision.acf_bound)
     click.echo(f"verdict: {decision.verdict} (gate_failed={decision.gate_failed})")
     click.echo(f"wrote {json_path} and {csv_path}")
     if decision.verdict == VERDICT_NOISE:

@@ -20,9 +20,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .acf import (AcfSeries, DegenerateParametersError, _transform, frequency_from_acf,
+from .acf import (AcfSeries, DegenerateParametersError, _Record, frequency_from_acf,
                   model_acf_full, normalizing_constant)
-from .model import SinusoidParams, TimeSeries, TWO_PI, _adopt, check_finite, wrap_phase
+from .model import SinusoidParams, TimeSeries, TWO_PI, _adopt, wrap_phase
 from .screening import ScreeningDecision, VERDICT_NOISE, _screen
 from .smoothing import SmoothedSeries, moving_average
 from .spectrum import Spectrum, _peak_bin
@@ -42,6 +42,7 @@ _HYSTERESIS_FRACTION = 0.2
 # Cross-check frequencies farther than this (relative) from the primary
 # estimate are flagged in the report warnings.
 _FREQ_AGREEMENT = 0.2
+_QUARTER_MAX = np.finfo(float).max / 4.0  # see _period_from_crossings
 
 
 @dataclass(frozen=True)
@@ -384,14 +385,21 @@ def _period_from_crossings(times: np.ndarray, directions: np.ndarray) -> float |
     The directions of ``_zero_crossings`` alternate, so each direction's
     times are a stride-2 slice.  Upward spacings come first, then downward
     ones (each ``np.diff``'s slice subtraction), and their sum over their
-    count is ``np.mean``'s arithmetic.
+    count is ``np.mean``'s arithmetic.  The spacings sum to at most twice
+    the span of the ascending times: past a quarter of float max the sum
+    may overflow to inf, an infinite period whose read the caller drops,
+    and only there is numpy's overflow warning silenced (``np.errstate``
+    costs more than the rest of the function).
     """
     up = 1 if directions.size and directions[0] < 0 else 0
     ups, downs = times[up::2], times[1 - up::2]
     spacings = np.concatenate([ups[1:] - ups[:-1], downs[1:] - downs[:-1]])
     if spacings.size == 0:
         return None
-    return float(np.add.reduce(spacings) / spacings.size)
+    if float(times[-1]) - float(times[0]) < _QUARTER_MAX:
+        return float(np.add.reduce(spacings) / spacings.size)
+    with np.errstate(over="ignore"):
+        return float(np.add.reduce(spacings) / spacings.size)
 
 
 def _acf_period_lag(acf: AcfSeries, n: int) -> int | None:
@@ -450,9 +458,9 @@ class EstimationReport:
 
     When screening rejects the record, ``params`` (and the other
     estimation fields) are None and only the screening decision is
-    populated.  ``acf`` is the record's full-lag circular ACF whenever a
-    stage computed it (the screen's past gate 1, or the estimator's own),
-    so writers reuse it instead of transforming the record again.
+    populated.  ``acf``, the record's full-lag circular ACF, is read from
+    ``work``, its working set (``acf._Record``): the screen's or the
+    estimator's, or, after a gate-1 reject, computed on first read.
 
     ``model_acf``, the full-model ACF of the fitted sinusoid at lags
     0..max_lag, is computed on first read from ``model_params`` (the fit
@@ -474,7 +482,7 @@ class EstimationReport:
     warnings: tuple[str, ...] = ()
     smoothed: SmoothedSeries | None = None
     spectrum: Spectrum | None = None
-    acf: AcfSeries | None = field(default=None, repr=False)
+    work: _Record | None = field(default=None, repr=False)
     model_params: SinusoidParams | None = field(default=None, repr=False)
     max_lag: int | None = None
 
@@ -483,6 +491,10 @@ class EstimationReport:
         if self.screening is not None:
             return self.screening.verdict
         return "signal" if self.params is not None else "noise"
+
+    @property
+    def acf(self) -> AcfSeries | None:
+        return None if self.work is None else self.work.acf
 
     @functools.cached_property
     def model_acf(self) -> AcfSeries | None:
@@ -503,29 +515,28 @@ def estimate_parameters(record: TimeSeries,
     as a cross-check.  The report computes the full-model ACF of the
     fitted sinusoid when it is first read.  ``max_lag`` is checked
     against the record length before anything else, so a bad value fails
-    on every record, not only on those past the screen.  ``check_finite``
-    runs once, here, and the screen does not repeat it.  Past the screen,
-    a record whose sample spacing puts the bin frequencies m/(N*dt) or
-    their angular frequencies outside the finite positive floats raises
-    ``ValueError``.
+    on every record, not only on those past the screen.  The record's
+    working set runs ``check_finite`` once, and the screen, the spectrum
+    and the ACF reads share its one transform pair (none after a gate-1
+    reject).  Past the screen, a record whose sample spacing puts the bin
+    frequencies m/(N*dt) or their angular frequencies outside the finite
+    positive floats raises ``ValueError``.
     """
     # the default, N // 2, always fits, and the config has checked max_lag >= 1
     if config.max_lag is not None and config.max_lag > len(record) - 1:
         raise ValueError(f"max_lag must be in [1, {len(record) - 1}]")
-    check_finite(record)
+    work = _Record(record)
     decision: ScreeningDecision | None
-    transform = None
     if config.skip_screen:
         try:
-            decision, transform = _screen(record, config.far)
+            decision = _screen(work, config.far)
         except ValueError:
             decision = None
     else:
-        decision, transform = _screen(record, config.far)
+        decision = _screen(work, config.far)
         if decision.verdict == VERDICT_NOISE:
             return EstimationReport(params=None, screening=decision, frequency_source=None,
-                                    smoothing_k=config.ma_k,
-                                    acf=None if transform is None else transform.acf)
+                                    smoothing_k=config.ma_k, work=work)
 
     n = len(record)
     dt = record.dt
@@ -544,12 +555,11 @@ def estimate_parameters(record: TimeSeries,
                          "amplitude, crossings or phase to estimate")
     amplitude = float(span / 2.0)
 
-    # One forward transform and one |DFT| per record: the screen's, or
-    # taken here when it stopped at gate 1 or could not judge the record.
-    # The ACF view and the spectrum adopt those read-only arrays uncopied.
-    dft, magnitudes, full_acf = transform if transform is not None else _transform(record)
+    # The ACF view and the spectrum adopt the working set's read-only
+    # arrays uncopied: the screen's transform, or this first read of it.
+    full_acf = work.acf
     acf = _adopt(AcfSeries, kind=full_acf.kind, values=full_acf.values[:max_lag + 1])
-    spec = _adopt(Spectrum, df=df, magnitudes=magnitudes)
+    spec = _adopt(Spectrum, df=df, magnitudes=work.magnitudes)
     peak = _peak_bin(spec)
     frequency = peak * df  # what fundamental_frequency(spec) returns
 
@@ -584,7 +594,7 @@ def estimate_parameters(record: TimeSeries,
                                config.objective_range)
     linear = None
     if config.objective_range == FULL_RECORD:
-        linear = _peak_bin_sums(dft[peak], TWO_PI * frequency, record.start_time)
+        linear = _peak_bin_sums(work.dft[peak], TWO_PI * frequency, record.start_time)
     phi, objective_value = _grid_search(objective, *_objective_points(objective), linear)
 
     params = SinusoidParams(amplitude, frequency, phi)
@@ -610,7 +620,7 @@ def estimate_parameters(record: TimeSeries,
         warnings=tuple(warnings),
         smoothed=smoothed,
         spectrum=spec,
-        acf=full_acf,
+        work=work,
         model_params=model_params,
         max_lag=max_lag,
     )

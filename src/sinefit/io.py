@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .acf import AcfSeries, circular_acf, model_acf_reduced
+from .acf import AcfSeries, model_acf_reduced
 from .estimate import EstimationReport
 from .model import SinusoidParams, TimeSeries
 from .screening import ScreeningDecision
@@ -168,10 +168,9 @@ def write_plot_data(directory: str, record: TimeSeries, report: EstimationReport
                     bound: float | None) -> list[str]:
     """Emit the plot-ready CSV bundle for a record and its report.
 
-    Writes raw data, smoothed data, the circular ACF to lag N/2 with
-    significance bounds (the report's, or a fresh one when the report
-    keeps none: after a gate-1 reject), the model ACFs of the fitted
-    sinusoid, and the magnitude spectrum.
+    Writes raw data, smoothed data, the report's circular ACF to lag N/2
+    with significance bounds, the model ACFs of the fitted sinusoid, and
+    the magnitude spectrum.
     Returns the paths written.
     """
     os.makedirs(directory, exist_ok=True)
@@ -187,8 +186,7 @@ def write_plot_data(directory: str, record: TimeSeries, report: EstimationReport
         written.append(path)
 
     path = os.path.join(directory, "acf.csv")
-    acf = report.acf if report.acf is not None else circular_acf(record)
-    write_acf_csv(path, acf, bound)
+    write_acf_csv(path, report.acf, bound)
     written.append(path)
 
     if report.params is not None and report.model_acf is not None:

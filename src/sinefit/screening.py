@@ -2,17 +2,14 @@
 
 Gate 1 is a Wald-Wolfowitz runs test about the sample median: a record
 the runs test calls random is discarded as noise and never reaches the
-ACF.  Gate 2 computes the record's one forward DFT, its modulus and,
-from that, the full-lag circular ACF, judges lags 1..N/2 and demands
-enough of them outside the +-z/sqrt(N) significance bounds, with
-excursions on both sides of zero (a cosine-shaped ACF swings both ways;
-a one-sided pattern is a trend, not a periodicity).  ``_screen`` hands
-that transform over next to the decision.  The estimator takes its
-frequency from it, always the spectrum peak, and reads two of its three
-cross-checks (the ACF arccosine read and one-period mark; the third is
-the crossing spacing) from its ACF, without transforming the record
-again.  The gate-2 rule is a documented stand-in and is meant to be
-replaceable.
+ACF.  Gate 2 reads the full-lag circular ACF from the record's working
+set (``acf._Record``), judges lags 1..N/2 and demands enough of them
+outside the +-z/sqrt(N) significance bounds, with excursions on both
+sides of zero (a cosine-shaped ACF swings both ways; a one-sided pattern
+is a trend, not a periodicity).  The estimator hands ``_screen`` the
+working set its spectrum and ACF cross-checks then read, so the record
+is transformed once.  The gate-2 rule is a documented stand-in and is
+meant to be replaceable.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acf import _Transform, _transform
+from .acf import _Record
 from .model import TimeSeries, check_finite
 from .normal import normal_quantile
 
@@ -91,11 +88,11 @@ def _runs_statistics(record: TimeSeries) -> tuple[float, int, int, int]:
     """z-score, runs count, and above/below counts for a median split.
 
     ``_median`` applies the arithmetic of ``np.median``, so on the finite
-    records that reach it (its callers run ``check_finite`` first) the
-    value is the same, without ``np.median``'s generic reduction set-up or
-    its import of ``numpy.ma``.  Samples equal to the median are dropped:
-    the kept signs are gathered only when some sample equals it, and are
-    otherwise the ``x > median`` mask itself.
+    records that reach it (``runs_test`` and the working set run
+    ``check_finite`` first) the value is the same, without ``np.median``'s
+    generic reduction set-up or its import of ``numpy.ma``.  Samples equal
+    to the median are dropped: the kept signs are gathered only when some
+    sample equals it, and are otherwise the ``x > median`` mask itself.
     """
     x = record.samples
     median = _median(x)
@@ -156,33 +153,22 @@ def screen(record: TimeSeries, far: float = 0.01) -> ScreeningDecision:
     Records with NaN, infinite or too-large samples are rejected (see
     ``check_finite``), after the checks on ``far`` and the record length.
     """
-    return _checked_screen(record, far)[0]
-
-
-def _checked_screen(record: TimeSeries,
-                    far: float) -> tuple[ScreeningDecision, _Transform | None]:
-    """``screen``'s checks, then ``_screen``."""
     _gate1_threshold(len(record), far)
-    check_finite(record)
-    return _screen(record, far)
+    return _screen(_Record(record), far)
 
 
-def _screen(record: TimeSeries, far: float) -> tuple[ScreeningDecision, _Transform | None]:
-    """``screen`` for a record its caller has already put through
-    ``check_finite``, with the transform gate 2 took (None after gate 1)."""
+def _screen(work: _Record, far: float) -> ScreeningDecision:
+    """``screen`` on a record's working set; only gate 2 reads its ACF."""
+    record = work.record
     n = len(record)
     threshold = _gate1_threshold(n, far)
     z, runs, n1, n2 = _runs_statistics(record)
     bound = threshold / math.sqrt(n)
 
     if abs(z) < threshold:
-        return ScreeningDecision(z, runs, n1, n2, 0, bound, far,
-                                 VERDICT_NOISE, "gate1"), None
+        return ScreeningDecision(z, runs, n1, n2, 0, bound, far, VERDICT_NOISE, "gate1")
 
-    transform = _transform(record)
-    passed, count = _gate2_passes(transform.acf.values[1:n // 2 + 1], bound)
+    passed, count = _gate2_passes(work.acf.values[1:n // 2 + 1], bound)
     if not passed:
-        return ScreeningDecision(z, runs, n1, n2, count, bound, far,
-                                 VERDICT_NOISE, "gate2"), transform
-    return ScreeningDecision(z, runs, n1, n2, count, bound, far,
-                             VERDICT_SIGNAL, "none"), transform
+        return ScreeningDecision(z, runs, n1, n2, count, bound, far, VERDICT_NOISE, "gate2")
+    return ScreeningDecision(z, runs, n1, n2, count, bound, far, VERDICT_SIGNAL, "none")

@@ -1,4 +1,7 @@
-"""Discrete Fourier magnitude spectrum and fundamental-frequency pick."""
+"""Discrete Fourier magnitude spectrum and fundamental-frequency pick.
+
+The spectrum is the |X| the circular ACF squares: both read it from the
+record's working set (``acf._Record``)."""
 
 from __future__ import annotations
 
@@ -6,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TimeSeries, _adopt, check_finite
+from .acf import _Record
+from .model import TimeSeries, _adopt
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,33 +29,16 @@ class Spectrum:
         return self.df * np.arange(self.magnitudes.size)
 
 
-def _dft(record: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
-    """The record's one-sided DFT X = ``np.fft.rfft(x)`` (bins 0..floor(N/2))
-    and its modulus |X|, both read-only.
-
-    The one forward transform a record needs, and the one modulus:
-    ``dft_magnitude`` reports |X|, and the circular ACF is the inverse
-    transform of |X|^2.  The caller has put the record through
-    ``check_finite``: with every |x| <= sqrt(float max)/N no bin can
-    overflow, so the transform needs no floating-point error guard.
-    """
-    dft = np.fft.rfft(record.samples)
-    dft.setflags(write=False)
-    magnitudes = np.abs(dft)
-    magnitudes.setflags(write=False)
-    return dft, magnitudes
-
-
 def dft_magnitude(record: TimeSeries) -> Spectrum:
     """|DFT| for bins 0..floor(N/2); bin m maps to m/(N*dt) Hz.
 
     No windowing or zero padding is applied here; callers that need an
     off-grid peak can pad the input record first.  Records with NaN,
     infinite or too-large samples are rejected first (``check_finite``).
-    The magnitudes are the transform's fresh array, frozen, not copied.
+    The magnitudes are the record's working set's |X| (see ``acf._Record``),
+    frozen, not copied.
     """
-    check_finite(record)
-    _, magnitudes = _dft(record)
+    magnitudes = _Record(record).magnitudes
     return _adopt(Spectrum, df=1.0 / (len(record) * record.dt), magnitudes=magnitudes)
 
 

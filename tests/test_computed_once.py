@@ -12,7 +12,7 @@ import pytest
 
 import sinefit as sf
 from sinefit import estimate, screening
-from sinefit.acf import _transform
+from sinefit.acf import _Record
 from sinefit.estimate import COARSE_STEP, REFINE_STEP
 from sinefit.model import SAMPLES_TOO_LARGE, check_finite
 from sinefit.normal import normal_quantile
@@ -173,9 +173,8 @@ class TestGate1Median:
         assert sf.screen(record).gate_failed == "gate1"
 
 
-def transform_arrays(transform):
-    return {"dft": transform.dft, "magnitudes": transform.magnitudes,
-            "acf": transform.acf.values}
+def work_arrays(work):
+    return {"dft": work.dft, "magnitudes": work.magnitudes, "acf": work.acf.values}
 
 
 def report_arrays(report):
@@ -186,16 +185,15 @@ def report_arrays(report):
 
 @pytest.fixture
 def screened(monkeypatch):
-    """The transforms the estimator's screen hands over, in call order."""
-    transforms = []
+    """The working sets the estimator's screen judges, in call order."""
+    works = []
 
-    def recording(record, far, _real=estimate._screen):
-        decision, transform = _real(record, far)
-        transforms.append(transform)
-        return decision, transform
+    def recording(work, far, _real=estimate._screen):
+        works.append(work)
+        return _real(work, far)
 
     monkeypatch.setattr(estimate, "_screen", recording)
-    return transforms
+    return works
 
 
 class TestOneModulusPerRecord:
@@ -205,9 +203,9 @@ class TestOneModulusPerRecord:
     def test_spectrum_is_the_screens_modulus(self, noisy_series, screened, seed):
         record = noisy_series(seed)
         report = sf.estimate_parameters(record)
-        [transform] = screened
-        assert report.spectrum.magnitudes is transform.magnitudes
-        assert report.acf is transform.acf
+        [work] = screened
+        assert report.spectrum.magnitudes is work.magnitudes
+        assert report.acf is work.acf
         expected = np.abs(np.fft.rfft(record.samples))
         assert report.spectrum.magnitudes.tobytes() == expected.tobytes()
         assert report.spectrum.magnitudes.tobytes() == \
@@ -227,7 +225,8 @@ class TestOneModulusPerRecord:
         record = pure_noise(0)
         report = sf.estimate_parameters(record, sf.PipelineConfig(skip_screen=True))
         assert report.screening.gate_failed == "gate1"
-        assert screened == [None]
+        [work] = screened
+        assert report.work is work
         assert report.spectrum.magnitudes.tobytes() == \
             np.abs(np.fft.rfft(record.samples)).tobytes()
         assert report.acf.values.tobytes() == sf.circular_acf(record).values.tobytes()
@@ -245,7 +244,8 @@ class TestOneModulusPerRecord:
 
     def test_decisions_compare_by_their_statistics_alone(self, noisy_series):
         record = noisy_series(2)
-        (first, one), (second, other) = (screening._screen(record, 0.01) for _ in range(2))
+        one, other = _Record(record), _Record(record)
+        first, second = screening._screen(one, 0.01), screening._screen(other, 0.01)
         assert one.magnitudes is not other.magnitudes
         assert first == second and hash(first) == hash(second)
         assert "magnitudes" not in repr(first)
@@ -255,12 +255,12 @@ class TestFrozenNotCopied:
     @pytest.mark.parametrize("config", [sf.PipelineConfig(),
                                         sf.PipelineConfig(skip_screen=True, max_lag=3),
                                         sf.PipelineConfig(objective_range="full_record")])
-    def test_every_array_of_a_report_and_its_transform_is_read_only(self, noisy_series,
-                                                                     screened, config):
+    def test_every_array_of_a_report_and_its_working_set_is_read_only(self, noisy_series,
+                                                                       screened, config):
         report = sf.estimate_parameters(noisy_series(4), config)
         arrays = report_arrays(report)
-        arrays.update(("transform." + name, value)
-                      for name, value in transform_arrays(screened[0]).items())
+        arrays.update(("work." + name, value)
+                      for name, value in work_arrays(screened[0]).items())
         for name, array in arrays.items():
             assert not array.flags.writeable, name
             with pytest.raises(ValueError):
@@ -276,7 +276,7 @@ class TestFrozenNotCopied:
         arrays = [sf.moving_average(record, 5).series.samples,
                   sf.dft_magnitude(record).magnitudes,
                   sf.circular_acf(record).values, sf.circular_acf(record, 4).values]
-        arrays += transform_arrays(_transform(record)).values()
+        arrays += work_arrays(_Record(record)).values()
         for array in arrays:
             assert not array.flags.writeable
 

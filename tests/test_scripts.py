@@ -1,4 +1,4 @@
-"""Smoke tests: the scripts run end to end on the source tree."""
+"""Smoke tests: the scripts run end to end on the source tree, warning-free."""
 
 import json
 import os
@@ -16,6 +16,7 @@ def run_script(name, *args):
     result = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", name), *args],
                             capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
+    assert result.stderr == ""  # no warning reaches stderr
     return result.stdout
 
 

@@ -1,6 +1,7 @@
-"""One transform per record: the screen computes the DFT and the circular
-ACF from it, hands them over next to its decision, and every consumer
-reads them."""
+"""One finite check and one transform per record: each record's working
+set (``acf._Record``) checks it on construction and computes the DFT and
+the circular ACF from it on first read, and the screen and every consumer
+read that working set."""
 
 import csv
 import dataclasses
@@ -12,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 import sinefit as sf
-from sinefit import acf, estimate, io, model, screening, spectrum
+from sinefit import acf, io, model, screening
 from sinefit.cli import cli
 from sinefit.model import standard_normal_draws
 
@@ -70,22 +71,27 @@ def test_records_stop_where_named(name):
     assert sf.screen(make(), far).gate_failed == gate
 
 
-class TestScreenHandsOverTheAcf:
+class TestScreenReadsTheWorkingSet:
     @pytest.mark.parametrize("name", ["signal", "gate2"])
-    def test_acf_is_the_full_lag_circular_acf(self, name):
+    def test_acf_is_the_full_lag_circular_acf(self, transforms, name):
         make, far, _ = RECORDS[name]
         record = make()
-        _, transform = screening._screen(record, far)
+        work = acf._Record(record)
+        screening._screen(work, far)
+        values = work.acf.values
+        assert transforms == ONE_PAIR  # gate 2 computed it; the read kept it
         expected = sf.circular_acf(record).values
-        assert transform.acf.values.size == len(record)
-        assert np.array_equal(transform.acf.values, expected)
-        assert transform.acf.values.tobytes() == expected.tobytes()
+        assert values.size == len(record)
+        assert np.array_equal(values, expected)
+        assert values.tobytes() == expected.tobytes()
 
-    def test_no_acf_after_a_gate1_reject(self):
-        assert screening._screen(gate1_record(), 0.001)[1] is None
+    def test_no_transform_after_a_gate1_reject(self, transforms):
+        decision = screening._screen(acf._Record(gate1_record()), 0.001)
+        assert decision.gate_failed == "gate1"
+        assert transforms == {"rfft": 0, "irfft": 0}
 
     def test_decision_holds_only_its_nine_statistics(self):
-        decision, _ = screening._screen(signal_record(), 0.01)
+        decision = screening._screen(acf._Record(signal_record()), 0.01)
         assert [f.name for f in dataclasses.fields(decision)] == [
             "runs_statistic", "runs_count", "n_above", "n_below",
             "acf_exceedances", "acf_bound", "far", "verdict", "gate_failed"]
@@ -151,6 +157,20 @@ class TestOneAcfPerRecord:
         assert transforms == ONE_PAIR
 
 
+class TestReportAcfAfterAGate1Reject:
+    def test_is_computed_on_first_read_and_kept(self, transforms):
+        record = gate1_record()
+        report = sf.estimate_parameters(record, sf.PipelineConfig(far=0.001))
+        assert report.screening.gate_failed == "gate1"
+        assert transforms == {"rfft": 0, "irfft": 0}
+        first = report.acf
+        assert transforms == ONE_PAIR
+        assert report.acf is first
+        assert transforms == ONE_PAIR
+        assert first.kind == "discrete_circular"
+        assert first.values.tobytes() == sf.circular_acf(record).values.tobytes()
+
+
 # (record, far, skip_screen) for every path on which estimate_parameters
 # estimates: past both gates, and stopped at either gate or unjudged (fewer
 # than 20 samples) under skip_screen.
@@ -172,12 +192,13 @@ class TestSpectrumFromTheSharedDft:
         assert report.spectrum.magnitudes.tobytes() == expected.magnitudes.tobytes()
 
     @pytest.mark.parametrize("name", ["signal", "gate2"])
-    def test_screen_hands_over_the_dft_read_only(self, name):
+    def test_working_set_keeps_the_dft_read_only(self, name):
         make, far, _ = RECORDS[name]
         record = make()
-        _, transform = screening._screen(record, far)
-        assert transform.dft.tobytes() == np.fft.rfft(record.samples).tobytes()
-        assert not transform.dft.flags.writeable
+        work = acf._Record(record)
+        screening._screen(work, far)
+        assert work.dft.tobytes() == np.fft.rfft(record.samples).tobytes()
+        assert not work.dft.flags.writeable
 
 
 @pytest.fixture
@@ -189,7 +210,7 @@ def finite_checks(monkeypatch):
         calls.append(record)
         return _real(record)
 
-    for module in (model, estimate, screening, acf, spectrum):
+    for module in (model, screening, acf):
         monkeypatch.setattr(module, "check_finite", counting)
     return calls
 
@@ -213,6 +234,14 @@ class TestOneFiniteCheckPerRecord:
         sf.screen(record)
         sf.runs_test(record, 0.01)
         assert finite_checks == [record, record]
+
+    @pytest.mark.parametrize("consumer", [sf.dft_magnitude, sf.circular_acf])
+    def test_public_transforms_check_once_and_transform_once(self, finite_checks,
+                                                            transforms, consumer):
+        record = signal_record()
+        consumer(record)
+        assert finite_checks == [record]
+        assert transforms == {"rfft": 1, "irfft": 1 if consumer is sf.circular_acf else 0}
 
     def test_argument_errors_still_come_first_in_screen(self):
         x = short_record().samples.copy()
