@@ -42,7 +42,6 @@ _HYSTERESIS_FRACTION = 0.2
 # Cross-check frequencies farther than this (relative) from the primary
 # estimate are flagged in the report warnings.
 _FREQ_AGREEMENT = 0.2
-_QUARTER_MAX = np.finfo(float).max / 4.0  # see _period_from_crossings
 
 
 @dataclass(frozen=True)
@@ -385,19 +384,16 @@ def _period_from_crossings(times: np.ndarray, directions: np.ndarray) -> float |
     The directions of ``_zero_crossings`` alternate, so each direction's
     times are a stride-2 slice.  Upward spacings come first, then downward
     ones (each ``np.diff``'s slice subtraction), and their sum over their
-    count is ``np.mean``'s arithmetic.  The spacings sum to at most twice
-    the span of the ascending times: past a quarter of float max the sum
-    may overflow to inf, an infinite period whose read the caller drops,
-    and only there is numpy's overflow warning silenced (``np.errstate``
-    costs more than the rest of the function).
+    count is ``np.mean``'s arithmetic.  When the crossing times span a
+    quarter of float max or more the sum may overflow to inf, an infinite
+    period whose read the caller drops, so numpy's overflow warning is
+    silenced.
     """
     up = 1 if directions.size and directions[0] < 0 else 0
     ups, downs = times[up::2], times[1 - up::2]
     spacings = np.concatenate([ups[1:] - ups[:-1], downs[1:] - downs[:-1]])
     if spacings.size == 0:
         return None
-    if float(times[-1]) - float(times[0]) < _QUARTER_MAX:
-        return float(np.add.reduce(spacings) / spacings.size)
     with np.errstate(over="ignore"):
         return float(np.add.reduce(spacings) / spacings.size)
 
@@ -456,11 +452,14 @@ class PipelineConfig:
 class EstimationReport:
     """Recovered parameters plus every intermediate worth keeping.
 
-    When screening rejects the record, ``params`` (and the other
-    estimation fields) are None and only the screening decision is
-    populated.  ``acf``, the record's full-lag circular ACF, is read from
-    ``work``, its working set (``acf._Record``): the screen's or the
-    estimator's, or, after a gate-1 reject, computed on first read.
+    Reports come from ``estimate_parameters``.  When screening rejects the
+    record, ``params`` (and the other estimation fields) are None and only
+    the screening decision is populated.  ``acf``, the record's full-lag
+    circular ACF, is read from ``work``, the record's working set
+    (``acf._Record``): the screen's or the estimator's, or, after a
+    gate-1 reject, computed on first read.  A report therefore keeps its
+    record, the record's one-sided DFT (16*(N/2 + 1) bytes), |X| and the
+    ACF alive for as long as it is kept.
 
     ``model_acf``, the full-model ACF of the fitted sinusoid at lags
     0..max_lag, is computed on first read from ``model_params`` (the fit
@@ -473,6 +472,7 @@ class EstimationReport:
     params: SinusoidParams | None
     screening: ScreeningDecision | None
     frequency_source: str | None
+    work: _Record = field(repr=False)
     frequency_cross_checks_hz: dict[str, float] = field(default_factory=dict)
     t_2pi: float | None = None
     delta_t: float | None = None
@@ -482,7 +482,6 @@ class EstimationReport:
     warnings: tuple[str, ...] = ()
     smoothed: SmoothedSeries | None = None
     spectrum: Spectrum | None = None
-    work: _Record | None = field(default=None, repr=False)
     model_params: SinusoidParams | None = field(default=None, repr=False)
     max_lag: int | None = None
 
@@ -493,8 +492,8 @@ class EstimationReport:
         return "signal" if self.params is not None else "noise"
 
     @property
-    def acf(self) -> AcfSeries | None:
-        return None if self.work is None else self.work.acf
+    def acf(self) -> AcfSeries:
+        return self.work.acf
 
     @functools.cached_property
     def model_acf(self) -> AcfSeries | None:

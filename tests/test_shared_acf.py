@@ -170,6 +170,17 @@ class TestReportAcfAfterAGate1Reject:
         assert first.kind == "discrete_circular"
         assert first.values.tobytes() == sf.circular_acf(record).values.tobytes()
 
+    def test_plot_data_writes_it(self, tmp_path):
+        record = gate1_record()
+        report = sf.estimate_parameters(record, sf.PipelineConfig(far=0.001))
+        io.write_plot_data(str(tmp_path), record, report, report.screening.acf_bound)
+        _, rows = read_rows(tmp_path / "acf.csv")
+        assert np.array_equal(rows[:, 1], sf.circular_acf(record, 50).values)
+
+    def test_a_report_needs_its_working_set(self):
+        with pytest.raises(TypeError, match="work"):
+            sf.EstimationReport(params=None, screening=None, frequency_source=None)
+
 
 # (record, far, skip_screen) for every path on which estimate_parameters
 # estimates: past both gates, and stopped at either gate or unjudged (fewer
