@@ -1,24 +1,26 @@
-"""Time ``estimate_parameters`` of two source trees against each other.
+"""Time ``estimate_parameters`` and ``synthesize`` of two source trees.
 
     python scripts/ab_timing.py PARENT_SRC CHANGE_SRC [--pairs 30] [--batch-ms 50]
 
 Each SRC is a directory holding a ``sinefit`` package (a checkout's
 ``src``).  Both are imported into this one process, under the module
 names ``sinefit_parent`` and ``sinefit_change``, and for each setting
-the script alternates timed batches of ``estimate_parameters`` over the
-same seeded records: parent then change, change then parent, and so on.
-Each pair of batches gives one change/parent ratio of the time per
-record.  The script prints the median ratio and its quartiles, one line
-per setting; below 1 the change is faster.  Alternating in one process
-cancels the slow swings of a shared machine's speed (1.3-1.9x for
-minutes at a time on a 2-core VM), which swamp timings taken in separate
-runs.
+the script alternates timed batches of calls over the same seeded
+records: parent then change, change then parent, and so on.  Each pair
+of batches gives one change/parent ratio of the time per record.  The
+script prints the median ratio and its quartiles, one line per setting;
+below 1 the change is faster.  Alternating in one process cancels the
+slow swings of a shared machine's speed (1.3-1.9x for minutes at a time
+on a 2-core VM), which swamp timings taken in separate runs.
 
 Settings: N = 100 and N = 1000 under the default ``one_period``
 objective, N = 10^4 under ``full_record``; the records are the demo tone
 (A = 2, f = 0.05 Hz, phi = 0.6109, dt = 1) at sigma = 0.5, seeds 0..R-1.
 A fourth setting times unit white noise at N = 1000 (seeds 0..R-1), which
 the default screen almost always rejects at gate 1: the reject path.
+The last two time ``synthesize`` of the demo tone at sigma = 0.5 and
+N = 100 and N = 10^4 (seeds 0..R-1), the cost of building a seeded
+Monte Carlo pool.
 """
 
 import argparse
@@ -32,7 +34,9 @@ import time
 SETTINGS = (("n=100 one_period", 100, "one_period", 40, "tone"),
             ("n=1000 one_period", 1000, "one_period", 20, "tone"),
             ("n=10000 full_record", 10_000, "full_record", 4, "tone"),
-            ("n=1000 white_noise", 1000, "one_period", 40, "white"))
+            ("n=1000 white_noise", 1000, "one_period", 40, "white"),
+            ("n=100 synthesize", 100, None, 40, "synthesize"),
+            ("n=10000 synthesize", 10_000, None, 4, "synthesize"))
 DEMO = (2.0, 0.05, 0.6109)
 SIGMA = 0.5
 
@@ -49,27 +53,32 @@ def load(src, name):
 
 
 class Side:
-    """One tree's records and config for one setting, and a timed batch over them."""
+    """One tree's calls for one setting, one per record, and a timed batch over them."""
 
     def __init__(self, sf, n, objective_range, count, kind):
         tone = sf.SinusoidParams(*DEMO)
-        self.sf = sf
+        if kind == "synthesize":
+            self.fn = sf.synthesize
+            self.calls = [(tone, sf.NoiseSpec(SIGMA, seed), n) for seed in range(count)]
+            return
         if kind == "white":
-            self.records = [sf.TimeSeries(0.0, 1.0, sf.model.standard_normal_draws(seed, n))
-                            for seed in range(count)]
+            records = [sf.TimeSeries(0.0, 1.0, sf.model.standard_normal_draws(seed, n))
+                       for seed in range(count)]
         else:
-            self.records = [sf.synthesize(tone, sf.NoiseSpec(SIGMA, seed), n)
-                            for seed in range(count)]
-        self.config = sf.PipelineConfig(objective_range=objective_range)
+            records = [sf.synthesize(tone, sf.NoiseSpec(SIGMA, seed), n)
+                       for seed in range(count)]
+        config = sf.PipelineConfig(objective_range=objective_range)
+        self.fn = sf.estimate_parameters
+        self.calls = [(record, config) for record in records]
 
     def batch(self, passes):
-        """Seconds per record over ``passes`` passes through the records."""
-        estimate, config = self.sf.estimate_parameters, self.config
+        """Seconds per record over ``passes`` passes through the calls."""
+        fn, calls = self.fn, self.calls
         start = time.perf_counter()
         for _ in range(passes):
-            for record in self.records:
-                estimate(record, config)
-        return (time.perf_counter() - start) / (passes * len(self.records))
+            for args in calls:
+                fn(*args)
+        return (time.perf_counter() - start) / (passes * len(calls))
 
 
 def compare(parent, change, pairs, batch_s):
@@ -78,7 +87,7 @@ def compare(parent, change, pairs, batch_s):
     for side in (parent, change):  # warm up: lazy tables, caches
         side.batch(1)
     per_record = parent.batch(1)
-    passes = max(1, round(batch_s / (per_record * len(parent.records))))
+    passes = max(1, round(batch_s / (per_record * len(parent.calls))))
     ratios, parent_times = [], []
     for i in range(pairs):
         if i % 2 == 0:

@@ -3,12 +3,14 @@
 
 Runs the full pipeline over a range of seeds for one configuration and
 prints recovery statistics for frequency, amplitude, and phase, plus the
-screening acceptance rate.  Useful for checking how the error bands move
+screening acceptance rate and the seconds spent synthesizing and
+estimating the records.  Useful for checking how the error bands move
 with noise level, sample count, or the objective range.
 """
 
 import argparse
 import math
+import time
 
 import numpy as np
 
@@ -38,10 +40,15 @@ def main():
     rejected = 0
     amplitudes = []
     phase_errors = []
+    synthesize_s = estimate_s = 0.0
     for i in range(args.trials):
+        start = time.perf_counter()
         record = sf.synthesize(params, sf.NoiseSpec(args.sigma, args.seed_base + i),
                                args.samples)
+        middle = time.perf_counter()
         report = sf.estimate_parameters(record, config)
+        synthesize_s += middle - start
+        estimate_s += time.perf_counter() - middle
         if report.params is None:
             rejected += 1
             continue
@@ -59,6 +66,8 @@ def main():
           f"phi={params.phase_rad:.4f} sigma={args.sigma} N={args.samples} "
           f"ma_k={args.ma_k} range={args.objective_range}")
     print(f"trials: {args.trials}  screened out: {rejected}")
+    print(f"time: synthesize {synthesize_s:.4f} s  estimate_parameters {estimate_s:.4f} s "
+          f"over {args.trials} trials")
     if not estimated:
         return
     print(f"frequency: bin-exact in {f_exact}/{estimated} "

@@ -150,7 +150,12 @@ def check_finite(record: TimeSeries) -> None:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Additive Gaussian noise: sigma in signal units, deterministic per seed."""
+    """Additive Gaussian noise: sigma in signal units, deterministic per seed.
+
+    The seed must be a non-negative Python or NumPy integer (a bool is not
+    one); ``None``, which would draw from OS entropy, is rejected, so the
+    same spec always gives the same record.
+    """
 
     sigma: float
     seed: int
@@ -159,6 +164,9 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind != "gaussian":
             raise ValueError(f"unsupported noise kind {self.kind!r}")
+        if (not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool)
+                or self.seed < 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not self.sigma >= 0:
             raise ValueError("sigma must be non-negative")
         if not math.isfinite(self.sigma):
@@ -177,10 +185,10 @@ def standard_normal_draws(seed: int, n: int) -> np.ndarray:
     stable across platforms for a fixed seed, and the quantile function is
     deterministic, so the same (seed, n) always yields the same values.
     """
-    rng = np.random.default_rng(seed)
-    u = rng.random(n)
+    u = np.random.default_rng(seed).random(n)
     # rng.random() can return exactly 0.0; keep the quantile finite.
-    return normal_quantile(np.maximum(u, 2.0 ** -54))
+    np.maximum(u, 2.0 ** -54, out=u)
+    return normal_quantile(u)
 
 
 def synthesize(params: SinusoidParams, noise: NoiseSpec, n: int,
@@ -200,7 +208,9 @@ def synthesize(params: SinusoidParams, noise: NoiseSpec, n: int,
     t = start + dt * np.arange(n)
     samples = evaluate(params, t)
     if noise.sigma > 0:
-        samples = samples + noise.sigma * standard_normal_draws(noise.seed, n)
+        draws = standard_normal_draws(noise.seed, n)
+        draws *= noise.sigma
+        samples += draws
     if not np.isfinite(samples).all():
         raise ValueError(NON_FINITE_SAMPLES)
     return TimeSeries(start, dt, samples)

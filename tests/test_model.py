@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 import sinefit as sf
+from sinefit.model import standard_normal_draws
 from conftest import AMPLITUDE, FREQUENCY, PHASE, PHASE_EXACT
 
 
@@ -83,6 +85,14 @@ class TestSynthesize:
         b = sf.synthesize(demo_params, spec, 100)
         assert np.array_equal(a.samples, b.samples)
 
+    @pytest.mark.parametrize("sigma", [0.5, 3.0])
+    def test_samples_are_the_tone_plus_sigma_times_the_draws(self, demo_params, sigma):
+        for n in (2, 100, 1000):
+            ts = sf.synthesize(demo_params, sf.NoiseSpec(sigma=sigma, seed=n), n)
+            expected = (sf.evaluate(demo_params, np.arange(n, dtype=float))
+                        + sigma * standard_normal_draws(n, n))
+            assert ts.samples.tobytes() == expected.tobytes()
+
     def test_different_seeds_differ(self, demo_params):
         a = sf.synthesize(demo_params, sf.NoiseSpec(sigma=0.5, seed=1), 100)
         b = sf.synthesize(demo_params, sf.NoiseSpec(sigma=0.5, seed=2), 100)
@@ -113,6 +123,25 @@ class TestSynthesize:
             sf.NoiseSpec(sigma=math.inf, seed=0)
         with pytest.raises(ValueError, match="sigma must be non-negative"):
             sf.NoiseSpec(sigma=math.nan, seed=0)
+
+    @pytest.mark.parametrize("seed", [None, 1.5, 2.0, "7", -1, np.int64(-1), True,
+                                      np.float64(3.0), [1, 2]],
+                             ids=["None", "1.5", "2.0", "str", "-1", "int64(-1)", "bool",
+                                  "float64", "list"])
+    def test_noise_spec_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got "
+                                             + re.escape(repr(seed))):
+            sf.NoiseSpec(sigma=0.5, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 62, 2 ** 64 + 1, np.int64(7), np.int32(7),
+                                      np.uint64(2 ** 63), np.uint8(7)],
+                             ids=["0", "7", "2**62", "2**64+1", "int64", "int32", "uint64",
+                                  "uint8"])
+    def test_noise_spec_accepts_non_negative_integers(self, demo_params, seed):
+        spec = sf.NoiseSpec(sigma=0.5, seed=seed)
+        a = sf.synthesize(demo_params, spec, 100)
+        b = sf.synthesize(demo_params, sf.NoiseSpec(sigma=0.5, seed=int(seed)), 100)
+        assert np.array_equal(a.samples, b.samples)
 
     @pytest.mark.parametrize("frequency,dt,start", [(1e308, 1e10, 0.0), (1e300, 1.0, 1e10),
                                                      (2e307, 1.0, 0.0)])

@@ -40,6 +40,14 @@ def test_monte_carlo_wraps_phase_errors():
     assert mean_abs < 0.2, out
 
 
+def test_monte_carlo_times_synthesis_and_estimation():
+    lines = run_script("monte_carlo_summary.py", "--trials", "5").splitlines()
+    assert lines[1] == "trials: 5  screened out: 0"
+    assert re.fullmatch(r"time: synthesize [0-9.]+ s  estimate_parameters [0-9.]+ s "
+                        r"over 5 trials", lines[2]), lines[2]
+    assert lines[3].startswith("frequency: ")
+
+
 def test_same_outputs_prints_one_line_per_case():
     lines = run_script("same_outputs.py").splitlines()
     # (27 tone settings, two noise seeds when sigma > 0: 45 tones) + 27 tones
@@ -60,9 +68,12 @@ def test_same_outputs_prints_one_line_per_case():
 def test_ab_timing_prints_one_ratio_per_setting():
     src = os.path.join(ROOT, "src")
     lines = run_script("ab_timing.py", src, src, "--pairs", "2", "--batch-ms", "1").splitlines()
-    assert len(lines) == 4, lines
-    assert lines[-1].startswith("n=1000 white_noise: ")
-    pattern = re.compile(r"n=\d+ (one_period|full_record|white_noise): change/parent ([0-9.]+) "
+    assert len(lines) == 6, lines
+    assert [line.split(":")[0] for line in lines] == [
+        "n=100 one_period", "n=1000 one_period", "n=10000 full_record", "n=1000 white_noise",
+        "n=100 synthesize", "n=10000 synthesize"]
+    pattern = re.compile(r"n=\d+ (one_period|full_record|white_noise|synthesize): "
+                         r"change/parent ([0-9.]+) "
                          r"\(quartiles ([0-9.]+)-([0-9.]+), 2 pairs, parent [0-9.]+ ms/record\)")
     for line in lines:
         match = pattern.fullmatch(line)
