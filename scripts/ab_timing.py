@@ -11,16 +11,21 @@ of batches gives one change/parent ratio of the time per record.  The
 script prints the median ratio and its quartiles, one line per setting;
 below 1 the change is faster.  Alternating in one process cancels the
 slow swings of a shared machine's speed (1.3-1.9x for minutes at a time
-on a 2-core VM), which swamp timings taken in separate runs.
+on a 2-core VM), which swamp timings taken in separate runs.  Each line
+ends with the quartiles of the parent's own batch-to-batch ratios (each
+parent batch over the one before it, from the batches already timed):
+the noise floor a change/parent ratio has to clear.
 
 Settings: N = 100 and N = 1000 under the default ``one_period``
 objective, N = 10^4 under ``full_record``; the records are the demo tone
 (A = 2, f = 0.05 Hz, phi = 0.6109, dt = 1) at sigma = 0.5, seeds 0..R-1.
 A fourth setting times unit white noise at N = 1000 (seeds 0..R-1), which
 the default screen almost always rejects at gate 1: the reject path.
-The last two time ``synthesize`` of the demo tone at sigma = 0.5 and
-N = 100 and N = 10^4 (seeds 0..R-1), the cost of building a seeded
-Monte Carlo pool.
+A fifth, ``read_all``, estimates the N = 100 tones and then reads the
+report's four cross-check fields, as a caller that writes the whole
+report does.  The last two time ``synthesize`` of the demo tone at
+sigma = 0.5 and N = 100 and N = 10^4 (seeds 0..R-1), the cost of
+building a seeded Monte Carlo pool.
 """
 
 import argparse
@@ -35,10 +40,12 @@ SETTINGS = (("n=100 one_period", 100, "one_period", 40, "tone"),
             ("n=1000 one_period", 1000, "one_period", 20, "tone"),
             ("n=10000 full_record", 10_000, "full_record", 4, "tone"),
             ("n=1000 white_noise", 1000, "one_period", 40, "white"),
+            ("n=100 read_all", 100, "one_period", 40, "read_all"),
             ("n=100 synthesize", 100, None, 40, "synthesize"),
             ("n=10000 synthesize", 10_000, None, 4, "synthesize"))
 DEMO = (2.0, 0.05, 0.6109)
 SIGMA = 0.5
+CROSS_CHECK_FIELDS = ("frequency_cross_checks_hz", "t_2pi", "phase_cross_checks", "warnings")
 
 
 def load(src, name):
@@ -50,6 +57,23 @@ def load(src, name):
     sys.modules[name] = module  # the package's relative imports resolve through it
     spec.loader.exec_module(module)
     return module
+
+
+def read_all(estimate):
+    """``estimate`` followed by a read of each cross-check field of its report."""
+    def estimate_and_read(record, config):
+        report = estimate(record, config)
+        for name in CROSS_CHECK_FIELDS:
+            getattr(report, name)
+    return estimate_and_read
+
+
+def quartiles(values):
+    """(first quartile, median, third quartile) of a non-empty list."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
 
 
 class Side:
@@ -68,7 +92,7 @@ class Side:
             records = [sf.synthesize(tone, sf.NoiseSpec(SIGMA, seed), n)
                        for seed in range(count)]
         config = sf.PipelineConfig(objective_range=objective_range)
-        self.fn = sf.estimate_parameters
+        self.fn = read_all(sf.estimate_parameters) if kind == "read_all" else sf.estimate_parameters
         self.calls = [(record, config) for record in records]
 
     def batch(self, passes):
@@ -83,7 +107,8 @@ class Side:
 
 def compare(parent, change, pairs, batch_s):
     """Median and quartiles of the change/parent time ratio over ``pairs``
-    alternating pairs of batches, plus the parent's median time per record."""
+    alternating pairs of batches, the parent's median time per record, and
+    the quartiles of its batch-to-batch ratios (None for a single pair)."""
     for side in (parent, change):  # warm up: lazy tables, caches
         side.batch(1)
     per_record = parent.batch(1)
@@ -98,11 +123,10 @@ def compare(parent, change, pairs, batch_s):
             p = parent.batch(passes)
         ratios.append(c / p)
         parent_times.append(p)
-    if len(ratios) > 1:
-        q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
-    else:
-        q1 = q3 = ratios[0]
-    return statistics.median(ratios), q1, q3, statistics.median(parent_times)
+    q1, median, q3 = quartiles(ratios)
+    steps = [b / a for a, b in zip(parent_times, parent_times[1:])]
+    floor = quartiles(steps)[::2] if steps else None
+    return median, q1, q3, statistics.median(parent_times), floor
 
 
 def main():
@@ -119,10 +143,12 @@ def main():
     parent = load(args.parent_src, "sinefit_parent")
     change = load(args.change_src, "sinefit_change")
     for label, *setting in SETTINGS:
-        median, q1, q3, parent_s = compare(Side(parent, *setting), Side(change, *setting),
-                                           args.pairs, args.batch_ms / 1000.0)
+        median, q1, q3, parent_s, floor = compare(
+            Side(parent, *setting), Side(change, *setting), args.pairs, args.batch_ms / 1000.0)
+        floor_text = "-" if floor is None else f"{floor[0]:.3f}-{floor[1]:.3f}"
         print(f"{label}: change/parent {median:.3f} (quartiles {q1:.3f}-{q3:.3f}, "
-              f"{args.pairs} pairs, parent {parent_s * 1e3:.4f} ms/record)", flush=True)
+              f"{args.pairs} pairs, parent {parent_s * 1e3:.4f} ms/record, "
+              f"parent/parent quartiles {floor_text})", flush=True)
 
 
 if __name__ == "__main__":

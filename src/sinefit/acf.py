@@ -172,9 +172,15 @@ def sine_product_integral(p: IntegralParams) -> float:
 
 
 def _coupling_and_denominator(w: float, phi: float) -> tuple[float, float]:
+    """(c, D) of the full-model ACF at angular frequency ``w`` (rad per lag)
+    and phase ``phi``; a D within 1e-12 of zero raises
+    ``DegenerateParametersError``.  O(1), and it never reads the amplitude."""
     two_pi_w = TWO_PI * w
     coupling = math.sin(two_pi_w) / two_pi_w
     denominator = 1.0 - coupling * math.cos(two_pi_w + 2.0 * phi)
+    if abs(denominator) < 1e-12:
+        raise DegenerateParametersError(
+            "normalization denominator vanishes for these parameters")
     return coupling, denominator
 
 
@@ -185,13 +191,16 @@ def normalizing_constant(params: SinusoidParams) -> float:
     the raw one-period sine-product integral divided by A^2/2 (it is also
     the denominator that scales the full-model ACF to 1 at lag 0).
     Dividing the raw integral by C*(A^2/2)^2 reproduces ``model_acf_full``.
+    An amplitude so small that C overflows (below about 1e-154 when D is
+    near 1) raises ``ValueError``.
     """
-    w = params.omega()
-    _, denominator = _coupling_and_denominator(w, params.phase_rad)
-    if abs(denominator) < 1e-12:
-        raise DegenerateParametersError(
-            "normalization denominator vanishes for these parameters")
-    return 2.0 / params.amplitude ** 2 * denominator
+    _, denominator = _coupling_and_denominator(params.omega(), params.phase_rad)
+    a_squared = params.amplitude ** 2
+    constant = 2.0 / a_squared * denominator if a_squared > 0.0 else math.inf
+    if math.isinf(constant):
+        raise ValueError(f"normalizing constant 2*D/A^2 overflows for amplitude "
+                         f"{params.amplitude!r}")
+    return constant
 
 
 def model_acf_full(params: SinusoidParams, max_lag: int) -> AcfSeries:
@@ -207,9 +216,6 @@ def model_acf_full(params: SinusoidParams, max_lag: int) -> AcfSeries:
     w = params.omega()
     phi = params.phase_rad
     coupling, denominator = _coupling_and_denominator(w, phi)
-    if abs(denominator) < 1e-12:
-        raise DegenerateParametersError(
-            "normalization denominator vanishes for these parameters")
     taus = np.arange(max_lag + 1, dtype=float)
     values = (np.cos(w * taus)
               - coupling * np.cos((TWO_PI + taus) * w + 2.0 * phi)) / denominator

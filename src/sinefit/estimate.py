@@ -2,9 +2,9 @@
 
 The pipeline in ``estimate_parameters`` runs the two-gate screen, smooths
 with MA-k, reads amplitude from the smoothed range, takes frequency from
-the spectrum peak, always (two ACF reads and the crossing spacing are
-cross-checks only), and recovers phase by a two-stage least-squares grid
-search with the crossover formula recorded as a cross-check.  The
+the spectrum peak, always, and recovers phase by a two-stage least-squares
+grid search.  Two ACF reads, the crossing spacing and the crossover phase
+are cross-checks only, run when the report's fields are first read.  The
 closed-form phase constructions (crossover, general landmarks,
 arctangent at the origin, arcsine at a point) live here as well; the
 last two have restricted domains and are never the pipeline's primary
@@ -20,8 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .acf import (AcfSeries, DegenerateParametersError, _Record, frequency_from_acf,
-                  model_acf_full, normalizing_constant)
+from .acf import (AcfSeries, DegenerateParametersError, _Record, _coupling_and_denominator,
+                  frequency_from_acf, model_acf_full)
 from .model import SinusoidParams, TimeSeries, TWO_PI, _adopt, wrap_phase
 from .screening import ScreeningDecision, VERDICT_NOISE, _screen
 from .smoothing import SmoothedSeries, moving_average
@@ -334,11 +334,7 @@ def _zero_crossings(series: TimeSeries,
     """
     s = series.samples
     start, dt = float(series.start_time), float(series.dt)
-    if span is None:
-        span = s.max() - s.min()
-    h = _HYSTERESIS_FRACTION * span / 2.0
-    if h == 0:
-        raise ValueError("constant record has no zero crossings")
+    h = _hysteresis(s.max() - s.min() if span is None else span)
     p, q = s > 0.0, s < 0.0
     i = ((p[1:] > p[:-1]) | (q[1:] > q[:-1])).nonzero()[0]
     a, b = s[i], s[i + 1]
@@ -351,6 +347,14 @@ def _zero_crossings(series: TimeSeries,
     lo = raw.searchsorted(start + dt * ia, side="left")
     hi = raw.searchsorted(start + dt * ib, side="right")
     return raw[(lo + hi) // 2], np.where(side[flips + 1], 1, -1)
+
+
+def _hysteresis(span: float) -> float:
+    """The crossing scan's threshold h for a range ``span``; h == 0 raises."""
+    h = _HYSTERESIS_FRACTION * span / 2.0
+    if h == 0:
+        raise ValueError("constant record has no zero crossings")
+    return h
 
 
 def _second_crossover(times: np.ndarray, directions: np.ndarray,
@@ -398,16 +402,16 @@ def _period_from_crossings(times: np.ndarray, directions: np.ndarray) -> float |
         return float(np.add.reduce(spacings) / spacings.size)
 
 
-def _acf_period_lag(acf: AcfSeries, n: int) -> int | None:
+def _acf_period_lag(v: np.ndarray, n: int) -> int | None:
     """Lag of the one-period mark: the first major ACF peak after lag 0.
 
-    A periodic ACF first goes negative about a quarter period in and
-    peaks again near one full period, so the peak search starts at the
-    first negative lag and stops well before the second repeat.  A window
-    edge is no peak: the first lag while the ACF still falls, or the last
-    lag when ``max_lag`` stops short of N/2 for an ``n``-sample record.
+    A periodic ACF ``v`` (lags 0..max_lag) first goes negative about a
+    quarter period in and peaks again near one period, so the search
+    starts at the first negative lag and stops well before the second
+    repeat.  A window edge is no peak: the first lag while the ACF still
+    falls, or the last when max_lag stops short of N/2 (N = ``n``).
     """
-    v = acf.values
+    max_lag = v.size - 1
     negative = v[1:] < 0
     first = int(negative.argmax())  # the first True, if there is one
     if not negative[first]:
@@ -419,8 +423,48 @@ def _acf_period_lag(acf: AcfSeries, n: int) -> int | None:
         return None
     lag = lo + int(v[lo:hi].argmax())
     falling_start = lag == lo and v[lag - 1] > v[lag]
-    short_end = lag == acf.max_lag and acf.max_lag < n // 2
+    short_end = lag == max_lag and max_lag < n // 2
     return None if falling_start or short_end else lag
+
+
+class _CrossChecks(NamedTuple):
+    """The cross-check stage's result: one entry per report field it fills."""
+    frequency_cross_checks_hz: dict[str, float]
+    t_2pi: float | None
+    phase_cross_checks: dict[str, float]
+    warnings: tuple[str, ...]
+
+
+def _cross_checks(acf: np.ndarray, smoothed: SmoothedSeries, span: float,
+                  frequency: float) -> _CrossChecks:
+    """The stage of the reads that decide nothing: the ACF reads (``acf``
+    holds lags 0..max_lag), the crossing spacing of ``smoothed`` (range
+    ``span``, checked non-constant) and the crossover phase.  Raises nothing."""
+    n, dt = smoothed.source_len, smoothed.series.dt
+    probe = 2 if acf.size > 2 else 1
+    reads = {"acf_arccos": frequency_from_acf(acf[probe], probe) / dt}
+    period_lag = _acf_period_lag(acf, n)
+    if period_lag is not None:
+        reads["acf_period"] = 1.0 / (period_lag * dt)
+    crossings = _zero_crossings(smoothed.series, span)
+    ma_period = _period_from_crossings(*crossings)
+    if ma_period is not None and ma_period > 0:
+        reads["ma_period"] = 1.0 / ma_period
+    # a read counts only as a finite positive frequency (no NaN, no 0 Hz of an infinite period)
+    cross_checks = {name: f for name, f in reads.items() if 0.0 < f < math.inf}
+    warnings = tuple(f"{name} frequency {value:.6g} Hz differs from the fft "
+                     f"estimate {frequency:.6g} Hz by more than 20%"
+                     for name, value in cross_checks.items()
+                     if abs(value - frequency) > _FREQ_AGREEMENT * frequency)
+    phase_checks: dict[str, float] = {}
+    t_2pi: float | None = None
+    try:
+        t_2pi = _second_crossover(*crossings, smoothed.group_delay)
+        _, crossover_rad = phase_from_crossover(1.0 / frequency, t_2pi)
+        phase_checks["crossover"] = wrap_phase(crossover_rad)
+    except ValueError:
+        pass
+    return _CrossChecks(cross_checks, t_2pi, phase_checks, warnings)
 
 
 @dataclass(frozen=True)
@@ -466,24 +510,27 @@ class EstimationReport:
     with frequency in cycles per sample) and ``max_lag``, then kept.  It
     is None when nothing was estimated or when the fit is degenerate;
     ``estimate_parameters`` tells the second case from the O(1)
-    normalization check and attaches its warning up front.
+    denominator check, whose warning follows the cross-check warnings.
+
+    So are ``frequency_cross_checks_hz``, ``t_2pi``, ``phase_cross_checks``
+    and ``warnings``: the first read of any runs the cross-check stage over
+    the kept ACF, ``smoothed`` and ``smoothed_span``, so reading only
+    ``params`` never runs it.  A noise report gives {}, None, {} and ().
     """
 
     params: SinusoidParams | None
     screening: ScreeningDecision | None
     frequency_source: str | None
     work: _Record = field(repr=False)
-    frequency_cross_checks_hz: dict[str, float] = field(default_factory=dict)
-    t_2pi: float | None = None
     delta_t: float | None = None
     objective_value: float | None = None
-    phase_cross_checks: dict[str, float] = field(default_factory=dict)
     smoothing_k: int = 1
-    warnings: tuple[str, ...] = ()
     smoothed: SmoothedSeries | None = None
+    smoothed_span: float | None = field(default=None, repr=False)
     spectrum: Spectrum | None = None
     model_params: SinusoidParams | None = field(default=None, repr=False)
     max_lag: int | None = None
+    _kept: _CrossChecks | None = field(default=None, init=False, repr=False)
 
     @property
     def verdict(self) -> str:
@@ -494,6 +541,25 @@ class EstimationReport:
     @property
     def acf(self) -> AcfSeries:
         return self.work.acf
+
+    @property
+    def _cross(self) -> _CrossChecks:
+        # set on first read, as acf._Record does (no cached_property lock)
+        if self._kept is None:
+            checks = _CrossChecks({}, None, {}, ())
+            if self.params is not None:
+                checks = _cross_checks(self.work.acf.values[:self.max_lag + 1], self.smoothed,
+                                       self.smoothed_span, self.params.frequency_hz)
+                if self.model_params is None:
+                    checks = checks._replace(warnings=checks.warnings + (
+                        "full-model ACF is degenerate for the fitted parameters",))
+            object.__setattr__(self, "_kept", checks)
+        return self._kept
+
+    frequency_cross_checks_hz = property(lambda self: self._cross.frequency_cross_checks_hz)
+    t_2pi = property(lambda self: self._cross.t_2pi)
+    phase_cross_checks = property(lambda self: self._cross.phase_cross_checks)
+    warnings = property(lambda self: self._cross.warnings)
 
     @functools.cached_property
     def model_acf(self) -> AcfSeries | None:
@@ -511,8 +577,8 @@ def estimate_parameters(record: TimeSeries,
     read, the ACF one-period mark and the smoothed-record crossover
     spacing as cross-checks only (disagreement beyond 20 percent is a
     warning); phase by grid search with the crossover formula recorded
-    as a cross-check.  The report computes the full-model ACF of the
-    fitted sinusoid when it is first read.  ``max_lag`` is checked
+    as a cross-check.  The report runs the cross-checks, and computes the
+    full-model ACF of the fit, when first read.  ``max_lag`` is checked
     against the record length before anything else, so a bad value fails
     on every record, not only on those past the screen.  The record's
     working set runs ``check_finite`` once, and the screen, the spectrum
@@ -554,70 +620,34 @@ def estimate_parameters(record: TimeSeries,
                          "amplitude, crossings or phase to estimate")
     amplitude = float(span / 2.0)
 
-    # The ACF view and the spectrum adopt the working set's read-only
-    # arrays uncopied: the screen's transform, or this first read of it.
-    full_acf = work.acf
-    acf = _adopt(AcfSeries, kind=full_acf.kind, values=full_acf.values[:max_lag + 1])
+    work.acf  # a zero-variance record fails here, not on a cross-check's read
     spec = _adopt(Spectrum, df=df, magnitudes=work.magnitudes)
     peak = _peak_bin(spec)
     frequency = peak * df  # what fundamental_frequency(spec) returns
+    _hysteresis(span)  # the crossing scan's constant-record check, raised here
 
-    probe = 2 if acf.max_lag >= 2 else 1
-    reads = {"acf_arccos": frequency_from_acf(acf.values[probe], probe) / dt}
-    period_lag = _acf_period_lag(acf, n)
-    if period_lag is not None:
-        reads["acf_period"] = 1.0 / (period_lag * dt)
-    crossings = _zero_crossings(smoothed.series, span)
-    ma_period = _period_from_crossings(*crossings)
-    if ma_period is not None and ma_period > 0:
-        reads["ma_period"] = 1.0 / ma_period
-    # a read counts only as a finite positive frequency (no NaN, no 0 Hz of an infinite period)
-    cross_checks = {name: f for name, f in reads.items() if 0.0 < f < math.inf}
-
-    warnings = [f"{name} frequency {value:.6g} Hz differs from the fft "
-                f"estimate {frequency:.6g} Hz by more than 20%"
-                for name, value in cross_checks.items()
-                if abs(value - frequency) > _FREQ_AGREEMENT * frequency]
-
-    period = 1.0 / frequency
-    phase_checks: dict[str, float] = {}
-    t_2pi: float | None = None
-    try:
-        t_2pi = _second_crossover(*crossings, smoothed.group_delay)
-        _, crossover_rad = phase_from_crossover(period, t_2pi)
-        phase_checks["crossover"] = wrap_phase(crossover_rad)
-    except ValueError:
-        pass
-
-    objective = PhaseObjective(record, amplitude, frequency,
-                               config.objective_range)
+    objective = PhaseObjective(record, amplitude, frequency, config.objective_range)
     linear = None
     if config.objective_range == FULL_RECORD:
         linear = _peak_bin_sums(work.dft[peak], TWO_PI * frequency, record.start_time)
     phi, objective_value = _grid_search(objective, *_objective_points(objective), linear)
 
     params = SinusoidParams(amplitude, frequency, phi)
-
-    model_params: SinusoidParams | None = SinusoidParams(amplitude, frequency * dt,
-                                                         params.phase_rad)
-    try:
-        normalizing_constant(model_params)
+    model_params = SinusoidParams(amplitude, frequency * dt, params.phase_rad)
+    try:  # the O(1) degeneracy test reads only the full-model ACF's denominator
+        _coupling_and_denominator(model_params.omega(), model_params.phase_rad)
     except DegenerateParametersError:
         model_params = None
-        warnings.append("full-model ACF is degenerate for the fitted parameters")
 
     return EstimationReport(
         params=params,
         screening=decision,
         frequency_source="fft",
-        frequency_cross_checks_hz=cross_checks,
-        t_2pi=t_2pi,
         delta_t=params.time_delay(),
         objective_value=objective_value,
-        phase_cross_checks=phase_checks,
         smoothing_k=config.ma_k,
-        warnings=tuple(warnings),
         smoothed=smoothed,
+        smoothed_span=span,
         spectrum=spec,
         work=work,
         model_params=model_params,

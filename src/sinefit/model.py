@@ -19,9 +19,13 @@ TWO_PI = 2.0 * math.pi
 NON_FINITE_SAMPLES = "record has non-finite (NaN or inf) samples"
 SAMPLES_TOO_LARGE = ("record has samples too large: |x| must not exceed "
                      "sqrt(float max)/(2N)")
+SAMPLES_TOO_SMALL = ("record has samples too small: a record that is not all zero "
+                     "needs max|x| >= sqrt(float tiny) = 2**-511")
 
 # Largest max|x| of an N-sample record, times N (see ``check_finite``).
 _SAMPLE_LIMIT_TIMES_N = math.sqrt(np.finfo(float).max) / 2.0
+# Smallest max|x| of a record that is not all zero (see ``check_finite``).
+_SAMPLE_FLOOR = math.sqrt(np.finfo(float).tiny)
 
 
 def wrap_phase(phi: float) -> float:
@@ -140,12 +144,22 @@ def check_finite(record: TimeSeries) -> None:
     smaller still.  The factor 4 below float max covers the rounding of
     the transforms, whose relative error grows only like eps*log(N).
     A NaN sample makes max|x| NaN, so it fails ``isfinite`` as inf does.
+
+    The lower limit mirrors the upper one: a record with 0 < max|x| <
+    sqrt(float tiny) = 2**-511 raises ``SAMPLES_TOO_SMALL``, since the
+    squares of its samples, and the sums of them, fall into the subnormal
+    range, where they keep fewer significant bits and flush to zero (a
+    record scaled that far gets a moved phase, a false "zero variance"
+    or a vanishing amplitude square).  An all-zero record passes, for the
+    stages to reject as constant.
     """
     m = float(np.abs(record.samples).max())
     if not math.isfinite(m):
         raise ValueError(NON_FINITE_SAMPLES)
     if m > _SAMPLE_LIMIT_TIMES_N / len(record):
         raise ValueError(SAMPLES_TOO_LARGE)
+    if 0.0 < m < _SAMPLE_FLOOR:
+        raise ValueError(SAMPLES_TOO_SMALL)
 
 
 @dataclass(frozen=True)

@@ -150,6 +150,14 @@ class TestNormalizingConstant:
         params = sf.SinusoidParams(3.0, 1.0 / math.pi, 0.4)
         assert sf.normalizing_constant(params) == pytest.approx(2.0 / 9.0, rel=1e-12)
 
+    @pytest.mark.parametrize("amplitude", [1e-171, 1e-160, 1e-155])
+    def test_an_overflowing_constant_is_a_value_error(self, amplitude):
+        # A^2 underflows to 0 at 1e-171; 2/A^2 overflows to inf at 1e-160
+        params = sf.SinusoidParams(amplitude, 0.05, 0.6)
+        with pytest.raises(ValueError, match="overflows for amplitude"):
+            sf.normalizing_constant(params)
+        assert math.isfinite(sf.normalizing_constant(sf.SinusoidParams(1e-153, 0.05, 0.6)))
+
     def test_full_model_is_unit_at_lag_zero(self):
         rng = np.random.default_rng(8)
         for _ in range(20):

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -285,6 +286,21 @@ class TestNonFiniteInput:
         assert "RuntimeWarning" not in result.stderr
         assert not (tmp_path / "report.json").exists()
 
+    def test_estimate_exits_one_on_samples_too_small(self, tmp_path):
+        from sinefit import io
+        floor = 2.0 ** -511
+        x = floor * np.sin(0.3 * np.arange(100)) / np.abs(np.sin(0.3 * np.arange(100))).max()
+        i = int(np.abs(x).argmax())
+        for value, code in ((floor, 0), (math.nextafter(floor, 0.0), 1)):
+            x[i] = math.copysign(value, x[i])
+            io.write_timeseries_csv(str(tmp_path / "tiny.csv"), sf.TimeSeries(0.0, 1.0, x))
+            result = run_cli(["estimate", str(tmp_path / "tiny.csv"),
+                              "-o", str(tmp_path / f"report{code}.json")], tmp_path)
+            assert result.returncode == code, result.stderr
+            assert (tmp_path / f"report{code}.json").exists() == (code == 0)
+        assert result.stderr.startswith("Error: record has samples too small")
+        assert "Traceback" not in result.stderr and "Warning" not in result.stderr
+
     # N*dt overflows at 1.8e306 although the last sample time, 99*dt, does not
     @pytest.mark.parametrize("dt", [1.8e306, 1e-310])
     def test_estimate_exits_one_on_bin_frequencies_past_float_range(self, tmp_path, dt):
@@ -383,3 +399,16 @@ class TestExitOne:
         result = run_cli(["estimate", str(tmp_path / "flat.csv")], tmp_path)
         self.assert_exit_one(result, "MA-5 smoothing leaves a constant record")
         assert not (tmp_path / "report.json").exists()
+
+    def test_a_record_whose_amplitude_square_underflows(self, tmp_path):
+        # MA-5 leaves A = 1e-171, whose square is 0: this used to end in a
+        # ZeroDivisionError traceback from the full-model ACF's constant
+        from sinefit import io
+        x = np.tile([1.0, 2.0, -3.0, 0.0, 0.0], 20)
+        x[53] = 1e-170
+        io.write_timeseries_csv(str(tmp_path / "tiny_a.csv"), sf.TimeSeries(0.0, 1.0, x))
+        result = run_cli(["estimate", str(tmp_path / "tiny_a.csv")], tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["verdict"] == "signal" and report["params"]["amplitude"] == 1e-171

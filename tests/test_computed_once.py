@@ -1,10 +1,13 @@
 """Work that gives the same answer every time is done once: the phase
 grid's trig tables per process, the gate-1 quantile per false-alarm rate,
-the full-model ACF on first read, the median's selection per record, the
-record's |DFT| and the smoothed record's range per record; and arrays the
-pipeline has just made are frozen, not copied."""
+the full-model ACF and the cross-checks on first read, the median's
+selection per record, the record's |DFT| and the smoothed record's range
+per record; and arrays the pipeline has just made are frozen, not copied."""
 
+import importlib.util
+import itertools
 import math
+import os
 import warnings
 
 import numpy as np
@@ -90,20 +93,24 @@ class TestModelAcfOnFirstRead:
         assert report.params is None and report.model_acf is None
 
     def test_degenerate_fit_gives_none_and_the_warning(self, noisy_series, monkeypatch):
-        def degenerate(params):
+        def degenerate(w, phi):
             raise sf.DegenerateParametersError("normalization denominator vanishes")
 
-        monkeypatch.setattr(estimate, "normalizing_constant", degenerate)
-        report = sf.estimate_parameters(noisy_series(3))
+        cross_check_warnings = sf.estimate_parameters(noisy_series(0)).warnings
+        assert cross_check_warnings  # the acf_arccos read disagrees on seed 0
+        monkeypatch.setattr(estimate, "_coupling_and_denominator", degenerate)
+        report = sf.estimate_parameters(noisy_series(0))
         assert report.params is not None
         assert report.model_acf is None
-        assert "full-model ACF is degenerate for the fitted parameters" in report.warnings
+        # the warning comes after the cross-check warnings
+        assert report.warnings == cross_check_warnings + (
+            "full-model ACF is degenerate for the fitted parameters",)
 
     @pytest.mark.parametrize("frequency", [1e-9, 4e-8, 6.3e-8, 1e-7, 1e-3])
     @pytest.mark.parametrize("phase", [-math.pi, -math.pi + 1e-7, 0.0, 1e-6, 1.0])
     def test_normalizing_check_and_model_acf_agree_on_degeneracy(self, frequency, phase):
-        # the warning is decided by normalizing_constant, the values by
-        # model_acf_full: both must call the same parameters degenerate
+        # normalizing_constant and model_acf_full (whose values the pipeline
+        # reads) must call the same parameters degenerate
         params = sf.SinusoidParams(1.0, frequency, phase)
         try:
             sf.normalizing_constant(params)
@@ -322,6 +329,7 @@ class TestSharedRange:
 
         monkeypatch.setattr(estimate, "_zero_crossings", recording)
         report = sf.estimate_parameters(noisy_series(seed), sf.PipelineConfig(ma_k=ma_k))
+        report.warnings  # the first read runs the cross-checks
         [(series, span)] = spans
         s = series.samples
         assert series is report.smoothed.series
@@ -335,6 +343,93 @@ class TestSharedRange:
         own = estimate._zero_crossings(series)
         for a, b in zip(shared, own):
             assert a.tobytes() == b.tobytes()
+
+
+CROSS_CHECK_FIELDS = ("frequency_cross_checks_hz", "t_2pi", "phase_cross_checks", "warnings")
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The records the crossing scan runs on, one entry per scan."""
+    calls = []
+
+    def counting(series, *args, _real=estimate._zero_crossings):
+        calls.append(series)
+        return _real(series, *args)
+
+    monkeypatch.setattr(estimate, "_zero_crossings", counting)
+    return calls
+
+
+def same_outputs_inputs():
+    """``scripts/same_outputs.py``'s inputs and configs."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "same_outputs", os.path.join(root, "scripts", "same_outputs.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return list(module.inputs()), module.CONFIGS
+
+
+class TestCrossChecksOnFirstRead:
+    def test_no_scan_before_a_field_is_read(self, noisy_series, scans):
+        report = sf.estimate_parameters(noisy_series(3))
+        assert report.params is not None and report.objective_value is not None
+        assert report.model_acf is not None and report.acf is not None
+        assert scans == []
+
+    def test_repr_computes_nothing(self, noisy_series, scans):
+        report = sf.estimate_parameters(noisy_series(3))
+        text = repr(report)
+        assert scans == [] and report._kept is None
+        assert "warnings" not in text
+        report.warnings
+        assert repr(report) == text
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(CROSS_CHECK_FIELDS)))
+    def test_one_scan_for_every_read_in_any_order(self, noisy_series, scans, order):
+        report = sf.estimate_parameters(noisy_series(3))
+        first = {name: getattr(report, name) for name in order}
+        for name in order * 2:
+            assert getattr(report, name) is first[name]
+        assert len(scans) == 1 and scans[0] is report.smoothed.series
+
+    def test_noise_report_gives_the_defaults(self, pure_noise, scans):
+        report = sf.estimate_parameters(pure_noise(0, sigma=80.0), sf.PipelineConfig(far=0.001))
+        assert report.params is None
+        assert [getattr(report, name) for name in CROSS_CHECK_FIELDS] == [{}, None, {}, ()]
+        assert scans == []
+
+    def test_fields_are_read_only(self, noisy_series):
+        report = sf.estimate_parameters(noisy_series(3))
+        for name in CROSS_CHECK_FIELDS:
+            with pytest.raises(AttributeError):
+                setattr(report, name, None)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("ma_k", [1, 5])
+    def test_values_are_those_of_the_public_stages(self, noisy_series, seed, ma_k):
+        report = sf.estimate_parameters(noisy_series(seed), sf.PipelineConfig(ma_k=ma_k))
+        t_2pi = sf.detect_t2pi(report.smoothed)
+        assert report.t_2pi == t_2pi
+        _, crossover = sf.phase_from_crossover(1.0 / report.params.frequency_hz, t_2pi)
+        assert report.phase_cross_checks == {"crossover": sf.wrap_phase(crossover)}
+        r2 = sf.circular_acf(noisy_series(seed), 50).values[2]
+        assert report.frequency_cross_checks_hz["acf_arccos"] == sf.frequency_from_acf(r2, 2)
+
+    def test_reading_never_raises_on_the_same_outputs_inputs(self):
+        inputs, configs = same_outputs_inputs()
+        assert any("dt=max/100" in name for name, _ in inputs)
+        read = 0
+        for (name, record), config in itertools.product(inputs, configs.values()):
+            try:
+                report = sf.estimate_parameters(record, config)
+            except ValueError:
+                continue  # raised by the estimate itself, before any field exists
+            values = [getattr(report, field) for field in CROSS_CHECK_FIELDS]
+            assert isinstance(values[3], tuple), name
+            read += report.params is not None
+        assert read > 200
 
 
 def at_the_sample_limit(n):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import sinefit as sf
-from sinefit import estimate
+from sinefit import estimate, io
 from sinefit.estimate import _zero_crossings, COARSE_STEP, REFINE_STEP
 from conftest import AMPLITUDE, FREQUENCY, PHASE, PHASE_EXACT, SIGMA
 
@@ -428,8 +428,8 @@ class TestZeroCrossings:
 
         monkeypatch.setattr(estimate, "_zero_crossings", counting)
         report = sf.estimate_parameters(noisy_series(3))
+        assert report.t_2pi is not None  # the first read runs the cross-checks
         assert len(calls) == 1
-        assert report.t_2pi is not None
         assert "ma_period" in report.frequency_cross_checks_hz
 
 
@@ -610,6 +610,29 @@ class TestPipeline:
         with pytest.raises(ValueError, match="^MA-5 smoothing leaves a constant record"):
             sf.estimate_parameters(record, config)
         assert sf.estimate_parameters(record, sf.PipelineConfig(ma_k=1)).params is not None
+
+    @pytest.mark.parametrize("value", [1.5e-323, 5e-323, 1e-322])
+    def test_a_hysteresis_that_underflows_raises_from_the_estimate(self, value):
+        # MA-5 leaves a subnormal range whose hysteresis 0.1*span rounds to
+        # 0: the crossing scan's error comes from estimate_parameters
+        # itself, although the scan runs only when a cross-check is read
+        x = np.tile([1.0, 2.0, -3.0, 0.0, 0.0], 20)
+        x[53] = value
+        with pytest.raises(ValueError, match="^constant record has no zero crossings$"):
+            sf.estimate_parameters(sf.TimeSeries(0.0, 1.0, x))
+
+    def test_an_amplitude_whose_square_underflows_is_estimated(self):
+        # MA-5 leaves only sample 53's 1e-170, so A = 1e-171 and A^2 = 0: the
+        # degeneracy test reads the full-model ACF's denominator, never 2/A^2
+        x = np.tile([1.0, 2.0, -3.0, 0.0, 0.0], 20)
+        x[53] = 1e-170
+        record = sf.TimeSeries(0.0, 1.0, x)
+        assert sf.screen(record, 0.01).verdict == "signal"
+        report = sf.estimate_parameters(record)
+        assert report.params.amplitude ** 2 == 0.0 < report.params.amplitude
+        assert report.model_acf is not None
+        payload = io.report_to_dict(report)
+        assert payload["verdict"] == "signal" and payload["params"]["amplitude"] == 1e-171
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("skip_screen", [False, True])

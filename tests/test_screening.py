@@ -5,7 +5,8 @@ import pytest
 from scipy.stats import norm
 
 import sinefit as sf
-from sinefit.model import NON_FINITE_SAMPLES, SAMPLES_TOO_LARGE, check_finite
+from sinefit.model import (NON_FINITE_SAMPLES, SAMPLES_TOO_LARGE, SAMPLES_TOO_SMALL,
+                           check_finite)
 from sinefit.screening import _gate2_passes, required_exceedances
 
 
@@ -186,3 +187,69 @@ class TestCheckFinite:
         with pytest.raises(ValueError) as caught:
             check_finite(series(x))
         assert str(caught.value) == NON_FINITE_SAMPLES
+
+
+FLOOR = math.sqrt(np.finfo(float).tiny)  # 2**-511
+DEMO = sf.SinusoidParams(2.0, 0.05, 0.6109)
+
+
+def at_the_floor(x):
+    """``x`` scaled so that its max|x| is exactly the lower limit."""
+    y = x * (FLOOR / np.abs(x).max())
+    i = int(np.abs(y).argmax())
+    y[i] = math.copysign(FLOOR, y[i])
+    return y, i
+
+
+def outcome(record):
+    report = sf.estimate_parameters(record)
+    return report.verdict, report.params.frequency_hz, report.params.phase_rad
+
+
+class TestSampleFloor:
+    """The lower limit mirrors the upper one: 0 < max|x| < sqrt(float tiny)
+    is rejected, at the limit a record estimates as it does at scale 1."""
+
+    def test_floor_is_two_to_the_minus_511(self):
+        assert FLOOR == 2.0 ** -511
+        assert "2**-511" in SAMPLES_TOO_SMALL
+
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_at_the_floor_accepted_one_ulp_below_rejected(self, n):
+        tone = sf.synthesize(DEMO, sf.NoiseSpec(0.5, 0), n)
+        y, i = at_the_floor(tone.samples)
+        check_finite(series(y))
+        assert outcome(series(y)) == outcome(tone)
+        # the largest power-of-two scale that reaches the floor, too
+        k = math.floor(math.log2(np.abs(tone.samples).max() / FLOOR))
+        scaled = tone.samples * 2.0 ** -k
+        assert np.abs(scaled).max() >= FLOOR > np.abs(scaled).max() / 2
+        assert outcome(series(scaled)) == outcome(tone)
+        y[i] = math.copysign(math.nextafter(FLOOR, 0.0), y[i])
+        for consumer in (check_finite, lambda r: sf.screen(r, 0.01), sf.circular_acf,
+                         sf.dft_magnitude, sf.estimate_parameters):
+            with pytest.raises(ValueError) as caught:
+                consumer(series(y))
+            assert str(caught.value) == SAMPLES_TOO_SMALL
+
+    @pytest.mark.parametrize("n", [100, 1000])
+    @pytest.mark.parametrize("k", [531, 534, 538, 540, 543])
+    def test_a_tone_scaled_far_down_is_rejected_not_moved(self, n, k):
+        # these scales used to return a phase 0.001-0.26 rad off the scale-1
+        # one (k <= 538), a ZeroDivisionError (540) or "zero variance" (543)
+        tone = sf.synthesize(DEMO, sf.NoiseSpec(0.5, 0), n)
+        with pytest.raises(ValueError, match="samples too small"):
+            sf.estimate_parameters(series(tone.samples * 2.0 ** -k))
+
+    def test_a_single_subnormal_sample_is_too_small(self):
+        x = np.zeros(100)
+        x[40] = 5e-324
+        with pytest.raises(ValueError) as caught:
+            check_finite(series(x))
+        assert str(caught.value) == SAMPLES_TOO_SMALL
+
+    def test_an_all_zero_record_keeps_its_error(self):
+        x = np.zeros(100)
+        check_finite(series(x))  # accepted: the stages reject it as constant
+        with pytest.raises(ValueError, match="all samples on one side of the median"):
+            sf.estimate_parameters(series(x))

@@ -68,15 +68,18 @@ def test_same_outputs_prints_one_line_per_case():
 def test_ab_timing_prints_one_ratio_per_setting():
     src = os.path.join(ROOT, "src")
     lines = run_script("ab_timing.py", src, src, "--pairs", "2", "--batch-ms", "1").splitlines()
-    assert len(lines) == 6, lines
+    assert len(lines) == 7, lines
     assert [line.split(":")[0] for line in lines] == [
         "n=100 one_period", "n=1000 one_period", "n=10000 full_record", "n=1000 white_noise",
-        "n=100 synthesize", "n=10000 synthesize"]
-    pattern = re.compile(r"n=\d+ (one_period|full_record|white_noise|synthesize): "
+        "n=100 read_all", "n=100 synthesize", "n=10000 synthesize"]
+    pattern = re.compile(r"n=\d+ (one_period|full_record|white_noise|read_all|synthesize): "
                          r"change/parent ([0-9.]+) "
-                         r"\(quartiles ([0-9.]+)-([0-9.]+), 2 pairs, parent [0-9.]+ ms/record\)")
+                         r"\(quartiles ([0-9.]+)-([0-9.]+), 2 pairs, parent [0-9.]+ ms/record, "
+                         r"parent/parent quartiles ([0-9.]+)-([0-9.]+)\)")
     for line in lines:
         match = pattern.fullmatch(line)
         assert match, line
         q1, median, q3 = (float(match.group(i)) for i in (3, 2, 4))
         assert 0 < q1 <= median <= q3
+        # two pairs give one parent batch-to-batch ratio
+        assert 0 < float(match.group(5)) == float(match.group(6))
