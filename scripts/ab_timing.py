@@ -22,10 +22,11 @@ objective, N = 10^4 under ``full_record``; the records are the demo tone
 A fourth setting times unit white noise at N = 1000 (seeds 0..R-1), which
 the default screen almost always rejects at gate 1: the reject path.
 A fifth, ``read_all``, estimates the N = 100 tones and then reads the
-report's four cross-check fields, as a caller that writes the whole
-report does.  The last two time ``synthesize`` of the demo tone at
-sigma = 0.5 and N = 100 and N = 10^4 (seeds 0..R-1), the cost of
-building a seeded Monte Carlo pool.
+report's four cross-check fields, ``model_acf``, ``objective_value``
+and ``delta_t``, as a caller that writes the whole report does.  The
+last two time ``synthesize`` of the demo tone at sigma = 0.5 and
+N = 100 and N = 10^4 (seeds 0..R-1), the cost of building a seeded
+Monte Carlo pool.
 """
 
 import argparse
@@ -45,7 +46,8 @@ SETTINGS = (("n=100 one_period", 100, "one_period", 40, "tone"),
             ("n=10000 synthesize", 10_000, None, 4, "synthesize"))
 DEMO = (2.0, 0.05, 0.6109)
 SIGMA = 0.5
-CROSS_CHECK_FIELDS = ("frequency_cross_checks_hz", "t_2pi", "phase_cross_checks", "warnings")
+READ_ALL_FIELDS = ("frequency_cross_checks_hz", "t_2pi", "phase_cross_checks", "warnings",
+                   "model_acf", "objective_value", "delta_t")
 
 
 def load(src, name):
@@ -60,10 +62,11 @@ def load(src, name):
 
 
 def read_all(estimate):
-    """``estimate`` followed by a read of each cross-check field of its report."""
+    """``estimate`` followed by a read of each field a report writer reads
+    beyond ``params``."""
     def estimate_and_read(record, config):
         report = estimate(record, config)
-        for name in CROSS_CHECK_FIELDS:
+        for name in READ_ALL_FIELDS:
             getattr(report, name)
     return estimate_and_read
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SinusoidParams, TimeSeries, TWO_PI, _adopt, check_finite
+from .model import SinusoidParams, TimeSeries, TWO_PI, _adopt, _on_first_read, check_finite
 
 
 class DegenerateParametersError(ValueError):
@@ -82,56 +82,52 @@ class IntegralParams:
             raise ValueError("upper limit v must be >= lower limit u")
 
 
+@dataclass(frozen=True, eq=False)
 class _Record:
-    """One record's working set: the record, put through ``check_finite``
-    once on construction, and what the pipeline reads of its one forward
-    and one inverse transform.
+    """One record's working set: the record, its one stored field, put
+    through ``check_finite`` once on construction, and what the pipeline
+    reads of its one forward and one inverse transform.
 
     ``dft`` is the one-sided DFT X = ``np.fft.rfft(x)`` (bins 0..floor(N/2)),
     ``magnitudes`` its modulus |X| and ``acf`` the full-lag circular ACF,
-    the inverse transform of |X|^2.  Each is computed on first read and
-    kept read-only, so a record nothing asks to transform (a gate-1
-    reject) costs no transform.  With every |x| <= sqrt(float max)/(2N)
-    no bin, no |X|^2 and no sum of the inverse transform can overflow, so
-    neither transform needs a floating-point error guard.
+    the inverse transform of |X|^2.  Each is computed on first read
+    (``model._on_first_read``) and kept read-only, so a record nothing
+    asks to transform (a gate-1 reject) costs no transform.  With every
+    |x| <= sqrt(float max)/(2N) no bin, no |X|^2 and no sum of the
+    inverse transform can overflow, so neither transform needs a
+    floating-point error guard.
     """
 
-    __slots__ = ("record", "_dft", "_magnitudes", "_acf")
+    record: TimeSeries
 
-    def __init__(self, record: TimeSeries):
-        check_finite(record)
-        self.record = record
-        self._dft = self._magnitudes = self._acf = None
+    def __post_init__(self):
+        check_finite(self.record)
 
-    @property
+    @_on_first_read
     def dft(self) -> np.ndarray:
-        if self._dft is None:
-            self._dft = np.fft.rfft(self.record.samples)
-            self._dft.setflags(write=False)
-        return self._dft
+        dft = np.fft.rfft(self.record.samples)
+        dft.setflags(write=False)
+        return dft
 
-    @property
+    @_on_first_read
     def magnitudes(self) -> np.ndarray:
-        if self._magnitudes is None:
-            self._magnitudes = np.abs(self.dft)
-            self._magnitudes.setflags(write=False)
-        return self._magnitudes
+        magnitudes = np.abs(self.dft)
+        magnitudes.setflags(write=False)
+        return magnitudes
 
-    @property
+    @_on_first_read
     def acf(self) -> AcfSeries:
         # |X| squares to |X|^2 bit for bit and magnitudes[0] is |sum(x)|;
         # the inverse transform's output is divided in place, not copied
-        if self._acf is None:
-            magnitudes = self.magnitudes
-            power = magnitudes ** 2
-            power[0] = 0.0
-            sums = np.fft.irfft(power, len(self.record))
-            lag0 = float(sums[0])
-            if not lag0 > 0.0 or math.sqrt(lag0) <= _ROUNDING_FLOOR * magnitudes[0]:
-                raise ValueError("constant record has zero variance")
-            sums /= lag0
-            self._acf = _adopt(AcfSeries, kind=DISCRETE_CIRCULAR, values=sums)
-        return self._acf
+        magnitudes = self.magnitudes
+        power = magnitudes ** 2
+        power[0] = 0.0
+        sums = np.fft.irfft(power, len(self.record))
+        lag0 = float(sums[0])
+        if not lag0 > 0.0 or math.sqrt(lag0) <= _ROUNDING_FLOOR * magnitudes[0]:
+            raise ValueError("constant record has zero variance")
+        sums /= lag0
+        return _adopt(AcfSeries, kind=DISCRETE_CIRCULAR, values=sums)
 
 
 def circular_acf(record: TimeSeries, max_lag: int | None = None) -> AcfSeries:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .acf import (AcfSeries, DegenerateParametersError, _Record, _coupling_and_denominator,
                   frequency_from_acf, model_acf_full)
-from .model import SinusoidParams, TimeSeries, TWO_PI, _adopt, wrap_phase
+from .model import SinusoidParams, TimeSeries, TWO_PI, _adopt, _on_first_read, wrap_phase
 from .screening import ScreeningDecision, VERDICT_NOISE, _screen
 from .smoothing import SmoothedSeries, moving_average
 from .spectrum import Spectrum, _peak_bin
@@ -315,17 +315,16 @@ def phase_arcsin_at_time(amplitude: float, omega: float, t: float,
     return wrap_phase(math.asin(y / amplitude) - omega * t)
 
 
-def _zero_crossings(series: TimeSeries,
-                    span: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _zero_crossings(series: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
     """Hysteresis-confirmed zero crossings as (times, directions) arrays.
 
     Raw sign changes are linearly interpolated; a crossing only counts
     once the series has reached beyond +-h on both sides (h is a fixed
-    fraction of half the range max - min, which a caller that already has
-    it passes as ``span``), and each confirmed transition takes the
-    median raw crossing of its cluster.  ``times`` is ascending; the
-    matching ``directions`` entry is +1 upward, -1 downward, and the
-    directions strictly alternate (each is a change of confirmed side).
+    fraction of half the range max - min; h == 0 raises), and each
+    confirmed transition takes the median raw crossing of its cluster.
+    ``times`` is ascending; the matching ``directions`` entry is +1 upward,
+    -1 downward, and the directions strictly alternate (each is a change
+    of confirmed side).
 
     Raw sign changes are the rises of the boolean arrays s > 0 and s < 0
     (a <= 0 < b is ~p[i] & p[i+1] for p = s > 0).  The confirmed sides
@@ -334,7 +333,9 @@ def _zero_crossings(series: TimeSeries,
     """
     s = series.samples
     start, dt = float(series.start_time), float(series.dt)
-    h = _hysteresis(s.max() - s.min() if span is None else span)
+    h = _HYSTERESIS_FRACTION * (s.max() - s.min()) / 2.0
+    if h == 0:
+        raise ValueError("constant record has no zero crossings")
     p, q = s > 0.0, s < 0.0
     i = ((p[1:] > p[:-1]) | (q[1:] > q[:-1])).nonzero()[0]
     a, b = s[i], s[i + 1]
@@ -347,14 +348,6 @@ def _zero_crossings(series: TimeSeries,
     lo = raw.searchsorted(start + dt * ia, side="left")
     hi = raw.searchsorted(start + dt * ib, side="right")
     return raw[(lo + hi) // 2], np.where(side[flips + 1], 1, -1)
-
-
-def _hysteresis(span: float) -> float:
-    """The crossing scan's threshold h for a range ``span``; h == 0 raises."""
-    h = _HYSTERESIS_FRACTION * span / 2.0
-    if h == 0:
-        raise ValueError("constant record has no zero crossings")
-    return h
 
 
 def _second_crossover(times: np.ndarray, directions: np.ndarray,
@@ -435,18 +428,18 @@ class _CrossChecks(NamedTuple):
     warnings: tuple[str, ...]
 
 
-def _cross_checks(acf: np.ndarray, smoothed: SmoothedSeries, span: float,
-                  frequency: float) -> _CrossChecks:
+def _cross_checks(acf: np.ndarray, smoothed: SmoothedSeries, frequency: float) -> _CrossChecks:
     """The stage of the reads that decide nothing: the ACF reads (``acf``
-    holds lags 0..max_lag), the crossing spacing of ``smoothed`` (range
-    ``span``, checked non-constant) and the crossover phase.  Raises nothing."""
+    holds lags 0..max_lag), the crossing spacing of ``smoothed`` (whose
+    hysteresis ``estimate_parameters`` checked non-zero) and the crossover
+    phase.  Raises nothing."""
     n, dt = smoothed.source_len, smoothed.series.dt
     probe = 2 if acf.size > 2 else 1
     reads = {"acf_arccos": frequency_from_acf(acf[probe], probe) / dt}
     period_lag = _acf_period_lag(acf, n)
     if period_lag is not None:
         reads["acf_period"] = 1.0 / (period_lag * dt)
-    crossings = _zero_crossings(smoothed.series, span)
+    crossings = _zero_crossings(smoothed.series)
     ma_period = _period_from_crossings(*crossings)
     if ma_period is not None and ma_period > 0:
         reads["ma_period"] = 1.0 / ma_period
@@ -494,43 +487,34 @@ class PipelineConfig:
 
 @dataclass(frozen=True, eq=False)
 class EstimationReport:
-    """Recovered parameters plus every intermediate worth keeping.
+    """What ``estimate_parameters`` decided, and what follows from it.
 
-    Reports come from ``estimate_parameters``.  When screening rejects the
-    record, ``params`` (and the other estimation fields) are None and only
-    the screening decision is populated.  ``acf``, the record's full-lag
-    circular ACF, is read from ``work``, the record's working set
-    (``acf._Record``): the screen's or the estimator's, or, after a
-    gate-1 reject, computed on first read.  A report therefore keeps its
-    record, the record's one-sided DFT (16*(N/2 + 1) bytes), |X| and the
-    ACF alive for as long as it is kept.
-
-    ``model_acf``, the full-model ACF of the fitted sinusoid at lags
-    0..max_lag, is computed on first read from ``model_params`` (the fit
-    with frequency in cycles per sample) and ``max_lag``, then kept.  It
-    is None when nothing was estimated or when the fit is degenerate;
-    ``estimate_parameters`` tells the second case from the O(1)
-    denominator check, whose warning follows the cross-check warnings.
-
-    So are ``frequency_cross_checks_hz``, ``t_2pi``, ``phase_cross_checks``
-    and ``warnings``: the first read of any runs the cross-check stage over
-    the kept ACF, ``smoothed`` and ``smoothed_span``, so reading only
-    ``params`` never runs it.  A noise report gives {}, None, {} and ().
+    Eight fields are stored: ``params``, ``screening``, ``work`` (the
+    record's working set, ``acf._Record``), ``objective_value``,
+    ``smoothing_k``, ``smoothed``, ``spectrum`` and ``max_lag``.  When
+    screening rejects the record only ``screening`` is set.  The rest is
+    derived: ``frequency_source`` ("fft" when ``params`` is set),
+    ``delta_t`` (``params.time_delay()``) and ``acf`` (``work``'s) are
+    properties; computed on first read through ``model._on_first_read``
+    are ``model_params``, the fit with frequency in cycles per sample
+    (None when nothing was estimated or when the O(1) test of the
+    full-model ACF's denominator calls it degenerate), ``model_acf``, that
+    ACF at lags 0..max_lag (None with ``model_params``), and the
+    cross-checks ``frequency_cross_checks_hz``, ``t_2pi``,
+    ``phase_cross_checks`` and ``warnings`` (a noise report's are {}, None,
+    {} and ()).  Reading only ``params`` computes none of them, and
+    ``repr`` shows only the stored fields.  A report keeps its record, the
+    record's one-sided DFT (16*(N/2 + 1) bytes), |X| and the ACF alive.
     """
 
     params: SinusoidParams | None
     screening: ScreeningDecision | None
-    frequency_source: str | None
     work: _Record = field(repr=False)
-    delta_t: float | None = None
     objective_value: float | None = None
     smoothing_k: int = 1
     smoothed: SmoothedSeries | None = None
-    smoothed_span: float | None = field(default=None, repr=False)
     spectrum: Spectrum | None = None
-    model_params: SinusoidParams | None = field(default=None, repr=False)
     max_lag: int | None = None
-    _kept: _CrossChecks | None = field(default=None, init=False, repr=False)
 
     @property
     def verdict(self) -> str:
@@ -538,34 +522,44 @@ class EstimationReport:
             return self.screening.verdict
         return "signal" if self.params is not None else "noise"
 
-    @property
-    def acf(self) -> AcfSeries:
-        return self.work.acf
+    frequency_source = property(lambda self: "fft" if self.params is not None else None)
+    delta_t = property(lambda self: self.params.time_delay() if self.params is not None else None)
+    acf = property(lambda self: self.work.acf)
 
-    @property
+    @_on_first_read
+    def model_params(self) -> SinusoidParams | None:
+        p = self.params
+        if p is None:
+            return None
+        per_sample = SinusoidParams(p.amplitude, p.frequency_hz * self.work.record.dt,
+                                    p.phase_rad)
+        try:  # the O(1) degeneracy test reads only the full-model ACF's denominator
+            _coupling_and_denominator(per_sample.omega(), per_sample.phase_rad)
+        except DegenerateParametersError:
+            return None
+        return per_sample
+
+    @_on_first_read
+    def model_acf(self) -> AcfSeries | None:
+        if self.model_params is None:
+            return None
+        return model_acf_full(self.model_params, self.max_lag)
+
+    @_on_first_read
     def _cross(self) -> _CrossChecks:
-        # set on first read, as acf._Record does (no cached_property lock)
-        if self._kept is None:
-            checks = _CrossChecks({}, None, {}, ())
-            if self.params is not None:
-                checks = _cross_checks(self.work.acf.values[:self.max_lag + 1], self.smoothed,
-                                       self.smoothed_span, self.params.frequency_hz)
-                if self.model_params is None:
-                    checks = checks._replace(warnings=checks.warnings + (
-                        "full-model ACF is degenerate for the fitted parameters",))
-            object.__setattr__(self, "_kept", checks)
-        return self._kept
+        if self.params is None:
+            return _CrossChecks({}, None, {}, ())
+        checks = _cross_checks(self.acf.values[:self.max_lag + 1], self.smoothed,
+                               self.params.frequency_hz)
+        if self.model_params is None:
+            checks = checks._replace(warnings=checks.warnings + (
+                "full-model ACF is degenerate for the fitted parameters",))
+        return checks
 
     frequency_cross_checks_hz = property(lambda self: self._cross.frequency_cross_checks_hz)
     t_2pi = property(lambda self: self._cross.t_2pi)
     phase_cross_checks = property(lambda self: self._cross.phase_cross_checks)
     warnings = property(lambda self: self._cross.warnings)
-
-    @functools.cached_property
-    def model_acf(self) -> AcfSeries | None:
-        if self.model_params is None or self.max_lag is None:
-            return None
-        return model_acf_full(self.model_params, self.max_lag)
 
 
 def estimate_parameters(record: TimeSeries,
@@ -577,13 +571,15 @@ def estimate_parameters(record: TimeSeries,
     read, the ACF one-period mark and the smoothed-record crossover
     spacing as cross-checks only (disagreement beyond 20 percent is a
     warning); phase by grid search with the crossover formula recorded
-    as a cross-check.  The report runs the cross-checks, and computes the
-    full-model ACF of the fit, when first read.  ``max_lag`` is checked
-    against the record length before anything else, so a bad value fails
-    on every record, not only on those past the screen.  The record's
-    working set runs ``check_finite`` once, and the screen, the spectrum
-    and the ACF reads share its one transform pair (none after a gate-1
-    reject).  Past the screen, a record whose sample spacing puts the bin
+    as a cross-check.  It computes only what decides the answer or can
+    raise (the crossing scan's range check too) into the report's stored
+    fields; the report derives the rest on first read
+    (``model._on_first_read``).  ``max_lag`` is checked against the
+    record length before anything else, so a bad value fails on every
+    record, not only on those past the screen.  The record's working set
+    runs ``check_finite`` once, and the screen, the spectrum and the ACF
+    reads share its one transform pair (none after a gate-1 reject).
+    Past the screen, a record whose sample spacing puts the bin
     frequencies m/(N*dt) or their angular frequencies outside the finite
     positive floats raises ``ValueError``.
     """
@@ -600,8 +596,8 @@ def estimate_parameters(record: TimeSeries,
     else:
         decision = _screen(work, config.far)
         if decision.verdict == VERDICT_NOISE:
-            return EstimationReport(params=None, screening=decision, frequency_source=None,
-                                    smoothing_k=config.ma_k, work=work)
+            return EstimationReport(params=None, screening=decision, smoothing_k=config.ma_k,
+                                    work=work)
 
     n = len(record)
     dt = record.dt
@@ -612,7 +608,7 @@ def estimate_parameters(record: TimeSeries,
                          "m/(N*dt) outside the finite positive floats; rescale the times")
     max_lag = config.max_lag if config.max_lag is not None else n // 2
     smoothed = moving_average(record, config.ma_k)
-    # amplitude_estimate(smoothed), from the range the crossing scan reuses
+    # amplitude_estimate(smoothed)
     smoothed_samples = smoothed.series.samples
     span = np.maximum.reduce(smoothed_samples) - np.minimum.reduce(smoothed_samples)
     if not span > 0:
@@ -624,7 +620,9 @@ def estimate_parameters(record: TimeSeries,
     spec = _adopt(Spectrum, df=df, magnitudes=work.magnitudes)
     peak = _peak_bin(spec)
     frequency = peak * df  # what fundamental_frequency(spec) returns
-    _hysteresis(span)  # the crossing scan's constant-record check, raised here
+    if _HYSTERESIS_FRACTION * span / 2.0 == 0:  # the crossing scan's h: it cannot raise
+        raise ValueError(f"MA-{config.ma_k} smoothing leaves a record whose range "
+                         f"{float(span):.3g} is too small: its crossing threshold rounds to zero")
 
     objective = PhaseObjective(record, amplitude, frequency, config.objective_range)
     linear = None
@@ -632,24 +630,13 @@ def estimate_parameters(record: TimeSeries,
         linear = _peak_bin_sums(work.dft[peak], TWO_PI * frequency, record.start_time)
     phi, objective_value = _grid_search(objective, *_objective_points(objective), linear)
 
-    params = SinusoidParams(amplitude, frequency, phi)
-    model_params = SinusoidParams(amplitude, frequency * dt, params.phase_rad)
-    try:  # the O(1) degeneracy test reads only the full-model ACF's denominator
-        _coupling_and_denominator(model_params.omega(), model_params.phase_rad)
-    except DegenerateParametersError:
-        model_params = None
-
     return EstimationReport(
-        params=params,
+        params=SinusoidParams(amplitude, frequency, phi),
         screening=decision,
-        frequency_source="fft",
-        delta_t=params.time_delay(),
         objective_value=objective_value,
         smoothing_k=config.ma_k,
         smoothed=smoothed,
-        smoothed_span=span,
         spectrum=spec,
         work=work,
-        model_params=model_params,
         max_lag=max_lag,
     )

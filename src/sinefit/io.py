@@ -146,20 +146,17 @@ def report_to_dict(report: EstimationReport) -> dict:
         "series": None,
     }
     if report.params is not None:
-        series: dict = {}
-        if report.smoothed is not None:
-            series["smoothed"] = {
-                "start_time_s": report.smoothed.series.start_time,
-                "dt_s": report.smoothed.series.dt,
-                "values": report.smoothed.series.samples.tolist(),
-            }
+        series: dict = {"smoothed": {
+            "start_time_s": report.smoothed.series.start_time,
+            "dt_s": report.smoothed.series.dt,
+            "values": report.smoothed.series.samples.tolist(),
+        }}
         if report.model_acf is not None:
             series["model_acf_full"] = report.model_acf.values.tolist()
-        if report.spectrum is not None:
-            series["spectrum"] = {
-                "df_hz": report.spectrum.df,
-                "magnitudes": report.spectrum.magnitudes.tolist(),
-            }
+        series["spectrum"] = {
+            "df_hz": report.spectrum.df,
+            "magnitudes": report.spectrum.magnitudes.tolist(),
+        }
         payload["series"] = series
     return payload
 
@@ -189,7 +186,7 @@ def write_plot_data(directory: str, record: TimeSeries, report: EstimationReport
     write_acf_csv(path, report.acf, bound)
     written.append(path)
 
-    if report.params is not None and report.model_acf is not None:
+    if report.model_acf is not None:
         reduced = model_acf_reduced(report.model_params, report.model_acf.max_lag)
         path = os.path.join(directory, "model_acf.csv")
         write_csv(path, ("lag", "full_model", "reduced_model"),

@@ -121,6 +121,25 @@ def _adopt(cls, **fields):
     return instance
 
 
+class _on_first_read:
+    """A method whose value is computed on first read and then kept.
+
+    The first read stores the value in the instance's ``__dict__``, past a
+    frozen dataclass's ``__setattr__``; this non-data descriptor is then
+    shadowed, so a later read is a plain attribute hit, with no call and
+    no lock.  Two threads reading at once may both compute; the first
+    value stored is the one kept and returned to both.
+    """
+
+    def __init__(self, compute):
+        self.compute, self.name = compute, compute.__name__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        return instance.__dict__.setdefault(self.name, self.compute(instance))
+
+
 def _check_time_grid(start_time: float, dt: float) -> None:
     if not dt > 0:
         raise ValueError("dt must be positive")

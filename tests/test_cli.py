@@ -400,6 +400,16 @@ class TestExitOne:
         self.assert_exit_one(result, "MA-5 smoothing leaves a constant record")
         assert not (tmp_path / "report.json").exists()
 
+    def test_a_record_whose_smoothed_range_is_too_small_to_cross(self, tmp_path):
+        from sinefit import io
+        x = np.tile([1.0, 2.0, -3.0, 0.0, 0.0], 20)
+        x[53] = 5e-323
+        io.write_timeseries_csv(str(tmp_path / "subnormal.csv"), sf.TimeSeries(0.0, 1.0, x))
+        result = run_cli(["estimate", str(tmp_path / "subnormal.csv")], tmp_path)
+        self.assert_exit_one(result, "MA-5 smoothing leaves a record whose range")
+        assert "constant" not in result.stderr
+        assert not (tmp_path / "report.json").exists()
+
     def test_a_record_whose_amplitude_square_underflows(self, tmp_path):
         # MA-5 leaves A = 1e-171, whose square is 0: this used to end in a
         # ZeroDivisionError traceback from the full-model ACF's constant

@@ -1,9 +1,11 @@
 """Work that gives the same answer every time is done once: the phase
 grid's trig tables per process, the gate-1 quantile per false-alarm rate,
-the full-model ACF and the cross-checks on first read, the median's
-selection per record, the record's |DFT| and the smoothed record's range
-per record; and arrays the pipeline has just made are frozen, not copied."""
+the per-sample fit, its degeneracy test, the full-model ACF and the
+cross-checks on first read, the median's selection and the record's
+|DFT| per record; and arrays the pipeline has just made are frozen, not
+copied.  A report stores only what decided the answer."""
 
+import dataclasses
 import importlib.util
 import itertools
 import math
@@ -91,6 +93,24 @@ class TestModelAcfOnFirstRead:
     def test_noise_report_has_none(self, pure_noise):
         report = sf.estimate_parameters(pure_noise(0, sigma=80.0), sf.PipelineConfig(far=0.001))
         assert report.params is None and report.model_acf is None
+        assert report.model_params is None and report.delta_t is None
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(
+        ("warnings", "model_params", "model_acf"))))
+    def test_the_degeneracy_test_runs_once_on_first_read(self, noisy_series, monkeypatch,
+                                                         order):
+        calls = []
+
+        def counting(*args, _real=estimate._coupling_and_denominator):
+            calls.append(args)
+            return _real(*args)
+
+        monkeypatch.setattr(estimate, "_coupling_and_denominator", counting)
+        report = sf.estimate_parameters(noisy_series(3))
+        assert calls == []
+        for name in order * 2:
+            getattr(report, name)
+        assert len(calls) == 1
 
     def test_degenerate_fit_gives_none_and_the_warning(self, noisy_series, monkeypatch):
         def degenerate(w, phi):
@@ -317,32 +337,47 @@ class TestFrozenNotCopied:
                 assert kept[0] == 1.0
 
 
-class TestSharedRange:
+STORED_FIELDS = ["params", "screening", "work", "objective_value", "smoothing_k",
+                 "smoothed", "spectrum", "max_lag"]
+FIRST_READ = {"report": ("model_params", "model_acf", "_cross"),
+              "work": ("dft", "magnitudes", "acf")}
+
+
+class TestReportStoresWhatDecided:
+    def test_the_stored_fields(self):
+        assert [f.name for f in dataclasses.fields(sf.EstimationReport)] == STORED_FIELDS
+        assert [f.name for f in dataclasses.fields(_Record)] == ["record"]
+
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("ma_k", [1, 5])
-    def test_hysteresis_is_the_former_expression(self, noisy_series, monkeypatch, seed, ma_k):
-        spans = []
+    def test_derived_fields_read_what_the_fit_gives(self, noisy_series, seed, ma_k):
+        record = noisy_series(seed)
+        report = sf.estimate_parameters(record, sf.PipelineConfig(ma_k=ma_k))
+        p = report.params
+        assert report.frequency_source == "fft"
+        assert report.delta_t == p.time_delay()
+        assert report.model_params == sf.SinusoidParams(p.amplitude,
+                                                        p.frequency_hz * record.dt, p.phase_rad)
+        assert p.amplitude == sf.amplitude_estimate(report.smoothed)
+        # the crossing scan takes the range itself: the amplitude's, bit for bit
+        s = report.smoothed.series.samples
+        assert s.max() - s.min() == 2.0 * p.amplitude
 
-        def recording(series, span=None, _real=estimate._zero_crossings):
-            spans.append((series, span))
-            return _real(series, span)
-
-        monkeypatch.setattr(estimate, "_zero_crossings", recording)
-        report = sf.estimate_parameters(noisy_series(seed), sf.PipelineConfig(ma_k=ma_k))
-        report.warnings  # the first read runs the cross-checks
-        [(series, span)] = spans
-        s = series.samples
-        assert series is report.smoothed.series
-        assert estimate._HYSTERESIS_FRACTION * span / 2.0 == 0.2 * (s.max() - s.min()) / 2.0
-        assert report.params.amplitude == sf.amplitude_estimate(report.smoothed)
-
-    def test_crossings_with_and_without_the_range_agree(self, noisy_series):
-        series = sf.moving_average(noisy_series(7), 5).series
-        s = series.samples
-        shared = estimate._zero_crossings(series, s.max() - s.min())
-        own = estimate._zero_crossings(series)
-        for a, b in zip(shared, own):
-            assert a.tobytes() == b.tobytes()
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_first_read_attributes_cannot_be_assigned(self, noisy_series, read_first):
+        report = sf.estimate_parameters(noisy_series(3))
+        for owner, names in FIRST_READ.items():
+            instance = report if owner == "report" else report.work
+            for name in names:
+                if read_first:
+                    kept = getattr(instance, name)
+                with pytest.raises(AttributeError):
+                    setattr(instance, name, None)
+                if read_first:
+                    assert getattr(instance, name) is kept
+        for name in ("frequency_source", "delta_t"):
+            with pytest.raises(AttributeError):
+                setattr(report, name, None)
 
 
 CROSS_CHECK_FIELDS = ("frequency_cross_checks_hz", "t_2pi", "phase_cross_checks", "warnings")
@@ -381,7 +416,7 @@ class TestCrossChecksOnFirstRead:
     def test_repr_computes_nothing(self, noisy_series, scans):
         report = sf.estimate_parameters(noisy_series(3))
         text = repr(report)
-        assert scans == [] and report._kept is None
+        assert scans == [] and list(vars(report)) == STORED_FIELDS
         assert "warnings" not in text
         report.warnings
         assert repr(report) == text

@@ -614,12 +614,16 @@ class TestPipeline:
     @pytest.mark.parametrize("value", [1.5e-323, 5e-323, 1e-322])
     def test_a_hysteresis_that_underflows_raises_from_the_estimate(self, value):
         # MA-5 leaves a subnormal range whose hysteresis 0.1*span rounds to
-        # 0: the crossing scan's error comes from estimate_parameters
-        # itself, although the scan runs only when a cross-check is read
+        # 0: estimate_parameters itself names MA-k and the range, although
+        # the crossing scan runs only when a cross-check is read; the record
+        # is not constant, so the error does not say it is
         x = np.tile([1.0, 2.0, -3.0, 0.0, 0.0], 20)
         x[53] = value
-        with pytest.raises(ValueError, match="^constant record has no zero crossings$"):
+        with pytest.raises(ValueError, match=r"^MA-5 smoothing leaves a record whose range "
+                           r"\S+ is too small: its crossing threshold rounds to zero$"):
             sf.estimate_parameters(sf.TimeSeries(0.0, 1.0, x))
+        with pytest.raises(ValueError, match="^constant record has no zero crossings$"):
+            sf.detect_t2pi(sf.moving_average(sf.TimeSeries(0.0, 1.0, np.zeros(20)), 5))
 
     def test_an_amplitude_whose_square_underflows_is_estimated(self):
         # MA-5 leaves only sample 53's 1e-170, so A = 1e-171 and A^2 = 0: the

@@ -179,7 +179,7 @@ class TestReportAcfAfterAGate1Reject:
 
     def test_a_report_needs_its_working_set(self):
         with pytest.raises(TypeError, match="work"):
-            sf.EstimationReport(params=None, screening=None, frequency_source=None)
+            sf.EstimationReport(params=None, screening=None)
 
 
 # (record, far, skip_screen) for every path on which estimate_parameters
