@@ -11,11 +11,15 @@ when sigma > 0), the same tones sampled from t = -2.3 s every 0.37 s
 (noise seed 0), plus white-noise and AR(1) (rho = 0.3) records at each
 N, seeds 0 and 1.  The shifted grid exercises the start-time rotation of
 the full-record phase sums and the index arithmetic of the one-period
-window.  Two edge records close the list: [1, 2, -3, 0, 0] repeated to
-N = 100, which passes the screen but which MA-5 smooths to a constant,
-and the N = 100 tone at sigma = 0.5 (seed 3) on dt = float max/100, where
-the crossing spacings sum past float max.  Configs: default,
-full_record, ma_k=1, skip_screen.
+window.  Four edge records close the list: [1, 2, -3, 0, 0] repeated to
+N = 100, which passes the screen but which MA-5 smooths to a constant;
+the N = 100 tone at sigma = 0.5 (seed 3) on dt = float max/100, where
+the crossing spacings sum past float max; the N = 100 tone at phi = 3.14
+and sigma = 0.5 (seed 2), whose grid phase steps past pi under every
+config, so the report wraps it; and the N = 100 tone at f*dt = 0.5
+(sigma = 0.5, seed 0), the Nyquist bin, where the objective's
+double-angle sums fall back to direct sums over the sample times.
+Configs: default, full_record, ma_k=1, skip_screen.
 
 Each line is ``<input> <config> <sha256> acf_arccos=<v> acf_period=<v>``.
 The hash covers the canonical JSON of ``report_to_dict`` (or of the
@@ -85,6 +89,10 @@ def inputs():
     tone = sf.synthesize(sf.SinusoidParams(2.0, 0.05, 0.6109), sf.NoiseSpec(0.5, 3), 100)
     yield ("tone:f=0.05:n=100:sigma=0.5:seed=3:dt=max/100",
            sf.TimeSeries(0.0, float(np.finfo(float).max) / 100, tone.samples))
+    yield ("tone:f=0.05:n=100:sigma=0.5:seed=2:phi=3.14",
+           sf.synthesize(sf.SinusoidParams(2.0, 0.05, 3.14), sf.NoiseSpec(0.5, 2), 100))
+    yield ("tone:f=0.5:n=100:sigma=0.5:seed=0",
+           sf.synthesize(sf.SinusoidParams(2.0, 0.5, 0.6109), sf.NoiseSpec(0.5, 0), 100))
 
 
 def plot_data_bytes(record, report):

@@ -62,24 +62,23 @@ class PhaseObjective:
             raise ValueError(f"t_range must be one of {_RANGES}")
 
 
-def _objective_points(obj: PhaseObjective) -> tuple[np.ndarray, np.ndarray]:
-    """Sample times and values the objective sums over: a contiguous run of
+def _objective_window(obj: PhaseObjective) -> tuple[int, int]:
+    """Index range [lo, hi) of the samples the objective sums over: a run of
     the record (all of it, or 0 <= t <= 1/f), so the times stay evenly spaced.
 
     Sample k sits at start + dt*k, which never decreases with k, so the
-    one_period run is the index range [lo, hi) of the k with t >= 0 and
+    one_period run is the index range of the k with t >= 0 and
     t <= 1/f + 1e-12*dt (a sample at 1/f counts despite rounding, and the
     slack scales with the time axis).  Each end is the index nearest its
     bound over dt, clamped to [0, N - 1], or the next one, as one
     comparison of that expression decides: exact while the times near the
     bounds stay below about 2**50*dt, so their rounding is far below dt.
-    The values are a slice and only the run's times are built.
     A one_period run of fewer than 2 samples (a record that starts after
     1/f or ends before 0) raises ``ValueError``.
     """
     record = obj.data
     if obj.t_range == FULL_RECORD:
-        return record.times(), record.samples
+        return 0, len(record)
     last = len(record) - 1.0
     start, dt = float(record.start_time), float(record.dt)
     period = 1.0 / obj.fixed_frequency_hz
@@ -94,7 +93,18 @@ def _objective_points(obj: PhaseObjective) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"the one_period objective window [0, 1/f] = [0, {period:.6g}] holds "
             f"{hi - lo} sample(s) of the record, fewer than 2; use the full_record range")
-    return start + dt * np.arange(lo, hi), record.samples[lo:hi]
+    return lo, hi
+
+
+def _window_times(record: TimeSeries, lo: int, hi: int) -> np.ndarray:
+    """Times of samples lo..hi-1, start + dt*k: ``TimeSeries.times``' arithmetic."""
+    return float(record.start_time) + float(record.dt) * np.arange(lo, hi)
+
+
+def _objective_points(obj: PhaseObjective) -> tuple[np.ndarray, np.ndarray]:
+    """Sample times and values of the objective window (``_objective_window``)."""
+    lo, hi = _objective_window(obj)
+    return _window_times(obj.data, lo, hi), obj.data.samples[lo:hi]
 
 
 # The closed-form double-angle sums lose about eps*m*|u|/|sin(u)| to
@@ -103,26 +113,25 @@ def _objective_points(obj: PhaseObjective) -> tuple[np.ndarray, np.ndarray]:
 _MIN_SIN_RATIO = 1e-6
 
 
-def _double_angle_sums(t: np.ndarray, theta: float, dt: float) -> tuple[float, float]:
-    """(sum cos(theta*t), sum sin(theta*t)) over evenly spaced times t.
+def _double_angle_sums(record: TimeSeries, lo: int, hi: int, theta: float) -> tuple[float, float]:
+    """(sum cos(theta*t), sum sin(theta*t)) over the times of samples lo..hi-1.
 
-    With t_k = t_0 + k*dt, k = 0..m-1, the sum of exp(i*theta*t_k) is a
-    geometric series:
-    exp(i*theta*(t_0 + (m-1)*dt/2)) * sin(m*u)/sin(u), u = theta*dt/2,
-    so both sums cost O(1) instead of two O(m) trig passes.  When sin(u)
-    is tiny against u (theta*dt near a non-zero multiple of 2*pi, such as
-    f*dt = 0.5, the Nyquist bin an even-N spectrum can pick) the quotient
-    is badly conditioned, and the direct sums are taken instead.
+    With t_k = t_lo + k*dt, k = 0..m-1 (m = hi - lo), the sum of
+    exp(i*theta*t_k) is a geometric series, O(1) with no time axis:
+    exp(i*theta*(t_lo + (m-1)*dt/2)) * sin(m*u)/sin(u), u = theta*dt/2.
+    When sin(u) is tiny against u (theta*dt near a non-zero multiple of
+    2*pi, such as f*dt = 0.5, the Nyquist bin an even-N spectrum can
+    pick) the quotient is badly conditioned, and the direct sums are
+    taken instead, over the window's times.
     """
-    m = t.size
-    if m == 0:
-        return 0.0, 0.0
+    m, dt = hi - lo, record.dt
     u = theta * dt / 2.0
     sin_u = math.sin(u)
     if abs(sin_u) < _MIN_SIN_RATIO * abs(u):
-        return float(np.sum(np.cos(theta * t))), float(np.sum(np.sin(theta * t)))
+        angles = theta * _window_times(record, lo, hi)
+        return float(np.sum(np.cos(angles))), float(np.sum(np.sin(angles)))
     gain = math.sin(m * u) / sin_u
-    middle = theta * (t[0] + (m - 1) * dt / 2.0)
+    middle = theta * (float(record.start_time) + float(dt) * lo + (m - 1) * dt / 2.0)
     return gain * math.cos(middle), gain * math.sin(middle)
 
 
@@ -162,18 +171,18 @@ def _refine_table(cell: int) -> _PhaseTable:
                                    REFINE_STEP))
 
 
-def _objective_on_tables(obj: PhaseObjective, t: np.ndarray, x: np.ndarray,
+def _objective_on_tables(obj: PhaseObjective, lo: int, hi: int,
                          linear: tuple[float, float] | None = None):
     """The objective as a trig polynomial in phi: O(N) sums once, O(1) per phi.
 
     Sum (x - A*sin(wt + phi))^2 = Sxx - 2A(cos(phi)*Sxs + sin(phi)*Sxc) + A^2*(m/2
     - (cos(2phi)*Sc2 - sin(2phi)*Ss2)/2), from the sine-fit sums of IEEE Std 1057,
-    over the objective's points ``t, x``.  Sxx is one dot product; Sc2 and
+    over the window's samples lo..hi-1.  Sxx is one dot product; Sc2 and
     Ss2 are the closed-form geometric sums of ``_double_angle_sums``.
     ``linear`` is (Sxs, Sxc) when the caller already has them (the whole
     record's, from its kept DFT peak bin: ``_peak_bin_sums``); otherwise
-    they take one trig pass each.  Returns the curve as a function of a
-    ``_PhaseTable``.
+    they take one trig pass each over the window's times.  Returns the
+    curve as a function of a ``_PhaseTable``.
 
     The curve is sxx - (2A)*linear + A^2*square, with linear = cos*Sxs +
     sin*Sxc and square = m/2 - (cos2*Sc2 - sin2*Ss2)/2, evaluated in that
@@ -181,13 +190,14 @@ def _objective_on_tables(obj: PhaseObjective, t: np.ndarray, x: np.ndarray,
     for bit) in three G-length arrays instead of twelve temporaries.
     """
     a, w = obj.fixed_amplitude, TWO_PI * obj.fixed_frequency_hz
+    x = obj.data.samples[lo:hi]
     if linear is None:
-        wt = w * t
+        wt = w * _window_times(obj.data, lo, hi)
         linear = x @ np.sin(wt), x @ np.cos(wt)
     sxs, sxc = linear
     sxx = x @ x
-    sc2, ss2 = _double_angle_sums(t, 2.0 * w, obj.data.dt)
-    two_a, a_squared, half_m = 2.0 * a, a ** 2, t.size / 2.0
+    sc2, ss2 = _double_angle_sums(obj.data, lo, hi, 2.0 * w)
+    two_a, a_squared, half_m = 2.0 * a, a ** 2, (hi - lo) / 2.0
 
     def curve(table: _PhaseTable) -> np.ndarray:
         out = np.multiply(table.cos, sxs)
@@ -251,17 +261,17 @@ def phase_grid_search(obj: PhaseObjective) -> tuple[float, float]:
     the life of the process (629 cells at most, about 1 MB), so a
     call takes no trig of grid points.  Returns (phi, phase_objective_value).
     """
-    return _grid_search(obj, *_objective_points(obj))
+    phi = _grid_search(obj, *_objective_window(obj))
+    return phi, phase_objective_value(obj, phi)
 
 
-def _grid_search(obj: PhaseObjective, t: np.ndarray, x: np.ndarray,
-                 linear: tuple[float, float] | None = None) -> tuple[float, float]:
-    """``phase_grid_search`` over the points ``t, x``, with (Sxs, Sxc) taken
-    from ``linear`` when given (see ``_objective_on_tables``)."""
-    curve = _objective_on_tables(obj, t, x, linear)
+def _grid_search(obj: PhaseObjective, lo: int, hi: int,
+                 linear: tuple[float, float] | None = None) -> float:
+    """``phase_grid_search``'s phase, unwrapped, over the samples lo..hi-1;
+    (Sxs, Sxc) come from ``linear`` when given (``_objective_on_tables``)."""
+    curve = _objective_on_tables(obj, lo, hi, linear)
     refine = _refine_table(int(curve(_COARSE).argmin()))
-    phi = float(refine.phis[curve(refine).argmin()])
-    return phi, _residual_sum(obj, t, x, phi)
+    return float(refine.phis[curve(refine).argmin()])
 
 
 def phase_from_crossover(period: float, t_2pi: float) -> tuple[float, float]:
@@ -489,28 +499,31 @@ class PipelineConfig:
 class EstimationReport:
     """What ``estimate_parameters`` decided, and what follows from it.
 
-    Eight fields are stored: ``params``, ``screening``, ``work`` (the
-    record's working set, ``acf._Record``), ``objective_value``,
-    ``smoothing_k``, ``smoothed``, ``spectrum`` and ``max_lag``.  When
-    screening rejects the record only ``screening`` is set.  The rest is
-    derived: ``frequency_source`` ("fft" when ``params`` is set),
-    ``delta_t`` (``params.time_delay()``) and ``acf`` (``work``'s) are
-    properties; computed on first read through ``model._on_first_read``
-    are ``model_params``, the fit with frequency in cycles per sample
-    (None when nothing was estimated or when the O(1) test of the
-    full-model ACF's denominator calls it degenerate), ``model_acf``, that
-    ACF at lags 0..max_lag (None with ``model_params``), and the
-    cross-checks ``frequency_cross_checks_hz``, ``t_2pi``,
-    ``phase_cross_checks`` and ``warnings`` (a noise report's are {}, None,
-    {} and ()).  Reading only ``params`` computes none of them, and
-    ``repr`` shows only the stored fields.  A report keeps its record, the
-    record's one-sided DFT (16*(N/2 + 1) bytes), |X| and the ACF alive.
+    Nine fields are stored: ``params``, ``screening``, ``work`` (the
+    record's working set, ``acf._Record``), ``objective_range``,
+    ``grid_phase`` (the phase before ``params`` wraps it), ``smoothing_k``,
+    ``smoothed``, ``spectrum`` and ``max_lag``.  When screening rejects
+    the record only ``screening`` is set.  The rest is derived:
+    ``frequency_source`` ("fft" when ``params`` is set), ``delta_t``
+    (``params.time_delay()``) and ``acf`` (``work``'s) are properties;
+    computed on first read through ``model._on_first_read`` are
+    ``objective_value``, the residual sum at ``grid_phase``, then
+    ``model_params``, the fit with frequency in cycles per sample (None
+    when the O(1) test of the full-model ACF's denominator calls it
+    degenerate), ``model_acf``, that ACF at lags 0..max_lag (None with
+    ``model_params``), and the cross-checks ``frequency_cross_checks_hz``,
+    ``t_2pi``, ``phase_cross_checks`` and ``warnings`` (a noise report's
+    are None, None, None, {}, None, {} and ()).  Reading only ``params``
+    computes none of them; ``repr`` shows only the stored fields.  A
+    report keeps its record, its one-sided DFT (16*(N/2 + 1) bytes), |X|
+    and the ACF alive.
     """
 
     params: SinusoidParams | None
     screening: ScreeningDecision | None
     work: _Record = field(repr=False)
-    objective_value: float | None = None
+    objective_range: str | None = None
+    grid_phase: float | None = None
     smoothing_k: int = 1
     smoothed: SmoothedSeries | None = None
     spectrum: Spectrum | None = None
@@ -525,6 +538,13 @@ class EstimationReport:
     frequency_source = property(lambda self: "fft" if self.params is not None else None)
     delta_t = property(lambda self: self.params.time_delay() if self.params is not None else None)
     acf = property(lambda self: self.work.acf)
+
+    @_on_first_read
+    def objective_value(self) -> float | None:
+        p = self.params
+        return None if p is None else phase_objective_value(
+            PhaseObjective(self.work.record, p.amplitude, p.frequency_hz, self.objective_range),
+            self.grid_phase)
 
     @_on_first_read
     def model_params(self) -> SinusoidParams | None:
@@ -625,15 +645,15 @@ def estimate_parameters(record: TimeSeries,
                          f"{float(span):.3g} is too small: its crossing threshold rounds to zero")
 
     objective = PhaseObjective(record, amplitude, frequency, config.objective_range)
-    linear = None
-    if config.objective_range == FULL_RECORD:
-        linear = _peak_bin_sums(work.dft[peak], TWO_PI * frequency, record.start_time)
-    phi, objective_value = _grid_search(objective, *_objective_points(objective), linear)
+    linear = (_peak_bin_sums(work.dft[peak], TWO_PI * frequency, record.start_time)
+              if config.objective_range == FULL_RECORD else None)
+    phi = _grid_search(objective, *_objective_window(objective), linear)
 
     return EstimationReport(
         params=SinusoidParams(amplitude, frequency, phi),
         screening=decision,
-        objective_value=objective_value,
+        objective_range=config.objective_range,
+        grid_phase=phi,
         smoothing_k=config.ma_k,
         smoothed=smoothed,
         spectrum=spec,

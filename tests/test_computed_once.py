@@ -58,7 +58,7 @@ class TestPhaseTables:
 
     def test_curve_still_takes_any_array_and_leaves_it_writable(self, noisy_series):
         obj = sf.PhaseObjective(noisy_series(1), 2.0, 0.05)
-        curve = estimate._objective_on_tables(obj, *estimate._objective_points(obj))
+        curve = estimate._objective_on_tables(obj, *estimate._objective_window(obj))
         phis = np.linspace(-3.0, 3.0, 7)
         values = curve(estimate._phase_table(phis))
         assert values.shape == (7,) and phis.flags.writeable
@@ -337,9 +337,9 @@ class TestFrozenNotCopied:
                 assert kept[0] == 1.0
 
 
-STORED_FIELDS = ["params", "screening", "work", "objective_value", "smoothing_k",
-                 "smoothed", "spectrum", "max_lag"]
-FIRST_READ = {"report": ("model_params", "model_acf", "_cross"),
+STORED_FIELDS = ["params", "screening", "work", "objective_range", "grid_phase",
+                 "smoothing_k", "smoothed", "spectrum", "max_lag"]
+FIRST_READ = {"report": ("objective_value", "model_params", "model_acf", "_cross"),
               "work": ("dft", "magnitudes", "acf")}
 
 
@@ -396,6 +396,33 @@ def scans(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def residual_sums(monkeypatch):
+    """The phases the direct residual sum is taken at, one entry per sum."""
+    phases = []
+
+    def counting(obj, t, x, phi, _real=estimate._residual_sum):
+        phases.append(phi)
+        return _real(obj, t, x, phi)
+
+    monkeypatch.setattr(estimate, "_residual_sum", counting)
+    return phases
+
+
+@pytest.fixture
+def arange_sizes(monkeypatch):
+    """The size of every array ``np.arange`` builds, anywhere."""
+    sizes = []
+
+    def counting(*args, _real=np.arange, **kwargs):
+        out = _real(*args, **kwargs)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(np, "arange", counting)
+    return sizes
+
+
 def same_outputs_inputs():
     """``scripts/same_outputs.py``'s inputs and configs."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -413,12 +440,13 @@ class TestCrossChecksOnFirstRead:
         assert report.model_acf is not None and report.acf is not None
         assert scans == []
 
-    def test_repr_computes_nothing(self, noisy_series, scans):
+    def test_repr_computes_nothing(self, noisy_series, scans, residual_sums):
         report = sf.estimate_parameters(noisy_series(3))
         text = repr(report)
-        assert scans == [] and list(vars(report)) == STORED_FIELDS
-        assert "warnings" not in text
+        assert scans == [] and residual_sums == [] and list(vars(report)) == STORED_FIELDS
+        assert "warnings" not in text and "objective_value" not in text
         report.warnings
+        report.objective_value
         assert repr(report) == text
 
     @pytest.mark.parametrize("order", list(itertools.permutations(CROSS_CHECK_FIELDS)))
@@ -465,6 +493,63 @@ class TestCrossChecksOnFirstRead:
             assert isinstance(values[3], tuple), name
             read += report.params is not None
         assert read > 200
+
+
+RANGES = ["one_period", "full_record"]
+
+
+def edge_phase_records():
+    """Tones whose phase sits within 0.006 rad of +-pi, where the refine grid
+    of the first or last coarse cell steps past +-pi."""
+    for phase, seed in itertools.product((math.pi - 0.0005, math.pi - 0.003, math.pi - 0.006,
+                                          -math.pi + 0.0005, -math.pi + 0.003), range(4)):
+        yield sf.synthesize(sf.SinusoidParams(2.0, 0.05, phase), sf.NoiseSpec(0.1, seed), 100)
+
+
+class TestObjectiveValueOnFirstRead:
+    @pytest.mark.parametrize("objective_range", RANGES)
+    def test_no_residual_sum_and_no_time_axis_before_the_read(
+            self, noisy_series, residual_sums, arange_sizes, objective_range):
+        record = noisy_series(3, n=1000)
+        arange_sizes.clear()  # synthesize built the tone's time axis
+        report = sf.estimate_parameters(record, sf.PipelineConfig(objective_range=objective_range))
+        assert report.params is not None and residual_sums == []
+        assert len(record) not in arange_sizes
+        value = report.objective_value
+        assert residual_sums == [report.grid_phase] and value > 0.0
+        assert report.objective_value is value and len(residual_sums) == 1
+        if objective_range == "full_record":
+            assert arange_sizes.count(len(record)) == 1
+
+    @pytest.mark.parametrize("objective_range", RANGES)
+    def test_edge_phases_give_the_grid_search_value_bit_for_bit(self, objective_range):
+        config = sf.PipelineConfig(objective_range=objective_range)
+        wrapped = 0
+        for record in edge_phase_records():
+            report = sf.estimate_parameters(record, config)
+            p = report.params
+            obj = sf.PhaseObjective(record, p.amplitude, p.frequency_hz, objective_range)
+            assert (report.grid_phase, report.objective_value) == sf.phase_grid_search(obj)
+            assert p.phase_rad == sf.wrap_phase(report.grid_phase)
+            wrapped += report.grid_phase != p.phase_rad
+        assert wrapped > 0  # the raw phase, not the wrapped one, gives the value
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    def test_nyquist_tone_under_full_record_gives_the_grid_search_value(self, sigma):
+        # f*dt = 0.5: the double-angle sums take their direct fallback over the time axis
+        record = sf.synthesize(sf.SinusoidParams(2.0, 0.5, 1.0), sf.NoiseSpec(sigma, 0), 100)
+        report = sf.estimate_parameters(record, sf.PipelineConfig(objective_range="full_record"))
+        p = report.params
+        assert p.frequency_hz == 0.5
+        u = 2.0 * sf.model.TWO_PI * p.frequency_hz * record.dt / 2.0
+        assert abs(math.sin(u)) < estimate._MIN_SIN_RATIO * abs(u)
+        obj = sf.PhaseObjective(record, p.amplitude, p.frequency_hz, "full_record")
+        assert (report.grid_phase, report.objective_value) == sf.phase_grid_search(obj)
+
+    def test_noise_report_has_none(self, pure_noise, residual_sums):
+        report = sf.estimate_parameters(pure_noise(0, sigma=80.0), sf.PipelineConfig(far=0.001))
+        assert report.params is None and report.grid_phase is None
+        assert report.objective_value is None and residual_sums == []
 
 
 def at_the_sample_limit(n):

@@ -19,7 +19,7 @@ def clean_record(params, n=100, dt=1.0):
 
 def objective_polynomial(obj):
     """The objective's trig polynomial as a function of any array of phases."""
-    curve = estimate._objective_on_tables(obj, *estimate._objective_points(obj))
+    curve = estimate._objective_on_tables(obj, *estimate._objective_window(obj))
     return lambda phis: curve(estimate._phase_table(phis))
 
 
@@ -181,9 +181,10 @@ class TestObjectivePolynomial:
         dt = 0.37
         f = (7 / n if f_dt == "bin" else f_dt) / dt
         record = sf.TimeSeries(-2.3, dt, np.sin(np.arange(n)))
-        t, _ = estimate._objective_points(sf.PhaseObjective(record, 1.0, f, t_range))
+        obj = sf.PhaseObjective(record, 1.0, f, t_range)
+        t, _ = estimate._objective_points(obj)
         theta = 2.0 * TWO_PI * f
-        sc2, ss2 = estimate._double_angle_sums(t, theta, dt)
+        sc2, ss2 = estimate._double_angle_sums(record, *estimate._objective_window(obj), theta)
         assert abs(sc2 - np.sum(np.cos(theta * t))) <= 1e-9 * t.size
         assert abs(ss2 - np.sum(np.sin(theta * t))) <= 1e-9 * t.size
 
