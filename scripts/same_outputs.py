@@ -16,9 +16,14 @@ N = 100, which passes the screen but which MA-5 smooths to a constant;
 the N = 100 tone at sigma = 0.5 (seed 3) on dt = float max/100, where
 the crossing spacings sum past float max; the N = 100 tone at phi = 3.14
 and sigma = 0.5 (seed 2), whose grid phase steps past pi under every
-config, so the report wraps it; and the N = 100 tone at f*dt = 0.5
+config, so the report wraps it; the N = 100 tone at f*dt = 0.5
 (sigma = 0.5, seed 0), the Nyquist bin, where the objective's
-double-angle sums fall back to direct sums over the sample times.
+double-angle sums fall back to direct sums over the sample times; the
+N = 100 tone at f = 0.025 Hz (sigma = 0.5, seed 4) on the integer grid
+TimeSeries(3, 2, ...), which a record holds as the floats 3.0 and 2.0;
+and a 50 Hz tone (sigma = 0.5, seed 5) sampled every 1 ms from
+t = 1.7e9 s (N = 200), whose times a float holds only to about 2.4e-7 s,
+so the CSV's steps differ by that much.
 Configs: default, full_record, ma_k=1, skip_screen.
 
 Each line is ``<input> <config> <sha256> acf_arccos=<v> acf_period=<v>``.
@@ -93,6 +98,12 @@ def inputs():
            sf.synthesize(sf.SinusoidParams(2.0, 0.05, 3.14), sf.NoiseSpec(0.5, 2), 100))
     yield ("tone:f=0.5:n=100:sigma=0.5:seed=0",
            sf.synthesize(sf.SinusoidParams(2.0, 0.5, 0.6109), sf.NoiseSpec(0.5, 0), 100))
+    tone = sf.synthesize(sf.SinusoidParams(2.0, 0.025, 0.6109), sf.NoiseSpec(0.5, 4), 100,
+                         dt=2.0, start=3.0)
+    yield "tone:f=0.025:n=100:sigma=0.5:seed=4:start=3:dt=2:int", sf.TimeSeries(3, 2, tone.samples)
+    yield ("tone:f=50:n=200:sigma=0.5:seed=5:start=1.7e9:dt=0.001",
+           sf.synthesize(sf.SinusoidParams(2.0, 50.0, 0.6109), sf.NoiseSpec(0.5, 5), 200,
+                         dt=1e-3, start=1.7e9))
 
 
 def plot_data_bytes(record, report):

@@ -80,7 +80,7 @@ def _objective_window(obj: PhaseObjective) -> tuple[int, int]:
     if obj.t_range == FULL_RECORD:
         return 0, len(record)
     last = len(record) - 1.0
-    start, dt = float(record.start_time), float(record.dt)
+    start, dt = record.start_time, record.dt
     period = 1.0 / obj.fixed_frequency_hz
     end = period + 1e-12 * dt
     lo = round(min(max(-start / dt, 0.0), last))
@@ -96,15 +96,10 @@ def _objective_window(obj: PhaseObjective) -> tuple[int, int]:
     return lo, hi
 
 
-def _window_times(record: TimeSeries, lo: int, hi: int) -> np.ndarray:
-    """Times of samples lo..hi-1, start + dt*k: ``TimeSeries.times``' arithmetic."""
-    return float(record.start_time) + float(record.dt) * np.arange(lo, hi)
-
-
 def _objective_points(obj: PhaseObjective) -> tuple[np.ndarray, np.ndarray]:
     """Sample times and values of the objective window (``_objective_window``)."""
     lo, hi = _objective_window(obj)
-    return _window_times(obj.data, lo, hi), obj.data.samples[lo:hi]
+    return obj.data.times(lo, hi), obj.data.samples[lo:hi]
 
 
 # The closed-form double-angle sums lose about eps*m*|u|/|sin(u)| to
@@ -128,10 +123,10 @@ def _double_angle_sums(record: TimeSeries, lo: int, hi: int, theta: float) -> tu
     u = theta * dt / 2.0
     sin_u = math.sin(u)
     if abs(sin_u) < _MIN_SIN_RATIO * abs(u):
-        angles = theta * _window_times(record, lo, hi)
+        angles = theta * record.times(lo, hi)
         return float(np.sum(np.cos(angles))), float(np.sum(np.sin(angles)))
     gain = math.sin(m * u) / sin_u
-    middle = theta * (float(record.start_time) + float(dt) * lo + (m - 1) * dt / 2.0)
+    middle = theta * (record.start_time + dt * lo + (m - 1) * dt / 2.0)
     return gain * math.cos(middle), gain * math.sin(middle)
 
 
@@ -192,7 +187,7 @@ def _objective_on_tables(obj: PhaseObjective, lo: int, hi: int,
     a, w = obj.fixed_amplitude, TWO_PI * obj.fixed_frequency_hz
     x = obj.data.samples[lo:hi]
     if linear is None:
-        wt = w * _window_times(obj.data, lo, hi)
+        wt = w * obj.data.times(lo, hi)
         linear = x @ np.sin(wt), x @ np.cos(wt)
     sxs, sxc = linear
     sxx = x @ x
@@ -342,7 +337,7 @@ def _zero_crossings(series: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
     indices read, as start + dt*i, the arithmetic of ``TimeSeries.times``.
     """
     s = series.samples
-    start, dt = float(series.start_time), float(series.dt)
+    start, dt = series.start_time, series.dt
     h = _HYSTERESIS_FRACTION * (s.max() - s.min()) / 2.0
     if h == 0:
         raise ValueError("constant record has no zero crossings")

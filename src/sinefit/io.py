@@ -23,8 +23,14 @@ from .estimate import EstimationReport
 from .model import SinusoidParams, TimeSeries
 from .screening import ScreeningDecision
 
-# Relative tolerance on sample spacing when ingesting CSV records.
+# Relative tolerance on sample spacing when ingesting CSV records, beyond
+# the rounding of the times themselves.
 _DT_RTOL = 1e-9
+# Each parsed time carries rounding of up to half an ulp of |t|, so a step
+# may also differ from the first by 2 ulps of the largest |t|; but by no
+# more than this fraction of dt, as a grid rounded that coarsely has no
+# spacing to judge.
+_ROUNDING_LIMIT = 1e-3
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -72,8 +78,11 @@ def write_acf_csv(path: str, acf: AcfSeries, bound: float | None) -> None:
 def read_timeseries_csv(path: str) -> TimeSeries:
     """Parse a `t,value` CSV into a record of finite, uniformly spaced samples.
 
-    Errors name the file line of the offending row; blank lines are
-    skipped but still counted.
+    Each step may differ from the first, the record's dt, by _DT_RTOL*dt
+    plus the rounding of the times (2 ulps of the largest |t|, at most
+    _ROUNDING_LIMIT*dt), so the times a writer rounds far from t = 0 read
+    back.  Errors name the file line of the offending row; blank lines
+    are skipped but still counted.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -106,7 +115,8 @@ def read_timeseries_csv(path: str) -> TimeSeries:
     dt = float(steps[0])
     if not dt > 0:
         raise ValueError(f"{path}: line {lines[1]}: time must be strictly increasing")
-    uneven = np.flatnonzero(np.abs(steps - dt) > _DT_RTOL * abs(dt))
+    rounding = min(2.0 * float(np.spacing(np.abs(times).max())), _ROUNDING_LIMIT * dt)
+    uneven = np.flatnonzero(np.abs(steps - dt) > _DT_RTOL * dt + rounding)
     if uneven.size:
         i = int(uneven[0])
         raise ValueError(

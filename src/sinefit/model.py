@@ -78,8 +78,11 @@ class TimeSeries:
 
     Sample i sits at time start_time + i*dt; both, and the last sample
     time start_time + (N - 1)*dt, must be finite, since a NaN or infinite
-    time leaves no sample at a usable time.  The sample array is copied
-    and frozen so instances can be shared across threads safely.
+    time leaves no sample at a usable time.  start_time and dt are kept as
+    Python floats, whatever number type they were given as, so every
+    time is float arithmetic (an int grid would wrap in int64);
+    ``times(lo, hi)`` builds any run of the time axis.  The sample array
+    is copied and frozen so instances can be shared across threads safely.
     """
 
     start_time: float
@@ -87,20 +90,23 @@ class TimeSeries:
     samples: np.ndarray
 
     def __post_init__(self):
-        _check_time_grid(self.start_time, self.dt)
+        start, dt = _check_time_grid(self.start_time, self.dt)
         samples = np.array(self.samples, dtype=float)
         if samples.ndim != 1 or samples.size < 2:
             raise ValueError("a record needs at least two samples")
-        if not math.isfinite(float(self.start_time) + float(self.dt) * (samples.size - 1)):
+        if not math.isfinite(start + dt * (samples.size - 1)):
             raise ValueError("the last sample time start_time + (N - 1)*dt must be finite")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "start_time", start)
+        object.__setattr__(self, "dt", dt)
 
     def __len__(self) -> int:
         return self.samples.size
 
-    def times(self) -> np.ndarray:
-        return self.start_time + self.dt * np.arange(self.samples.size)
+    def times(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Times of samples lo..hi-1 (all of them by default), start_time + dt*k."""
+        return self.start_time + self.dt * np.arange(lo, self.samples.size if hi is None else hi)
 
 
 def _adopt(cls, **fields):
@@ -140,13 +146,15 @@ class _on_first_read:
         return instance.__dict__.setdefault(self.name, self.compute(instance))
 
 
-def _check_time_grid(start_time: float, dt: float) -> None:
+def _check_time_grid(start_time: float, dt: float) -> tuple[float, float]:
+    """(start_time, dt) as floats, once dt is positive and both are finite."""
     if not dt > 0:
         raise ValueError("dt must be positive")
     if not math.isfinite(dt):
         raise ValueError("dt must be finite")
     if not math.isfinite(start_time):
         raise ValueError("start_time must be finite")
+    return float(start_time), float(dt)
 
 
 def check_finite(record: TimeSeries) -> None:
@@ -234,7 +242,7 @@ def synthesize(params: SinusoidParams, noise: NoiseSpec, n: int,
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    _check_time_grid(start, dt)
+    start, dt = _check_time_grid(start, dt)
     # the grid is monotonic, so its largest |t| is at one end
     if not math.isfinite(params.omega() * max(abs(start), abs(start + dt * (n - 1)))):
         raise ValueError("omega*t overflows on this time grid")

@@ -198,6 +198,16 @@ class TestEstimate:
         assert result.returncode == 1
         assert "line 4" in result.stderr
 
+    def test_a_generated_record_far_from_zero_reads_back(self, tmp_path):
+        day = str(tmp_path / "day.csv")
+        run_cli(["generate", "-A", "2", "-f", "5", "--sigma", "0.5", "--dt", "0.01",
+                 "--start", "86400", "-n", "1000", "-o", day], tmp_path, check=0)
+        run_cli(["screen", day, "-o", str(tmp_path / "screening.json")], tmp_path, check=0)
+        run_cli(["estimate", day, "--objective-range", "full_record",
+                 "-o", str(tmp_path / "report.json")], tmp_path, check=0)
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["params"]["frequency_hz"] == pytest.approx(5.0, rel=1e-6)
+
     def test_non_finite_sample_is_rejected(self, tmp_path):
         run_cli(GENERATE_DEMO + ["-o", str(tmp_path / "noisy.csv")], tmp_path,
                 check=0)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -752,6 +753,22 @@ class TestObjectiveWindow:
         report = sf.estimate_parameters(record, sf.PipelineConfig(objective_range="full_record"))
         assert report.params.frequency_hz == 0.05
         assert report.objective_value > 0.0
+
+
+class TestIntegerTimeGrid:
+    @pytest.mark.parametrize("objective_range", ["one_period", "full_record"])
+    def test_estimates_as_the_float_grid(self, objective_range):
+        x = tone(100, 0.025, start=3.0, dt=2.0).samples
+        config = sf.PipelineConfig(objective_range=objective_range)
+        as_int = sf.estimate_parameters(sf.TimeSeries(3, 2, x), config)
+        as_float = sf.estimate_parameters(sf.TimeSeries(3.0, 2.0, x), config)
+        assert as_int.params == as_float.params
+        assert as_int.grid_phase == as_float.grid_phase
+        payload = io.report_to_dict(as_int)
+        assert json.dumps(payload) == json.dumps(io.report_to_dict(as_float))
+        smoothed = payload["series"]["smoothed"]
+        assert (smoothed["start_time_s"], smoothed["dt_s"]) == (11.0, 2.0)
+        assert (type(smoothed["start_time_s"]), type(smoothed["dt_s"])) == (float, float)
 
 
 class TestCrossingDirections:

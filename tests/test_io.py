@@ -107,3 +107,36 @@ class TestReadTimeseriesCsvLineNumbers:
         assert (record.start_time, record.dt) == (0.5, 0.5)
         assert type(record.dt) is float
         assert record.samples.tolist() == [1.0, 2.0, 3.0]
+
+
+class TestReadTimeseriesCsvFarFromZero:
+    """Times far from t = 0 carry their rounding, which the spacing check allows for."""
+
+    def write(self, tmp_path, times):
+        path = tmp_path / "in.csv"
+        path.write_text("t,value\n" + "".join(f"{t!r},1.0\n" for t in times))
+        return str(path)
+
+    @pytest.mark.parametrize("start, dt, f, n", [(86400.0, 0.01, 5.0, 1000),
+                                                 (1e4, 1e-3, 50.0, 1000),
+                                                 (1.7e9, 1e-3, 50.0, 200)])
+    def test_a_written_record_reads_back(self, tmp_path, start, dt, f, n):
+        record = sf.synthesize(sf.SinusoidParams(2.0, f, 0.6109), sf.NoiseSpec(0.5, 0), n,
+                               dt=dt, start=start)
+        path = str(tmp_path / "record.csv")
+        io.write_timeseries_csv(path, record)
+        back = io.read_timeseries_csv(path)
+        t = record.times()
+        assert (back.start_time, back.dt) == (t[0], t[1] - t[0])  # dt is the first step
+        assert back.samples.tobytes() == record.samples.tobytes()
+
+    def test_a_step_off_by_more_than_the_rounding_still_raises(self, tmp_path):
+        path = self.write(tmp_path, [86400.0, 86400.01, 86400.02, 86400.030001])
+        with pytest.raises(ValueError, match="line 5: non-uniform sample spacing"):
+            io.read_timeseries_csv(path)
+
+    def test_a_grid_rounded_nearly_as_coarsely_as_dt_still_raises(self, tmp_path):
+        # near 1e17 the times are multiples of 16, so 2 ulps (32) exceed the step
+        path = self.write(tmp_path, [1e17, 1e17 + 16, 1e17 + 32, 1e17 + 64])
+        with pytest.raises(ValueError, match=r"line 5: non-uniform sample spacing \(32\.0 vs 16\.0\)"):
+            io.read_timeseries_csv(path)

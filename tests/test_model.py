@@ -205,6 +205,46 @@ class TestTimeSeries:
         ts = sf.TimeSeries(-3.0, 0.5, np.zeros(10) + 1.0)
         assert np.all(np.diff(ts.times()) > 0)
 
+    @pytest.mark.parametrize("start, dt", [(3, 2), (np.float32(3.0), np.int64(2)),
+                                           (True, 2), (3.0, 2.0)])
+    def test_the_grid_is_held_as_python_floats(self, start, dt):
+        ts = sf.TimeSeries(start, dt, np.ones(4))
+        assert (type(ts.start_time), type(ts.dt)) == (float, float)
+        assert ts.times().tolist() == [float(start) + 2.0 * k for k in range(4)]
+
+    def test_an_int_grid_past_int64_keeps_float_times(self):
+        # in int64 arithmetic 10**17 * k wraps negative at k = 93
+        t = sf.TimeSeries(0, 10**17, np.sin(np.arange(100))).times()
+        assert t.dtype == np.float64
+        assert np.all(np.diff(t) > 0)
+
+    def test_a_run_of_times_is_the_slice_of_all_times(self):
+        ts = sf.TimeSeries(-2.3, 0.37, np.ones(50))
+        every = ts.times()
+        for lo, hi in [(0, 50), (0, 1), (7, 23), (30, 31), (49, 50), (12, 12)]:
+            assert ts.times(lo, hi).tobytes() == every[lo:hi].tobytes(), (lo, hi)
+        assert ts.times(17).tobytes() == every[17:].tobytes()
+
+    @pytest.mark.parametrize("start, dt, samples, error, message", [
+        (0, 0, [1.0, 2.0], ValueError, "dt must be positive"),
+        (0, -1, [1.0, 2.0], ValueError, "dt must be positive"),
+        (None, 1, [1.0, 2.0], TypeError, "must be real number, not NoneType"),
+        (0, None, [1.0, 2.0], TypeError, "'>' not supported"),
+        ("0", 1.0, [1.0, 2.0], TypeError, "must be real number, not str"),
+        (0, "1", [1.0, 2.0], TypeError, "'>' not supported"),
+        (0, 1j, [1.0, 2.0], TypeError, "'>' not supported"),
+        (10**400, 1, [1.0, 2.0], OverflowError, "int too large to convert to float"),
+        (0, 10**400, [1.0, 2.0], OverflowError, "int too large to convert to float"),
+        (0, np.array([1.0]), [1.0, 2.0], TypeError, "0-dimensional arrays"),
+        (0, 1, [1.0], ValueError, "at least two samples"),
+        (0, 1, [[1.0, 2.0]], ValueError, "at least two samples"),
+        (0, 1, ["a", "b"], ValueError, "could not convert string to float"),
+        (10**308, 10**306, np.ones(100), ValueError, r"last sample time start_time \+"),
+    ])
+    def test_rejected_inputs_keep_their_exception(self, start, dt, samples, error, message):
+        with pytest.raises(error, match=message):
+            sf.TimeSeries(start, dt, samples)
+
 
 class TestLandmarks:
     def test_demo_table_times(self):

@@ -1,5 +1,7 @@
-"""Smoke tests: the scripts run end to end on the source tree, warning-free."""
+"""Smoke tests: the scripts run end to end on the source tree, warning-free;
+bench_pairs.py's summary is checked on canned benchmark results."""
 
+import importlib.util
 import json
 import os
 import re
@@ -51,13 +53,13 @@ def test_monte_carlo_times_synthesis_and_estimation():
 def test_same_outputs_prints_one_line_per_case():
     lines = run_script("same_outputs.py").splitlines()
     # (27 tone settings, two noise seeds when sigma > 0: 45 tones) + 27 tones
-    # on the shifted time grid + 12 noise records + 4 edge records, each
+    # on the shifted time grid + 12 noise records + 6 edge records, each
     # under 4 configs and through `sinefit screen`
-    assert len(lines) == (45 + 27 + 12 + 4) * 5
+    assert len(lines) == (45 + 27 + 12 + 6) * 5
     pattern = re.compile(r"\S+ (default|full_record|ma_k=1|skip_screen) [0-9a-f]{64} "
                          r"acf_arccos=(-|\S+) acf_period=(-|\S+)")
     screen_lines = [line for line in lines if line.split()[1] == "screen"]
-    assert len(screen_lines) == 45 + 27 + 12 + 4
+    assert len(screen_lines) == 45 + 27 + 12 + 6
     assert all(re.fullmatch(r"\S+ screen [0-9a-f]{64}", line) for line in screen_lines)
     assert all(pattern.fullmatch(line) for line in lines if line not in screen_lines), lines[:3]
     assert len({line.split()[2] for line in lines}) > 100
@@ -83,3 +85,33 @@ def test_ab_timing_prints_one_ratio_per_setting():
         assert 0 < q1 <= median <= q3
         # two pairs give one parent batch-to-batch ratio
         assert 0 < float(match.group(5)) == float(match.group(6))
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name[:-3], os.path.join(ROOT, "scripts", name))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_summarizes_canned_runs():
+    bench_pairs = load_script("bench_pairs.py")
+    bench = {"workloads": [{"name": "w"}],
+             "end_to_end": [{"name": "records_per_s", "better": "higher", "bound": 0.25},
+                            {"name": "latency_p50_ms", "better": "lower", "bound": 0.25}]}
+
+    def run(records_per_s, p50_ms, failed=0):
+        return {"correct": True, "attempted": 100, "failed": failed,
+                "metrics": {"w.records_per_s": {"value": records_per_s, "unit": "records/s"},
+                            "w.latency_p50_ms": {"value": p50_ms, "unit": "ms"}}}
+
+    runs = {"parent": [run(100.0, 1.0), run(110.0, 1.0), run(90.0, 1.0)],
+            "change": [run(105.0, 1.4), run(100.0, 1.3), run(95.0, 1.2, failed=2)]}
+    assert bench_pairs.summarize(bench, runs) == [
+        "w.records_per_s (higher is better, bound 0.25): parent 100 (95-105), "
+        "change 100 (97.5-102.5), change better in 2/3, worse beyond bound: no",
+        "w.latency_p50_ms (lower is better, bound 0.25): parent 1 (1-1), "
+        "change 1.3 (1.25-1.35), change better in 0/3, worse beyond bound: yes",
+        "parent: 300 operations attempted, 0 failed, correct=true",
+        "change: 300 operations attempted, 2 failed, correct=true",
+    ]
