@@ -20,7 +20,10 @@ Settings: N = 100 and N = 1000 under the default ``one_period``
 objective, N = 10^4 under ``full_record``; the records are the demo tone
 (A = 2, f = 0.05 Hz, phi = 0.6109, dt = 1) at sigma = 0.5, seeds 0..R-1.
 A fourth setting times unit white noise at N = 1000 (seeds 0..R-1), which
-the default screen almost always rejects at gate 1: the reject path.
+the default screen almost always rejects at gate 1: the reject path.  A
+fifth times AR(1) noise at N = 1000 (rho = 0.3, unit innovations, seeds
+0..R-1), which the runs test passes and gate 2 rejects: the gate-2
+reject path.
 Two ``read_all`` settings estimate the tones and then read the report's
 four cross-check fields, ``model_acf``, ``objective_value`` and
 ``delta_t``, as a caller that writes the whole report does: at N = 100
@@ -42,12 +45,14 @@ SETTINGS = (("n=100 one_period", 100, "one_period", 40, "tone"),
             ("n=1000 one_period", 1000, "one_period", 20, "tone"),
             ("n=10000 full_record", 10_000, "full_record", 4, "tone"),
             ("n=1000 white_noise", 1000, "one_period", 40, "white"),
+            ("n=1000 ar1", 1000, "one_period", 40, "ar1"),
             ("n=100 read_all", 100, "one_period", 40, "read_all"),
             ("n=10000 read_all", 10_000, "full_record", 4, "read_all"),
             ("n=100 synthesize", 100, None, 40, "synthesize"),
             ("n=10000 synthesize", 10_000, None, 4, "synthesize"))
 DEMO = (2.0, 0.05, 0.6109)
 SIGMA = 0.5
+AR_COEFFICIENT = 0.3
 READ_ALL_FIELDS = ("frequency_cross_checks_hz", "t_2pi", "phase_cross_checks", "warnings",
                    "model_acf", "objective_value", "delta_t")
 
@@ -61,6 +66,15 @@ def load(src, name):
     sys.modules[name] = module  # the package's relative imports resolve through it
     spec.loader.exec_module(module)
     return module
+
+
+def noise(sf, kind, seed, n):
+    """Unit white noise, or AR(1) noise driven by it."""
+    x = sf.model.standard_normal_draws(seed, n)
+    if kind == "ar1":
+        for i in range(1, n):
+            x[i] += AR_COEFFICIENT * x[i - 1]
+    return x
 
 
 def read_all(estimate):
@@ -90,9 +104,8 @@ class Side:
             self.fn = sf.synthesize
             self.calls = [(tone, sf.NoiseSpec(SIGMA, seed), n) for seed in range(count)]
             return
-        if kind == "white":
-            records = [sf.TimeSeries(0.0, 1.0, sf.model.standard_normal_draws(seed, n))
-                       for seed in range(count)]
+        if kind in ("white", "ar1"):
+            records = [sf.TimeSeries(0.0, 1.0, noise(sf, kind, seed, n)) for seed in range(count)]
         else:
             records = [sf.synthesize(tone, sf.NoiseSpec(SIGMA, seed), n)
                        for seed in range(count)]

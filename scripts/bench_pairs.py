@@ -1,23 +1,31 @@
 """Run the benchmark of two checkouts in alternating pairs and compare them.
 
-    python scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --pairs 5 --seconds 10 \
-        [--seed 7] [--out FILE]
+    python scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --pairs 10 --seconds 20 \
+        [--workload NAME] [--seed 7] [--claim WORKLOAD.METRIC] [--out FILE]
 
 Each DIR is a checkout holding ``perfbench/run.py`` and ``BENCHMARK.json``.
 Pair i runs that checkout's own, unmodified
-``python3 perfbench/run.py --workload all --seed S0+i --seconds S`` in
-each of the two, the parent first on even pairs and the change first on
-odd ones, so a slow swing of a shared machine's speed falls on both
-sides alike.  Both sides of a pair use the same seed.
+``python3 perfbench/run.py --workload NAME --seed S0+i --seconds S`` in
+each of the two (``--workload`` defaults to ``all``), the parent first
+on even pairs and the change first on odd ones, so a slow swing of a
+shared machine's speed falls on both sides alike.  Both sides of a pair
+use the same seed.
 
-For each workload and each end-to-end metric of the parent's
+For each workload run and each end-to-end metric of the parent's
 ``BENCHMARK.json`` the script prints both sides' median and quartiles
 over the pairs, the number of pairs in which the change is better (in
-the metric's direction), and whether the change's median is worse than
-the parent's by more than the metric's bound (a fraction of the
-parent's median).  The last lines give each side's attempted and failed
-operations.  ``--out`` saves the machine line and the final JSON line
-of every run.
+the metric's direction; ties count for neither), and whether the
+change's median is worse than the parent's by more than the metric's
+bound (a fraction of the parent's median): "yes", "no", or
+"unresolved" where the parent's interquartile range is wider than the
+bound, so that the runs cannot tell, unless every change run beats
+every parent run.  The next lines give each side's attempted and failed
+operations.  ``--claim`` adds a last line for one metric: the pairs the
+change wins, the gap between the medians (in the better direction), the
+parent's interquartile range, and "met" when the change wins at least
+nine tenths of the pairs and the gap exceeds that range, else "not met".
+``--out`` saves the machine line and the final JSON line of every run,
+and the printed summary.
 """
 
 import argparse
@@ -30,9 +38,9 @@ import sys
 SIDES = ("parent", "change")
 
 
-def run_bench(checkout, seed, seconds):
-    """(machine line, final JSON object) of one ``perfbench/run.py --workload all`` run."""
-    command = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", "all",
+def run_bench(checkout, workload, seed, seconds):
+    """(machine line, final JSON object) of one ``perfbench/run.py`` run."""
+    command = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds)]
     result = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     if result.returncode != 0:
@@ -50,33 +58,50 @@ def quartiles(values):
     return q1, median, q3
 
 
-def summarize(bench, runs):
+def summarize(bench, runs, workload="all", claim=None):
     """Lines comparing ``runs`` = {"parent": [...], "change": [...]}, each a
-    list of final JSON objects, pair i at index i, for the workloads and
-    end-to-end metrics of ``bench`` (a parsed BENCHMARK.json)."""
+    list of final JSON objects, pair i at index i, for the end-to-end
+    metrics of ``bench`` (a parsed BENCHMARK.json) on ``workload`` (a
+    name, or "all" for each of ``bench``'s workloads), and, for ``claim``
+    ("WORKLOAD.METRIC"), whether the claimed gain is met."""
     pairs = len(runs["parent"])
-    lines = []
-    for workload in (w["name"] for w in bench["workloads"]):
+    names = [w["name"] for w in bench["workloads"]] if workload == "all" else [workload]
+    lines, claim_line = [], None
+    for name in names:
         for metric in bench["end_to_end"]:
-            key = f"{workload}.{metric['name']}"
-            values = {side: [run["metrics"][key]["value"] for run in runs[side]]
+            key = f"{name}.{metric['name']}"
+            stored = key if workload == "all" else metric["name"]  # run.py's key
+            values = {side: [run["metrics"][stored]["value"] for run in runs[side]]
                       for side in SIDES}
-            higher = metric["better"] == "higher"
-            wins = sum((c > p) if higher else (c < p)
-                       for p, c in zip(values["parent"], values["change"]))
+            sign = 1 if metric["better"] == "higher" else -1
+            wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
             (p1, pm, p3), (c1, cm, c3) = (quartiles(values[side]) for side in SIDES)
-            loss = (pm - cm if higher else cm - pm) / pm if pm else 0.0
-            worse = "yes" if loss > metric["bound"] else "no"
+            gap = cm - pm if sign > 0 else pm - cm  # no -0 for a tie
+            beats_all = (min(sign * v for v in values["change"])
+                         > max(sign * v for v in values["parent"]))
+            if pm and -gap / pm > metric["bound"]:
+                worse = "yes"
+            elif pm and (p3 - p1) / pm > metric["bound"] and not beats_all:
+                worse = "unresolved"
+            else:
+                worse = "no"
             lines.append(f"{key} ({metric['better']} is better, bound {metric['bound']:g}): "
                          f"parent {pm:.6g} ({p1:.6g}-{p3:.6g}), "
                          f"change {cm:.6g} ({c1:.6g}-{c3:.6g}), "
                          f"change better in {wins}/{pairs}, worse beyond bound: {worse}")
+            if key == claim:
+                met = 10 * wins >= 9 * pairs and gap > p3 - p1
+                claim_line = (f"claim {key}: change better in {wins}/{pairs} pairs, "
+                              f"median gap {gap:.6g}, parent IQR {p3 - p1:.6g}: "
+                              f"{'met' if met else 'not met'}")
     for side in SIDES:
         attempted = sum(run["attempted"] for run in runs[side])
         failed = sum(run["failed"] for run in runs[side])
         correct = all(run["correct"] for run in runs[side])
         lines.append(f"{side}: {attempted} operations attempted, {failed} failed, "
                      f"correct={str(correct).lower()}")
+    if claim_line:
+        lines.append(claim_line)
     return lines
 
 
@@ -86,30 +111,43 @@ def main():
     parser.add_argument("change_dir")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--workload", default="all",
+                        help="a workload of the parent's BENCHMARK.json, or all (default)")
     parser.add_argument("--seed", type=int, default=7, help="seed of pair 0 (default 7)")
+    parser.add_argument("--claim", metavar="WORKLOAD.METRIC",
+                        help="judge a claimed gain in this end-to-end metric")
     parser.add_argument("--out", help="save every run's machine line and final JSON line here")
     args = parser.parse_args()
     if args.pairs < 1 or not args.seconds > 0:
         parser.error("--pairs must be at least 1 and --seconds positive")
+    with open(os.path.join(args.parent_dir, "BENCHMARK.json")) as handle:
+        bench = json.load(handle)
+    names = [w["name"] for w in bench["workloads"]]
+    if args.workload not in names + ["all"]:
+        parser.error(f"--workload must be one of {names} or all")
+    chosen = names if args.workload == "all" else [args.workload]
+    if args.claim and args.claim not in {f"{name}.{metric['name']}" for name in chosen
+                                         for metric in bench["end_to_end"]}:
+        parser.error("--claim must name a workload run and an end-to-end metric, "
+                     "as WORKLOAD.METRIC")
     checkouts = {"parent": args.parent_dir, "change": args.change_dir}
     runs = {side: [] for side in SIDES}
     saved = []
     for i in range(args.pairs):
         seed = args.seed + i
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            machine, final = run_bench(checkouts[side], seed, args.seconds)
+            machine, final = run_bench(checkouts[side], args.workload, seed, args.seconds)
             runs[side].append(final)
             saved.append({"pair": i, "side": side, "seed": seed, "machine": machine,
                           "result": final})
             print(f"pair {i} {side} seed={seed}: {machine}", flush=True)
-    with open(os.path.join(args.parent_dir, "BENCHMARK.json")) as handle:
-        bench = json.load(handle)
-    for line in summarize(bench, runs):
+    summary = summarize(bench, runs, args.workload, args.claim)
+    for line in summary:
         print(line)
     if args.out:
-        payload = {"command": f"python3 perfbench/run.py --workload all --seed SEED "
-                              f"--seconds {args.seconds:g}",
-                   "pairs": args.pairs, "runs": saved}
+        payload = {"command": f"python3 perfbench/run.py --workload {args.workload} "
+                              f"--seed SEED --seconds {args.seconds:g}",
+                   "pairs": args.pairs, "runs": saved, "summary": summary}
         with open(args.out, "w") as handle:
             json.dump(payload, handle, indent=1)
             handle.write("\n")

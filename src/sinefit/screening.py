@@ -65,23 +65,33 @@ def _gate1_threshold(n: int, far: float) -> float:
     return _two_sided_quantile(far)
 
 
-def _median(x: np.ndarray) -> float:
-    """Median of a finite 1-D array from one selection.
+def _middle_pair(x: np.ndarray) -> tuple[np.float64, np.float64]:
+    """The lower and upper middle order statistics of a finite 1-D array.
 
-    ``np.partition(x, n // 2)`` places the upper middle order statistic
-    at ``n // 2`` with every smaller-indexed element no larger, so for
-    even n the lower middle one is the largest of ``part[:n // 2]``.  The
-    median is then ``(a + b) / 2.0`` of the two: the value a two-kth
-    partition gives (a zero median may carry either sign, which no
-    comparison sees), at a fraction of its cost, since numpy's partition
-    with two kth values does far more than two selections.
+    ``np.partition(x, n // 2)`` places the upper middle one at ``n // 2``
+    with every smaller-indexed element no larger, so for even n the lower
+    middle one is the largest of ``part[:n // 2]``; for odd n both are
+    the middle sample.  One selection gives both, at a fraction of the
+    cost of a two-kth partition, since numpy's partition with two kth
+    values does far more than two selections.
     """
     n = x.size
     half = n // 2
     part = np.partition(x, half)
     if n % 2:
-        return float(part[half])
-    return float((np.maximum.reduce(part[:half]) + part[half]) / 2.0)
+        return part[half], part[half]
+    return np.maximum.reduce(part[:half]), part[half]
+
+
+def _median(lower: np.float64, upper: np.float64) -> float:
+    """The median ``(lower + upper) / 2.0`` of the middle pair.
+
+    This is the arithmetic of ``np.median`` (a zero median may carry
+    either sign, which no comparison sees); for odd n it returns the
+    middle sample, since samples that pass ``check_finite`` are far too
+    small for ``2 * upper`` to overflow.
+    """
+    return float((lower + upper) / 2.0)
 
 
 def _runs_statistics(record: TimeSeries) -> tuple[float, int, int, int]:
@@ -91,19 +101,28 @@ def _runs_statistics(record: TimeSeries) -> tuple[float, int, int, int]:
     records that reach it (``runs_test`` and the working set run
     ``check_finite`` first) the value is the same, without ``np.median``'s
     generic reduction set-up or its import of ``numpy.ma``.  Samples equal
-    to the median are dropped: the kept signs are gathered only when some
-    sample equals it, and are otherwise the ``x > median`` mask itself.
+    to the median are dropped.  The partition decides the split on most
+    records: when ``lower < median < upper`` (even n, no tie at the middle
+    and middle values that are not adjacent floats) no sample equals the
+    median, each side holds n/2 samples and the kept signs are the
+    ``x > median`` mask itself.  Otherwise both sides are counted and the
+    kept signs gathered when some sample equals the median.
     """
     x = record.samples
-    median = _median(x)
+    lower, upper = _middle_pair(x)
+    median = _median(lower, upper)
     above = x > median
-    below = x < median
-    n1 = int(np.count_nonzero(above))
-    n2 = int(np.count_nonzero(below))
-    if n1 == 0 or n2 == 0:
-        raise ValueError("degenerate dichotomy: all samples on one side of the median")
+    if lower < median < upper:
+        n1 = n2 = x.size // 2
+        signs = above
+    else:
+        below = x < median
+        n1 = int(np.count_nonzero(above))
+        n2 = int(np.count_nonzero(below))
+        if n1 == 0 or n2 == 0:
+            raise ValueError("degenerate dichotomy: all samples on one side of the median")
+        signs = above if n1 + n2 == x.size else above[above | below]
     n = n1 + n2
-    signs = above if n == x.size else above[above | below]
     runs = 1 + int(np.count_nonzero(signs[1:] != signs[:-1]))
     mu = 2.0 * n1 * n2 / n + 1.0
     var = 2.0 * n1 * n2 * (2.0 * n1 * n2 - n) / (n * n * (n - 1.0))

@@ -8,7 +8,8 @@ over a small sweep of both tails, the centre and the branch edges.  The
 one-kth partition median and the runs split replace general NumPy
 machinery on the screening reject path, so each is pinned against that
 machinery: the median against ``np.median``, and the runs split against
-a reference that gathers the kept signs on every record.
+a reference that gathers the kept signs on every record, on records the
+partition splits and on records it leaves to counting.
 """
 
 import subprocess
@@ -111,7 +112,7 @@ def _median_cases():
 @pytest.mark.parametrize("index", range(len(_median_cases())))
 def test_partition_median_equals_np_median(index):
     x = _median_cases()[index]
-    ours = screening._median(x)
+    ours = screening._median(*screening._middle_pair(x))
     assert type(ours) is float
     assert ours == float(np.median(x))
 
@@ -121,8 +122,10 @@ def test_partition_median_needs_only_the_partition_contract(monkeypatch, index):
     # np.partition guarantees only the kth element and which side each
     # other element lies on; numpy's selection happens to leave its
     # neighbours nearly sorted, so shuffle each side to take that away.
+    # The median and the runs split read from the partition both hold.
     x = _median_cases()[index]
     expected = float(np.median(x))
+    expected_runs = _gathered_runs_statistics(x)
     rng = np.random.default_rng(index)
 
     def shuffled_sides(a, kth, _real=np.partition):
@@ -133,14 +136,17 @@ def test_partition_median_needs_only_the_partition_contract(monkeypatch, index):
         return part
 
     monkeypatch.setattr(np, "partition", shuffled_sides)
-    assert screening._median(x) == expected
+    assert screening._median(*screening._middle_pair(x)) == expected
+    assert screening._runs_statistics(sf.TimeSeries(0.0, 1.0, x)) == expected_runs
 
 
 def test_median_cases_cover_adjacent_middle_values():
     x = np.sort(_median_cases()[-1])
     n = x.size
     assert n % 2 == 0 and x[n // 2] == np.nextafter(x[n // 2 - 1], 2.0)
-    assert screening._median(_median_cases()[-1]) == x[n // 2 - 1]  # the mean rounds down
+    lower, upper = screening._middle_pair(_median_cases()[-1])
+    assert screening._median(lower, upper) == x[n // 2 - 1]  # the mean rounds down
+    assert not lower < screening._median(lower, upper) < upper  # so the split counts
 
 
 def _gathered_runs_statistics(x):
@@ -199,13 +205,22 @@ def _screen_records():
     return [sf.TimeSeries(0.0, 1.0, x) for x in records]
 
 
+def _split_by_the_partition(x):
+    lower, upper = screening._middle_pair(x)
+    return lower < screening._median(lower, upper) < upper
+
+
 @pytest.mark.parametrize("far", [0.01, 0.001])
 def test_screen_decisions_match_an_np_median_reference(monkeypatch, far):
     records = _screen_records()
     ours = [sf.screen(r, far) for r in records]
-    monkeypatch.setattr(screening, "_median", lambda x: float(np.median(x)))
+    split = sum(_split_by_the_partition(r.samples) for r in records)
+    # A middle pair (m, m) gives the median m = np.median(x) and sends
+    # every record through the counting path.
+    monkeypatch.setattr(screening, "_middle_pair", lambda x: (np.median(x),) * 2)
     reference = [sf.screen(r, far) for r in records]
     assert len(records) > 300
+    assert 0 < split < len(records)  # both paths are compared
     assert {d.gate_failed for d in ours} == {"gate1", "gate2", "none"}
     assert ours == reference
 

@@ -10,15 +10,22 @@ With x(t) = A*sin(2*pi*f*t + phi):
 * shifting the record's start time by s moves phi by -2*pi*f*s, to
   within a refine step, under the full_record objective (the one_period
   window moves with the start time, so it sums over other samples).
+
+The gate-1 runs split, which the partition decides on most records, is
+pinned against a reference that gathers the kept signs on every record,
+on arbitrary finite arrays.
 """
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import sinefit as sf
+from sinefit import screening
 from sinefit.estimate import REFINE_STEP
+from test_gate1 import _gathered_runs_statistics
 
 CONFIG = sf.PipelineConfig(skip_screen=True)
 FULL_RECORD = sf.PipelineConfig(skip_screen=True, objective_range="full_record")
@@ -77,3 +84,40 @@ def test_shifting_the_start_time_moves_the_phase_by_minus_omega_s(record, s):
     assert got.frequency_hz == base.frequency_hz
     assert phase_gap(got.phase_rad, base.phase_rad - 2.0 * math.pi * got.frequency_hz * s) \
         <= REFINE_STEP
+
+
+# (lower + upper) / 2 of any two of these stays finite, as np.median's does.
+FINITE = st.floats(-1e300, 1e300)
+
+
+@st.composite
+def runs_test_samples(draw):
+    """N = 20..201 finite samples, even and odd N: arbitrary floats, a few
+    values repeated (ties at the median), or samples whose two middle
+    values are adjacent floats, so that their mean rounds onto one."""
+    n = draw(st.integers(20, 201))
+    kind = draw(st.sampled_from(["floats", "duplicates", "adjacent"]))
+    if kind == "floats":
+        return np.array(draw(st.lists(FINITE, min_size=n, max_size=n)))
+    if kind == "duplicates":
+        pool = draw(st.lists(FINITE, min_size=1, max_size=4))
+        return np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    lower = draw(st.floats(-1e6, 1e6))
+    upper = float(np.nextafter(lower, np.inf))
+    below = draw(st.lists(st.floats(-1e6, lower), min_size=n // 2 - 1, max_size=n // 2 - 1))
+    above = draw(st.lists(st.floats(upper, 1e6), min_size=n - n // 2 - 1,
+                          max_size=n - n // 2 - 1))
+    return np.array(draw(st.permutations(below + [lower, upper] + above)))
+
+
+@given(runs_test_samples())
+def test_runs_split_equals_the_gathering_reference(x):
+    record = sf.TimeSeries(0.0, 1.0, x)
+    median = np.median(x)
+    n1, n2 = int(np.count_nonzero(x > median)), int(np.count_nonzero(x < median))
+    if n1 == 0 or n2 == 0:
+        with pytest.raises(ValueError, match="degenerate dichotomy"):
+            screening._runs_statistics(record)
+        return
+    assume(n1 + n2 > 2)  # one sample on each side: the runs variance is 0, z undefined
+    assert screening._runs_statistics(record) == _gathered_runs_statistics(x)
