@@ -21,9 +21,10 @@ objective, N = 10^4 under ``full_record``; the records are the demo tone
 (A = 2, f = 0.05 Hz, phi = 0.6109, dt = 1) at sigma = 0.5, seeds 0..R-1.
 A fourth setting times unit white noise at N = 1000 (seeds 0..R-1), which
 the default screen almost always rejects at gate 1: the reject path.  A
-fifth times AR(1) noise at N = 1000 (rho = 0.3, unit innovations, seeds
-0..R-1), which the runs test passes and gate 2 rejects: the gate-2
-reject path.
+fifth times the same at N = 1001, where the odd N keeps the runs test
+on its counting path.  A sixth times AR(1) noise at N = 1000 (rho = 0.3,
+unit innovations, seeds 0..R-1), which the runs test passes and gate 2
+rejects: the gate-2 reject path.
 Two ``read_all`` settings estimate the tones and then read the report's
 four cross-check fields, ``model_acf``, ``objective_value`` and
 ``delta_t``, as a caller that writes the whole report does: at N = 100
@@ -45,6 +46,7 @@ SETTINGS = (("n=100 one_period", 100, "one_period", 40, "tone"),
             ("n=1000 one_period", 1000, "one_period", 20, "tone"),
             ("n=10000 full_record", 10_000, "full_record", 4, "tone"),
             ("n=1000 white_noise", 1000, "one_period", 40, "white"),
+            ("n=1001 white_noise", 1001, "one_period", 40, "white"),
             ("n=1000 ar1", 1000, "one_period", 40, "ar1"),
             ("n=100 read_all", 100, "one_period", 40, "read_all"),
             ("n=10000 read_all", 10_000, "full_record", 4, "read_all"),

@@ -83,34 +83,27 @@ def _middle_pair(x: np.ndarray) -> tuple[np.float64, np.float64]:
     return np.maximum.reduce(part[:half]), part[half]
 
 
-def _median(lower: np.float64, upper: np.float64) -> float:
-    """The median ``(lower + upper) / 2.0`` of the middle pair.
-
-    This is the arithmetic of ``np.median`` (a zero median may carry
-    either sign, which no comparison sees); for odd n it returns the
-    middle sample, since samples that pass ``check_finite`` are far too
-    small for ``2 * upper`` to overflow.
-    """
-    return float((lower + upper) / 2.0)
-
-
 def _runs_statistics(record: TimeSeries) -> tuple[float, int, int, int]:
     """z-score, runs count, and above/below counts for a median split.
 
-    ``_median`` applies the arithmetic of ``np.median``, so on the finite
-    records that reach it (``runs_test`` and the working set run
-    ``check_finite`` first) the value is the same, without ``np.median``'s
-    generic reduction set-up or its import of ``numpy.ma``.  Samples equal
-    to the median are dropped.  The partition decides the split on most
-    records: when ``lower < median < upper`` (even n, no tie at the middle
-    and middle values that are not adjacent floats) no sample equals the
-    median, each side holds n/2 samples and the kept signs are the
-    ``x > median`` mask itself.  Otherwise both sides are counted and the
-    kept signs gathered when some sample equals the median.
+    The median ``(lower + upper) / 2.0`` of the middle pair is the
+    arithmetic of ``np.median``: a zero median may carry either sign, which
+    no comparison sees, and for odd n it is the middle sample, since
+    samples that pass ``check_finite`` are far too small for ``2 * upper``
+    to overflow.  So on the finite records that reach it (``runs_test`` and
+    the working set run ``check_finite`` first) the value is the same,
+    without ``np.median``'s generic reduction set-up or its import of
+    ``numpy.ma``.  Samples equal to the median are dropped.  The partition
+    decides the split on most records: when ``lower < median < upper``
+    (even n, no tie at the middle and middle values that are not adjacent
+    floats) no sample equals the median, each side holds n/2 samples and
+    the kept signs are the ``x > median`` mask itself.  Otherwise both
+    sides are counted and the kept signs gathered when some sample equals
+    the median.
     """
     x = record.samples
     lower, upper = _middle_pair(x)
-    median = _median(lower, upper)
+    median = float((lower + upper) / 2.0)
     above = x > median
     if lower < median < upper:
         n1 = n2 = x.size // 2

@@ -89,6 +89,12 @@ def test_array_path_still_returns_arrays():
     assert normal_quantile(np.array([[0.5]])).shape == (1, 1)
 
 
+def _partition_median(x):
+    """The median that ``_runs_statistics`` computes from the middle pair."""
+    lower, upper = screening._middle_pair(x)
+    return float((lower + upper) / 2.0)
+
+
 def _median_cases():
     rng = np.random.default_rng(7)
     cases = []
@@ -112,7 +118,7 @@ def _median_cases():
 @pytest.mark.parametrize("index", range(len(_median_cases())))
 def test_partition_median_equals_np_median(index):
     x = _median_cases()[index]
-    ours = screening._median(*screening._middle_pair(x))
+    ours = _partition_median(x)
     assert type(ours) is float
     assert ours == float(np.median(x))
 
@@ -136,7 +142,7 @@ def test_partition_median_needs_only_the_partition_contract(monkeypatch, index):
         return part
 
     monkeypatch.setattr(np, "partition", shuffled_sides)
-    assert screening._median(*screening._middle_pair(x)) == expected
+    assert _partition_median(x) == expected
     assert screening._runs_statistics(sf.TimeSeries(0.0, 1.0, x)) == expected_runs
 
 
@@ -144,9 +150,8 @@ def test_median_cases_cover_adjacent_middle_values():
     x = np.sort(_median_cases()[-1])
     n = x.size
     assert n % 2 == 0 and x[n // 2] == np.nextafter(x[n // 2 - 1], 2.0)
-    lower, upper = screening._middle_pair(_median_cases()[-1])
-    assert screening._median(lower, upper) == x[n // 2 - 1]  # the mean rounds down
-    assert not lower < screening._median(lower, upper) < upper  # so the split counts
+    assert _partition_median(x) == x[n // 2 - 1]  # the mean rounds down
+    assert not _split_by_the_partition(_median_cases()[-1])  # so the split counts
 
 
 def _gathered_runs_statistics(x):
@@ -207,7 +212,7 @@ def _screen_records():
 
 def _split_by_the_partition(x):
     lower, upper = screening._middle_pair(x)
-    return lower < screening._median(lower, upper) < upper
+    return lower < float((lower + upper) / 2.0) < upper
 
 
 @pytest.mark.parametrize("far", [0.01, 0.001])

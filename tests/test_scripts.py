@@ -70,10 +70,10 @@ def test_same_outputs_prints_one_line_per_case():
 def test_ab_timing_prints_one_ratio_per_setting():
     src = os.path.join(ROOT, "src")
     lines = run_script("ab_timing.py", src, src, "--pairs", "2", "--batch-ms", "1").splitlines()
-    assert len(lines) == 9, lines
+    assert len(lines) == 10, lines
     assert [line.split(":")[0] for line in lines] == [
         "n=100 one_period", "n=1000 one_period", "n=10000 full_record", "n=1000 white_noise",
-        "n=1000 ar1", "n=100 read_all", "n=10000 read_all", "n=100 synthesize", "n=10000 synthesize"]
+        "n=1001 white_noise", "n=1000 ar1", "n=100 read_all", "n=10000 read_all", "n=100 synthesize", "n=10000 synthesize"]
     pattern = re.compile(r"n=\d+ (one_period|full_record|white_noise|ar1|read_all|synthesize): "
                          r"change/parent ([0-9.]+) "
                          r"\(quartiles ([0-9.]+)-([0-9.]+), 2 pairs, parent [0-9.]+ ms/record, "
@@ -128,16 +128,35 @@ def test_bench_pairs_summarizes_canned_runs():
     faster = [run(100.0, 0.75 + i / 64) for i in range(10)]
     assert claim_line(faster) == (
         "claim w.latency_p50_ms: change better in 10/10 pairs, median gap 0.25, "
-        "parent IQR 0.0703125: met")
+        "parent IQR 0.0703125, failed 0/1000 (parent) and 0/1000 (change): met")
     two_slower = [run(100.0, 2.0)] * 2 + faster[2:]
-    assert claim_line(two_slower).endswith("better in 8/10 pairs, median gap 0.21875, "
-                                           "parent IQR 0.0703125: not met")
+    assert claim_line(two_slower).endswith(
+        "better in 8/10 pairs, median gap 0.21875, parent IQR 0.0703125, "
+        "failed 0/1000 (parent) and 0/1000 (change): not met, fewer than 9/10 pairs won")
     slightly_faster = [run(100.0, 1.0 + i / 64 - 1 / 1024) for i in range(10)]
-    assert claim_line(slightly_faster).endswith("better in 10/10 pairs, median gap 0.000976562, "
-                                                "parent IQR 0.0703125: not met")
+    assert claim_line(slightly_faster).endswith(
+        "better in 10/10 pairs, median gap 0.000976562, parent IQR 0.0703125, "
+        "failed 0/1000 (parent) and 0/1000 (change): "
+        "not met, gap not wider than the parent's IQR")
     tie = [run(100.0, 1.0 + i / 64) for i in range(10)]
-    assert claim_line(tie).endswith("better in 0/10 pairs, median gap 0, "
-                                    "parent IQR 0.0703125: not met")
+    assert claim_line(tie).endswith(
+        "better in 0/10 pairs, median gap 0, parent IQR 0.0703125, "
+        "failed 0/1000 (parent) and 0/1000 (change): not met, fewer than 9/10 pairs won; "
+        "gap not wider than the parent's IQR")
+    # A gain does not count when a larger share of operations fails; the
+    # share, since a faster side attempts more operations.
+    failing = [run(100.0, 0.75 + i / 64, failed=1) for i in range(10)]
+    assert claim_line(failing).endswith(
+        "failed 0/1000 (parent) and 10/1000 (change): "
+        "not met, a larger share of operations failed")
+    parent = [run(100.0, 1.0 + i / 64, failed=1) for i in range(10)]
+    more_attempts = [dict(run(100.0, 0.75 + i / 64, failed=2), attempted=200)
+                     for i in range(10)]
+    assert claim_line(more_attempts).endswith(
+        "failed 10/1000 (parent) and 20/2000 (change): met")
+    assert claim_line([dict(r, attempted=199) for r in more_attempts]).endswith(
+        "failed 10/1000 (parent) and 20/1990 (change): "
+        "not met, a larger share of operations failed")
     assert not any(line.startswith("claim") for line in bench_pairs.summarize(
         bench, {"parent": parent, "change": faster}))
 
@@ -155,23 +174,3 @@ def test_bench_pairs_summarizes_canned_runs():
     assert records_line(wide, [160.0] * 10).endswith("better in 10/10, worse beyond bound: no")
     assert records_line(wide, [40.0] * 10).endswith("better in 0/10, worse beyond bound: yes")
 
-
-def test_bench_pairs_reads_a_single_workload_run():
-    # run.py names a single workload's metrics without the workload prefix
-    bench_pairs = load_script("bench_pairs.py")
-    bench = {"workloads": [{"name": "w"}, {"name": "v"}],
-             "end_to_end": [{"name": "latency_p50_ms", "better": "lower", "bound": 0.25}]}
-
-    def run(p50_ms):
-        return {"correct": True, "attempted": 10, "failed": 0,
-                "metrics": {"latency_p50_ms": {"value": p50_ms, "unit": "ms"}}}
-
-    runs = {"parent": [run(2.0)] * 10, "change": [run(1.0)] * 9 + [run(2.0)]}
-    assert bench_pairs.summarize(bench, runs, "v", "v.latency_p50_ms") == [
-        "v.latency_p50_ms (lower is better, bound 0.25): parent 2 (2-2), change 1 (1-1), "
-        "change better in 9/10, worse beyond bound: no",
-        "parent: 100 operations attempted, 0 failed, correct=true",
-        "change: 100 operations attempted, 0 failed, correct=true",
-        "claim v.latency_p50_ms: change better in 9/10 pairs, median gap 1, "
-        "parent IQR 0: met",
-    ]
