@@ -11,7 +11,7 @@ when sigma > 0), the same tones sampled from t = -2.3 s every 0.37 s
 (noise seed 0), plus white-noise and AR(1) (rho = 0.3) records at each
 N, seeds 0 and 1.  The shifted grid exercises the start-time rotation of
 the full-record phase sums and the index arithmetic of the one-period
-window.  Four edge records close the list: [1, 2, -3, 0, 0] repeated to
+window.  Seven edge records close the list: [1, 2, -3, 0, 0] repeated to
 N = 100, which passes the screen but which MA-5 smooths to a constant;
 the N = 100 tone at sigma = 0.5 (seed 3) on dt = float max/100, where
 the crossing spacings sum past float max; the N = 100 tone at phi = 3.14
@@ -23,14 +23,19 @@ N = 100 tone at f = 0.025 Hz (sigma = 0.5, seed 4) on the integer grid
 TimeSeries(3, 2, ...), which a record holds as the floats 3.0 and 2.0;
 and a 50 Hz tone (sigma = 0.5, seed 5) sampled every 1 ms from
 t = 1.7e9 s (N = 200), whose times a float holds only to about 2.4e-7 s,
-so the CSV's steps differ by that much.
+so the CSV's steps differ by that much; and 18 zeros with one 1.0 and one
+-1.0 (N = 20), one sample on each side of the median, whose runs count
+has no variance.
 Configs: default, full_record, ma_k=1, skip_screen.
 
 Each line is ``<input> <config> <sha256> acf_arccos=<v> acf_period=<v>``.
 The hash covers the canonical JSON of ``report_to_dict`` (or of the
-error message, when the pipeline raises) without the two ACF-derived
-frequency reads, which follow it rounded to 1e-15 (``-`` when absent):
-they may move in the last bits when the ACF's arithmetic changes.  When
+error message, when the pipeline raises a ``ValueError``, or of
+``<TypeName>: <message>`` for any other exception, so that a tree that
+crashes on one input still gets a line for every case) without the two
+ACF-derived frequency reads, which follow it rounded to 1e-15 (``-``
+when absent): they may move in the last bits when the ACF's arithmetic
+changes.  When
 the pipeline returns a report, the hash also covers the name and the
 bytes of every file of the ``write_plot_data`` bundle, written with the
 screening decision's ACF bound as ``sinefit estimate --plot-data`` does.
@@ -104,6 +109,9 @@ def inputs():
     yield ("tone:f=50:n=200:sigma=0.5:seed=5:start=1.7e9:dt=0.001",
            sf.synthesize(sf.SinusoidParams(2.0, 50.0, 0.6109), sf.NoiseSpec(0.5, 5), 200,
                          dt=1e-3, start=1.7e9))
+    x = np.zeros(20)
+    x[5], x[12] = 1.0, -1.0
+    yield "one_each_side_of_the_median:n=20", sf.TimeSeries(0.0, 1.0, x)
 
 
 def plot_data_bytes(record, report):
@@ -124,8 +132,9 @@ def case_line(name, config_name, record):
         payload = io.report_to_dict(report)
         reads = [payload["frequency_cross_checks_hz"].pop(key, None) for key in ACF_READS]
         bundle = plot_data_bytes(record, report)
-    except ValueError as exc:
-        payload, reads = {"error": str(exc)}, [None, None]
+    except Exception as exc:  # a crash is one more output to compare
+        error = str(exc) if isinstance(exc, ValueError) else f"{type(exc).__name__}: {exc}"
+        payload, reads = {"error": error}, [None, None]
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     hasher = hashlib.sha256(canonical.encode())
     for part in bundle:

@@ -82,7 +82,7 @@ class IntegralParams:
             raise ValueError("upper limit v must be >= lower limit u")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class _Record:
     """One record's working set: the record, its one stored field, put
     through ``check_finite`` once on construction, and what the pipeline
@@ -100,8 +100,9 @@ class _Record:
 
     record: TimeSeries
 
-    def __post_init__(self):
-        check_finite(self.record)
+    def __init__(self, record: TimeSeries):
+        check_finite(record)
+        self.__dict__["record"] = record
 
     @_on_first_read
     def dft(self) -> np.ndarray:
@@ -127,6 +128,7 @@ class _Record:
         if not lag0 > 0.0 or math.sqrt(lag0) <= _ROUNDING_FLOOR * magnitudes[0]:
             raise ValueError("constant record has zero variance")
         sums /= lag0
+        sums.setflags(write=False)
         return _adopt(AcfSeries, kind=DISCRETE_CIRCULAR, values=sums)
 
 

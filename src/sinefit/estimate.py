@@ -611,8 +611,9 @@ def estimate_parameters(record: TimeSeries,
     else:
         decision = _screen(work, config.far)
         if decision.verdict == VERDICT_NOISE:
-            return EstimationReport(params=None, screening=decision, smoothing_k=config.ma_k,
-                                    work=work)
+            return _adopt(EstimationReport, params=None, screening=decision, work=work,
+                          objective_range=None, grid_phase=None, smoothing_k=config.ma_k,
+                          smoothed=None, spectrum=None, max_lag=None)
 
     n = len(record)
     dt = record.dt
@@ -625,11 +626,11 @@ def estimate_parameters(record: TimeSeries,
     smoothed = moving_average(record, config.ma_k)
     # amplitude_estimate(smoothed)
     smoothed_samples = smoothed.series.samples
-    span = np.maximum.reduce(smoothed_samples) - np.minimum.reduce(smoothed_samples)
+    span = float(np.maximum.reduce(smoothed_samples)) - float(np.minimum.reduce(smoothed_samples))
     if not span > 0:
         raise ValueError(f"MA-{config.ma_k} smoothing leaves a constant record: no "
                          "amplitude, crossings or phase to estimate")
-    amplitude = float(span / 2.0)
+    amplitude = span / 2.0
 
     work.acf  # a zero-variance record fails here, not on a cross-check's read
     spec = _adopt(Spectrum, df=df, magnitudes=work.magnitudes)
@@ -637,21 +638,16 @@ def estimate_parameters(record: TimeSeries,
     frequency = peak * df  # what fundamental_frequency(spec) returns
     if _HYSTERESIS_FRACTION * span / 2.0 == 0:  # the crossing scan's h: it cannot raise
         raise ValueError(f"MA-{config.ma_k} smoothing leaves a record whose range "
-                         f"{float(span):.3g} is too small: its crossing threshold rounds to zero")
+                         f"{span:.3g} is too small: its crossing threshold rounds to zero")
 
-    objective = PhaseObjective(record, amplitude, frequency, config.objective_range)
+    objective = _adopt(PhaseObjective, data=record, fixed_amplitude=amplitude,
+                       fixed_frequency_hz=frequency, t_range=config.objective_range)
     linear = (_peak_bin_sums(work.dft[peak], TWO_PI * frequency, record.start_time)
               if config.objective_range == FULL_RECORD else None)
     phi = _grid_search(objective, *_objective_window(objective), linear)
 
-    return EstimationReport(
-        params=SinusoidParams(amplitude, frequency, phi),
-        screening=decision,
-        objective_range=config.objective_range,
-        grid_phase=phi,
-        smoothing_k=config.ma_k,
-        smoothed=smoothed,
-        spectrum=spec,
-        work=work,
-        max_lag=max_lag,
-    )
+    params = _adopt(SinusoidParams, amplitude=amplitude, frequency_hz=frequency,
+                    phase_rad=wrap_phase(phi))
+    return _adopt(EstimationReport, params=params, screening=decision, work=work,
+                  objective_range=config.objective_range, grid_phase=phi,
+                  smoothing_k=config.ma_k, smoothed=smoothed, spectrum=spec, max_lag=max_lag)

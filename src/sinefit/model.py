@@ -112,18 +112,23 @@ class TimeSeries:
 def _adopt(cls, **fields):
     """An instance of the frozen dataclass ``cls`` holding ``fields`` as given.
 
-    The construction path for arrays the pipeline has just made: each
-    array field is frozen in place (``setflags(write=False)``) instead of
-    copied, and ``__init__`` with its checks is not run.  The caller
-    vouches that the values pass those checks and that nothing else holds
-    a writable reference to the arrays (a view of a read-only array, or a
-    fresh array it then drops).  The public constructors keep copying.
+    The pipeline's one construction path for the objects it builds per
+    record: one ``__dict__`` update, with no ``__init__``, no
+    ``__post_init__`` and no copy.  The caller passes every field, in
+    the dataclass's order, so ``vars()`` lists them as the public
+    constructor would; it vouches that the values pass the class's
+    checks and that every array it passes is already read-only, each
+    producer freezing its own (``setflags(write=False)`` on a fresh
+    array it then drops, or a view of a read-only one).  In place of
+    ``SinusoidParams``'s and ``PhaseObjective``'s ``__post_init__``,
+    ``estimate_parameters`` vouches for the fit: the smoothed span is
+    finite and its half above zero, the frequency is a bin m*df with
+    df > 0 and 2*pi*(N//2)*df finite, the phase is passed through
+    ``wrap_phase`` and the range was checked by ``PipelineConfig``.  The
+    public constructors keep their checks and copies.
     """
     instance = object.__new__(cls)
-    for name, value in fields.items():
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-        object.__setattr__(instance, name, value)
+    instance.__dict__.update(fields)
     return instance
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acf import _Record
-from .model import TimeSeries, check_finite
+from .model import TimeSeries, _adopt, check_finite
 from .normal import normal_quantile
 
 MIN_SAMPLES = 20
@@ -65,8 +65,9 @@ def _gate1_threshold(n: int, far: float) -> float:
     return _two_sided_quantile(far)
 
 
-def _middle_pair(x: np.ndarray) -> tuple[np.float64, np.float64]:
-    """The lower and upper middle order statistics of a finite 1-D array.
+def _middle_pair(x: np.ndarray) -> tuple[float, float]:
+    """The lower and upper middle order statistics of a finite 1-D array,
+    as Python floats.
 
     ``np.partition(x, n // 2)`` places the upper middle one at ``n // 2``
     with every smaller-indexed element no larger, so for even n the lower
@@ -78,32 +79,35 @@ def _middle_pair(x: np.ndarray) -> tuple[np.float64, np.float64]:
     n = x.size
     half = n // 2
     part = np.partition(x, half)
+    upper = float(part[half])
     if n % 2:
-        return part[half], part[half]
-    return np.maximum.reduce(part[:half]), part[half]
+        return upper, upper
+    return float(np.maximum.reduce(part[:half])), upper
 
 
 def _runs_statistics(record: TimeSeries) -> tuple[float, int, int, int]:
     """z-score, runs count, and above/below counts for a median split.
 
     The median ``(lower + upper) / 2.0`` of the middle pair is the
-    arithmetic of ``np.median``: a zero median may carry either sign, which
-    no comparison sees, and for odd n it is the middle sample, since
-    samples that pass ``check_finite`` are far too small for ``2 * upper``
-    to overflow.  So on the finite records that reach it (``runs_test`` and
-    the working set run ``check_finite`` first) the value is the same,
-    without ``np.median``'s generic reduction set-up or its import of
-    ``numpy.ma``.  Samples equal to the median are dropped.  The partition
-    decides the split on most records: when ``lower < median < upper``
-    (even n, no tie at the middle and middle values that are not adjacent
-    floats) no sample equals the median, each side holds n/2 samples and
-    the kept signs are the ``x > median`` mask itself.  Otherwise both
-    sides are counted and the kept signs gathered when some sample equals
-    the median.
+    arithmetic of ``np.median``, done in Python floats: a zero median may
+    carry either sign, which no comparison sees, and for odd n it is the
+    middle sample, since samples that pass ``check_finite`` are far too
+    small for ``2 * upper`` to overflow.  So on the finite records that
+    reach it (``runs_test`` and the working set run ``check_finite``
+    first) the value is the same, without ``np.median``'s generic
+    reduction set-up or its import of ``numpy.ma``.  Samples equal to the
+    median are dropped.  The partition decides the split on most records:
+    when ``lower < median < upper`` (even n, no tie at the middle and
+    middle values that are not adjacent floats) no sample equals the
+    median, each side holds n/2 >= 10 samples and the kept signs are the
+    ``x > median`` mask itself.  Otherwise both sides are counted and the
+    kept signs gathered when some sample equals the median.  A split with
+    no sample on one side, or with one sample on each (whose runs
+    variance is 0), raises the "degenerate dichotomy" ``ValueError``.
     """
     x = record.samples
     lower, upper = _middle_pair(x)
-    median = float((lower + upper) / 2.0)
+    median = (lower + upper) / 2.0
     above = x > median
     if lower < median < upper:
         n1 = n2 = x.size // 2
@@ -114,6 +118,9 @@ def _runs_statistics(record: TimeSeries) -> tuple[float, int, int, int]:
         n2 = int(np.count_nonzero(below))
         if n1 == 0 or n2 == 0:
             raise ValueError("degenerate dichotomy: all samples on one side of the median")
+        if n1 + n2 == 2:
+            raise ValueError("degenerate dichotomy: one sample on each side of the median "
+                             "leaves the runs count no variance")
         signs = above if n1 + n2 == x.size else above[above | below]
     n = n1 + n2
     runs = 1 + int(np.count_nonzero(signs[1:] != signs[:-1]))
@@ -147,13 +154,17 @@ def required_exceedances(n_lags: int) -> int:
 
 
 def _gate2_passes(lag_values: np.ndarray, bound: float) -> tuple[bool, int]:
-    """Apply the gate-2 rule to ACF values at lags 1..L."""
-    outside = np.abs(lag_values) > bound
-    count = int(np.count_nonzero(outside))
+    """Apply the gate-2 rule to ACF values at lags 1..L.
+
+    Since ``bound`` is positive, "significant lags on both sides of zero"
+    is ``max > bound`` and ``min < -bound`` over all the judged lags, two
+    ufunc reductions with no gather of the significant ones.
+    """
+    count = int(np.count_nonzero(np.abs(lag_values) > bound))
     if count < required_exceedances(lag_values.size):
         return False, count
-    significant = lag_values[outside]  # at least two values
-    both_signs = bool(significant.max() > 0) and bool(significant.min() < 0)
+    both_signs = bool(np.maximum.reduce(lag_values) > bound
+                      and np.minimum.reduce(lag_values) < -bound)
     return both_signs, count
 
 
@@ -178,9 +189,10 @@ def _screen(work: _Record, far: float) -> ScreeningDecision:
     bound = threshold / math.sqrt(n)
 
     if abs(z) < threshold:
-        return ScreeningDecision(z, runs, n1, n2, 0, bound, far, VERDICT_NOISE, "gate1")
-
-    passed, count = _gate2_passes(work.acf.values[1:n // 2 + 1], bound)
-    if not passed:
-        return ScreeningDecision(z, runs, n1, n2, count, bound, far, VERDICT_NOISE, "gate2")
-    return ScreeningDecision(z, runs, n1, n2, count, bound, far, VERDICT_SIGNAL, "none")
+        count, verdict, gate_failed = 0, VERDICT_NOISE, "gate1"
+    else:
+        passed, count = _gate2_passes(work.acf.values[1:n // 2 + 1], bound)
+        verdict, gate_failed = (VERDICT_SIGNAL, "none") if passed else (VERDICT_NOISE, "gate2")
+    return _adopt(ScreeningDecision, runs_statistic=z, runs_count=runs, n_above=n1, n_below=n2,
+                  acf_exceedances=count, acf_bound=bound, far=far, verdict=verdict,
+                  gate_failed=gate_failed)

@@ -44,9 +44,10 @@ def moving_average(record: TimeSeries, k: int) -> SmoothedSeries:
     if n - k + 1 < 2:
         raise ValueError(f"window {k} leaves fewer than two samples")
     smoothed = np.convolve(record.samples, np.ones(k), mode="valid") / k
+    smoothed.setflags(write=False)
     start = record.start_time + (k - 1) * record.dt  # no later than the last time, so finite
     series = _adopt(TimeSeries, start_time=start, dt=record.dt, samples=smoothed)
-    return SmoothedSeries(k, series, n)
+    return _adopt(SmoothedSeries, window_k=k, series=series, source_len=n)
 
 
 def rms_error(smoothed: SmoothedSeries, reference: SinusoidParams) -> float:

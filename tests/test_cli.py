@@ -410,6 +410,15 @@ class TestExitOne:
         self.assert_exit_one(result, "MA-5 smoothing leaves a constant record")
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("command", ["screen", "estimate"])
+    def test_a_record_with_one_sample_on_each_side_of_the_median(self, tmp_path, command):
+        from sinefit import io
+        x = np.zeros(20)
+        x[5], x[12] = 1.0, -1.0
+        io.write_timeseries_csv(str(tmp_path / "sparse.csv"), sf.TimeSeries(0.0, 1.0, x))
+        result = run_cli([command, str(tmp_path / "sparse.csv")], tmp_path)
+        self.assert_exit_one(result, "degenerate dichotomy: one sample on each side")
+
     def test_a_record_whose_smoothed_range_is_too_small_to_cross(self, tmp_path):
         from sinefit import io
         x = np.tile([1.0, 2.0, -3.0, 0.0, 0.0], 20)

@@ -495,6 +495,46 @@ class TestCrossChecksOnFirstRead:
         assert read > 200
 
 
+def built_objects(report):
+    """The objects ``estimate_parameters`` built for ``report``, the report first."""
+    objects = [report, report.screening, report.params, report.smoothed,
+               report.smoothed and report.smoothed.series, report.spectrum,
+               report.work.__dict__.get("acf")]
+    return [obj for obj in objects if obj is not None]
+
+
+class TestOneConstructionPath:
+    """Every object the pipeline builds through ``model._adopt`` is the one
+    its public constructor builds from the same field values."""
+
+    @pytest.mark.parametrize("config_name", ["default", "full_record", "ma_k=1", "skip_screen"])
+    def test_adopted_objects_match_the_public_constructors(self, config_name):
+        inputs, configs = same_outputs_inputs()
+        kinds = set()
+        for name, record in inputs:
+            try:
+                report = sf.estimate_parameters(record, configs[config_name])
+            except ValueError:
+                continue
+            for obj in built_objects(report):
+                cls = type(obj)
+                kinds.add(cls.__name__)
+                names = [f.name for f in dataclasses.fields(cls)]
+                assert list(vars(obj)) == names, (name, cls)
+                values = {field: getattr(obj, field) for field in names}
+                twin = cls(**values)
+                assert repr(obj) == repr(twin), (name, cls)
+                if cls.__dataclass_params__.eq:
+                    assert obj == twin and hash(obj) == hash(twin), (name, cls)
+                for field, value in values.items():
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        setattr(obj, field, value)
+                    if isinstance(value, np.ndarray):
+                        assert not value.flags.writeable, (name, cls, field)
+        assert kinds == {"EstimationReport", "ScreeningDecision", "SinusoidParams",
+                         "SmoothedSeries", "TimeSeries", "Spectrum", "AcfSeries"}
+
+
 RANGES = ["one_period", "full_record"]
 
 

@@ -26,6 +26,17 @@ class TestRunsTest:
         assert z < -5
         assert not is_random
 
+    def test_one_sample_on_each_side_is_a_degenerate_dichotomy(self):
+        # n1 = n2 = 1 gives the runs count a variance of 0, which once
+        # divided z by zero on every path into the runs test
+        x = np.zeros(20)
+        x[5], x[12] = 1.0, -1.0
+        for call in (lambda r: sf.runs_test(r, 0.01), sf.screen, sf.estimate_parameters):
+            with pytest.raises(ValueError, match="degenerate dichotomy: one sample on each"):
+                call(series(x))
+        report = sf.estimate_parameters(series(x), sf.PipelineConfig(skip_screen=True))
+        assert report.screening is None and report.params is not None
+
     def test_pure_noise_accepted_as_random(self, pure_noise):
         hits = sum(sf.runs_test(pure_noise(seed), far=0.01)[1]
                    for seed in range(1000))

@@ -53,13 +53,13 @@ def test_monte_carlo_times_synthesis_and_estimation():
 def test_same_outputs_prints_one_line_per_case():
     lines = run_script("same_outputs.py").splitlines()
     # (27 tone settings, two noise seeds when sigma > 0: 45 tones) + 27 tones
-    # on the shifted time grid + 12 noise records + 6 edge records, each
+    # on the shifted time grid + 12 noise records + 7 edge records, each
     # under 4 configs and through `sinefit screen`
-    assert len(lines) == (45 + 27 + 12 + 6) * 5
+    assert len(lines) == (45 + 27 + 12 + 7) * 5
     pattern = re.compile(r"\S+ (default|full_record|ma_k=1|skip_screen) [0-9a-f]{64} "
                          r"acf_arccos=(-|\S+) acf_period=(-|\S+)")
     screen_lines = [line for line in lines if line.split()[1] == "screen"]
-    assert len(screen_lines) == 45 + 27 + 12 + 6
+    assert len(screen_lines) == 45 + 27 + 12 + 7
     assert all(re.fullmatch(r"\S+ screen [0-9a-f]{64}", line) for line in screen_lines)
     assert all(pattern.fullmatch(line) for line in lines if line not in screen_lines), lines[:3]
     assert len({line.split()[2] for line in lines}) > 100
