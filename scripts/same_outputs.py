@@ -43,21 +43,23 @@ screening decision's ACF bound as ``sinefit estimate --plot-data`` does.
 Each input also gets one ``<input> screen <sha256>`` line: the hash of
 ``sinefit screen``'s exit code and of the bytes of the ``screening.json``
 and ``screening_acf.csv`` it writes for the input saved as CSV (or of
-its error message, when it exits 1).
+its output, when it exits 1).  The command runs in-process through
+``sinefit.cli.main``, the console entry point, with its stdout and
+stderr captured together.
 """
 
+import contextlib
 import hashlib
 import itertools
 import json
 import os
 import tempfile
+from io import StringIO
 
 import numpy as np
-from click.testing import CliRunner
 
 import sinefit as sf
-from sinefit import io
-from sinefit.cli import cli
+from sinefit import cli, io
 from sinefit.model import standard_normal_draws
 
 FREQUENCIES = (0.05, 0.0537, 0.123)
@@ -145,16 +147,26 @@ def case_line(name, config_name, record):
         f"{key}={value}" for key, value in zip(ACF_READS, shown))
 
 
+def run_main(argv):
+    """Exit code of one in-process ``sinefit`` run."""
+    try:
+        cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+    return 0
+
+
 def screen_line(name, record):
     with tempfile.TemporaryDirectory() as directory:
         paths = [os.path.join(directory, f) for f in
                  ("in.csv", "screening.json", "screening_acf.csv")]
         io.write_timeseries_csv(paths[0], record)
-        result = CliRunner().invoke(cli, ["screen", paths[0], "-o", paths[1],
-                                          "--acf-out", paths[2]])
-        parts = [str(result.exit_code).encode()]
-        if result.exit_code == 1:
-            parts.append(result.output.replace(directory, "").encode())
+        output = StringIO()
+        with contextlib.redirect_stdout(output), contextlib.redirect_stderr(output):
+            code = run_main(["screen", paths[0], "-o", paths[1], "--acf-out", paths[2]])
+        parts = [str(code).encode()]
+        if code == 1:
+            parts.append(output.getvalue().replace(directory, "").encode())
         for path in paths[1:]:
             if os.path.exists(path):
                 with open(path, "rb") as handle:

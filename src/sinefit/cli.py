@@ -2,18 +2,24 @@
 
 Exit codes: 0 on success, 2 when screening rejects the input as noise,
 1 for every other failure (parse errors, bad arguments, unwritable
-paths): the command group turns any ``ValueError`` or ``OSError`` a
-command raises into ``Error: <message>`` on stderr and exit 1.  When
-an output path is not given, files land in the directory named by the
-SINEFIT_OUT_DIR environment variable (default: the current directory).
+paths).  ``main`` maps them in one place: each command returns 0 or 2,
+and a ``ValueError``, ``OSError`` or ``KeyboardInterrupt`` it raises
+becomes ``Error: <message>`` (``aborted`` for the interrupt) on stderr
+and exit 1.  A usage error prints the usage and ``Error: <message>``
+and exits 1 too.  Path arguments are checked while the command line is
+parsed, so no command runs and no output is written when an input is
+missing or a path names the wrong kind of file.  When an output path is
+not given, files land in the directory named by the SINEFIT_OUT_DIR
+environment variable (default: the current directory).
 """
 
 from __future__ import annotations
 
+import argparse
 import os
+import re
 import sys
 
-import click
 import numpy as np
 
 from . import io
@@ -26,161 +32,171 @@ from .spectrum import dft_magnitude
 ENV_OUT_DIR = "SINEFIT_OUT_DIR"
 
 
-def _out_path(explicit: str | None, default_name: str) -> str:
-    if explicit:
-        return explicit
-    return os.path.join(os.environ.get(ENV_OUT_DIR, "."), default_name)
+def _input_file(path: str) -> str:
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"'{path}' does not exist")
+    return _output_file(path)
 
 
-class _Group(click.Group):
-    """Turns a ``ValueError`` or ``OSError`` from any command into exit 1."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except (ValueError, OSError) as exc:
-            raise click.ClickException(str(exc))
+def _output_file(path: str) -> str:
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"'{path}' is a directory")
+    return path
 
 
-@click.group(cls=_Group)
-def cli():
-    """Estimate amplitude, frequency, and phase of a noisy sinusoid."""
+def _output_dir(path: str) -> str:
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"'{path}' is a file")
+    return path
 
 
-@cli.command()
-@click.option("--amplitude", "-A", type=float, required=True, help="Signal amplitude (> 0).")
-@click.option("--frequency", "-f", type=float, required=True, help="Frequency in Hz (> 0).")
-@click.option("--phase", "-p", type=float, default=0.0, show_default=True,
-              help="Phase in radians; wrapped into [-pi, pi).")
-@click.option("--sigma", type=float, default=0.0, show_default=True,
-              help="Gaussian noise standard deviation.")
-@click.option("--seed", type=int, default=0, show_default=True, help="Noise generator seed.")
-@click.option("-n", "--samples", type=int, default=100, show_default=True,
-              help="Number of samples.")
-@click.option("--dt", type=float, default=1.0, show_default=True, help="Sample interval (s).")
-@click.option("--start", type=float, default=0.0, show_default=True, help="Start time (s).")
-@click.option("-o", "--out", type=click.Path(dir_okay=False), default=None,
-              help="Output CSV path [default: timeseries.csv in SINEFIT_OUT_DIR].")
-def generate(amplitude, frequency, phase, sigma, seed, samples, dt, start, out):
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error: argparse's 2 is the noise verdict here."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+        # -1e-3 and -inf are option values, as -1.5 is to argparse's own matcher
+        self._negative_number_matcher = re.compile(r"-\.?\d|-inf|-nan", re.IGNORECASE)
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"Error: {message}\n")
+
+
+def generate(args) -> int:
     """Write a seeded synthetic record as `t,value` CSV."""
-    params = SinusoidParams(amplitude, frequency, phase)
-    noise = NoiseSpec(sigma=sigma, seed=seed)
-    series = synthesize(params, noise, samples, dt=dt, start=start)
-    path = _out_path(out, "timeseries.csv")
-    io.write_timeseries_csv(path, series)
-    click.echo(f"wrote {path}")
+    params = SinusoidParams(args.amplitude, args.frequency, args.phase)
+    noise = NoiseSpec(sigma=args.sigma, seed=args.seed)
+    series = synthesize(params, noise, args.samples, dt=args.dt, start=args.start)
+    io.write_timeseries_csv(args.out, series)
+    print(f"wrote {args.out}")
+    return 0
 
 
-@cli.command("screen")
-@click.argument("input_csv", type=click.Path(exists=True, dir_okay=False))
-@click.option("--far", type=float, default=0.01, show_default=True,
-              help="False-alarm rate for both gates.")
-@click.option("-o", "--out", type=click.Path(dir_okay=False), default=None,
-              help="Decision JSON path [default: screening.json].")
-@click.option("--acf-out", type=click.Path(dir_okay=False), default=None,
-              help="ACF-with-bounds CSV path [default: screening_acf.csv].")
-def screen_cmd(input_csv, far, out, acf_out):
+def screen(args) -> int:
     """Run the two-gate screen; exit 2 when the verdict is noise."""
-    work = _Record(io.read_timeseries_csv(input_csv))
-    decision = _screen(work, far)
-    json_path = _out_path(out, "screening.json")
-    io.write_json(json_path, io.decision_to_dict(decision))
-    csv_path = _out_path(acf_out, "screening_acf.csv")
-    io.write_acf_csv(csv_path, work.acf, decision.acf_bound)
-    click.echo(f"verdict: {decision.verdict} (gate_failed={decision.gate_failed})")
-    click.echo(f"wrote {json_path} and {csv_path}")
-    if decision.verdict == VERDICT_NOISE:
-        sys.exit(2)
+    work = _Record(io.read_timeseries_csv(args.input_csv))
+    decision = _screen(work, args.far)
+    io.write_json(args.out, io.decision_to_dict(decision))
+    io.write_acf_csv(args.acf_out, work.acf, decision.acf_bound)
+    print(f"verdict: {decision.verdict} (gate_failed={decision.gate_failed})")
+    print(f"wrote {args.out} and {args.acf_out}")
+    return 2 if decision.verdict == VERDICT_NOISE else 0
 
 
-@cli.command()
-@click.argument("input_csv", type=click.Path(exists=True, dir_okay=False))
-@click.option("--max-lag", type=int, default=None,
-              help="Largest lag to compute [default: N-1, full fold-over].")
-@click.option("-o", "--out", type=click.Path(dir_okay=False), default=None,
-              help="Output CSV path [default: acf.csv].")
-def acf(input_csv, max_lag, out):
+def acf(args) -> int:
     """Write the discrete circular ACF as `lag,value` CSV."""
-    record = io.read_timeseries_csv(input_csv)
-    series = circular_acf(record, max_lag=max_lag)
-    path = _out_path(out, "acf.csv")
-    io.write_csv(path, ("lag", "value"),
-                 (np.arange(series.values.size), series.values))
-    click.echo(f"wrote {path}")
+    record = io.read_timeseries_csv(args.input_csv)
+    series = circular_acf(record, max_lag=args.max_lag)
+    io.write_csv(args.out, ("lag", "value"), (np.arange(series.values.size), series.values))
+    print(f"wrote {args.out}")
+    return 0
 
 
-@cli.command()
-@click.argument("input_csv", type=click.Path(exists=True, dir_okay=False))
-@click.option("--pad", type=int, default=None,
-              help="Zero-pad the record to this length (at least N) for a finer grid.")
-@click.option("-o", "--out", type=click.Path(dir_okay=False), default=None,
-              help="Output CSV path [default: spectrum.csv].")
-def spectrum(input_csv, pad, out):
+def spectrum(args) -> int:
     """Write the magnitude spectrum as `frequency_hz,magnitude` CSV."""
-    record = io.read_timeseries_csv(input_csv)
+    record, pad = io.read_timeseries_csv(args.input_csv), args.pad
     if pad is not None and pad < len(record):
-        raise click.ClickException(
-            f"--pad must be at least the record length N = {len(record)}, got {pad}")
+        raise ValueError(f"--pad must be at least the record length N = {len(record)}, got {pad}")
     if pad is not None and pad > len(record):
-        padded = np.concatenate([record.samples,
-                                 np.zeros(pad - len(record))])
+        padded = np.concatenate([record.samples, np.zeros(pad - len(record))])
         record = TimeSeries(record.start_time, record.dt, padded)
     spec = dft_magnitude(record)
-    path = _out_path(out, "spectrum.csv")
-    io.write_csv(path, ("frequency_hz", "magnitude"),
-                 (spec.frequencies(), spec.magnitudes))
-    click.echo(f"wrote {path}")
+    io.write_csv(args.out, ("frequency_hz", "magnitude"), (spec.frequencies(), spec.magnitudes))
+    print(f"wrote {args.out}")
+    return 0
 
 
-@cli.command()
-@click.argument("input_csv", type=click.Path(exists=True, dir_okay=False))
-@click.option("--far", type=float, default=0.01, show_default=True,
-              help="False-alarm rate for screening.")
-@click.option("--ma-k", type=int, default=5, show_default=True,
-              help="Moving-average window size.")
-@click.option("--objective-range", type=click.Choice([ONE_PERIOD, FULL_RECORD]),
-              default=ONE_PERIOD, show_default=True,
-              help="Samples the phase objective sums over.")
-@click.option("--max-lag", type=int, default=None,
-              help="ACF lag budget [default: N/2].")
-@click.option("--skip-screen", is_flag=True, default=False,
-              help="Estimate even when the screen says noise.")
-@click.option("-o", "--out", type=click.Path(dir_okay=False), default=None,
-              help="Report JSON path [default: report.json].")
-@click.option("--plot-data", type=click.Path(file_okay=False), default=None,
-              help="Also write plot-ready CSV series into this directory.")
-def estimate(input_csv, far, ma_k, objective_range, max_lag, skip_screen, out,
-             plot_data):
+def estimate(args) -> int:
     """Run the full pipeline and write a JSON report; exit 2 on noise."""
-    record = io.read_timeseries_csv(input_csv)
-    config = PipelineConfig(far=far, ma_k=ma_k,
-                            objective_range=objective_range,
-                            max_lag=max_lag, skip_screen=skip_screen)
+    record = io.read_timeseries_csv(args.input_csv)
+    config = PipelineConfig(far=args.far, ma_k=args.ma_k, objective_range=args.objective_range,
+                            max_lag=args.max_lag, skip_screen=args.skip_screen)
     report = estimate_parameters(record, config)
-    path = _out_path(out, "report.json")
-    io.write_json(path, io.report_to_dict(report))
-    if plot_data is not None:
+    io.write_json(args.out, io.report_to_dict(report))
+    if args.plot_data is not None:
         bound = report.screening.acf_bound if report.screening else None
-        io.write_plot_data(plot_data, record, report, bound)
-    click.echo(f"wrote {path}")
+        io.write_plot_data(args.plot_data, record, report, bound)
+    print(f"wrote {args.out}")
     if report.params is None:
-        click.echo("verdict: noise -- no parameters estimated")
-        sys.exit(2)
+        print("verdict: noise -- no parameters estimated")
+        return 2
     p = report.params
-    click.echo(f"amplitude={p.amplitude:.4g} frequency_hz={p.frequency_hz:.6g} "
-               f"phase_rad={p.phase_rad:.4g}")
+    print(f"amplitude={p.amplitude:.4g} frequency_hz={p.frequency_hz:.6g} "
+          f"phase_rad={p.phase_rad:.4g}")
+    return 0
 
 
-def main() -> None:
-    """Console entry point with the documented exit-code contract."""
+def _parser() -> _Parser:
+    """The command line; output paths default into SINEFIT_OUT_DIR, read now."""
+    parser = _Parser(prog="sinefit",
+                     description="Estimate amplitude, frequency, and phase of a noisy sinusoid.")
+    commands = parser.add_subparsers(dest="command", required=True)
+    out_dir = os.environ.get(ENV_OUT_DIR, ".")
+
+    def command(run, name, out_name, out_help):
+        """The subcommand ``name``, with its input (but for generate) and -o."""
+        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__)
+        sub.set_defaults(run=run)
+        if run is not generate:
+            sub.add_argument("input_csv", type=_input_file)
+        sub.add_argument("-o", "--out", type=_output_file,
+                         default=os.path.join(out_dir, out_name), help=out_help)
+        return sub.add_argument
+
+    add = command(generate, "generate", "timeseries.csv",
+                  "Output CSV path [default: timeseries.csv in SINEFIT_OUT_DIR].")
+    add("--amplitude", "-A", type=float, required=True, help="Signal amplitude (> 0).")
+    add("--frequency", "-f", type=float, required=True, help="Frequency in Hz (> 0).")
+    add("--phase", "-p", type=float, default=0.0,
+        help="Phase in radians; wrapped into [-pi, pi). [default: 0.0]")
+    add("--sigma", type=float, default=0.0,
+        help="Gaussian noise standard deviation. [default: 0.0]")
+    add("--seed", type=int, default=0, help="Noise generator seed. [default: 0]")
+    add("-n", "--samples", type=int, default=100, help="Number of samples. [default: 100]")
+    add("--dt", type=float, default=1.0, help="Sample interval (s). [default: 1.0]")
+    add("--start", type=float, default=0.0, help="Start time (s). [default: 0.0]")
+
+    add = command(screen, "screen", "screening.json",
+                  "Decision JSON path [default: screening.json].")
+    add("--far", type=float, default=0.01,
+        help="False-alarm rate for both gates. [default: 0.01]")
+    add("--acf-out", type=_output_file, default=os.path.join(out_dir, "screening_acf.csv"),
+        help="ACF-with-bounds CSV path [default: screening_acf.csv].")
+
+    add = command(acf, "acf", "acf.csv", "Output CSV path [default: acf.csv].")
+    add("--max-lag", type=int, help="Largest lag to compute [default: N-1, full fold-over].")
+
+    add = command(spectrum, "spectrum", "spectrum.csv", "Output CSV path [default: spectrum.csv].")
+    add("--pad", type=int,
+        help="Zero-pad the record to this length (at least N) for a finer grid.")
+
+    add = command(estimate, "estimate", "report.json", "Report JSON path [default: report.json].")
+    add("--far", type=float, default=0.01, help="False-alarm rate for screening. [default: 0.01]")
+    add("--ma-k", type=int, default=5, help="Moving-average window size. [default: 5]")
+    add("--objective-range", choices=[ONE_PERIOD, FULL_RECORD], default=ONE_PERIOD,
+        help="Samples the phase objective sums over. [default: one_period]")
+    add("--max-lag", type=int, help="ACF lag budget [default: N/2].")
+    add("--skip-screen", action="store_true", help="Estimate even when the screen says noise.")
+    add("--plot-data", type=_output_dir,
+        help="Also write plot-ready CSV series into this directory.")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Run one command from ``argv`` (default ``sys.argv[1:]``): return on
+    success, exit 2 on a noise verdict and exit 1 on any failure."""
     try:
-        cli.main(standalone_mode=False)
-    except click.ClickException as exc:
-        exc.show()
-        sys.exit(1)
-    except click.Abort:
-        click.echo("aborted", err=True)
-        sys.exit(1)
+        args = _parser().parse_args(argv)
+        code = args.run(args)
+    except (ValueError, OSError) as exc:
+        print(f"Error: {exc}", file=sys.stderr)
+        code = 1
+    except KeyboardInterrupt:
+        print("aborted", file=sys.stderr)
+        code = 1
+    if code:
+        sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -344,7 +344,7 @@ def _zero_crossings(series: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
     p, q = s > 0.0, s < 0.0
     i = ((p[1:] > p[:-1]) | (q[1:] > q[:-1])).nonzero()[0]
     a, b = s[i], s[i + 1]
-    raw = (start + dt * i) + dt * (0.0 - a) / (b - a)  # sorted, for searchsorted
+    raw = (start + dt * i) + dt * ((0.0 - a) / (b - a))  # sorted, for searchsorted
     above = s > h
     confirmed = (above | (s < -h)).nonzero()[0]
     side = above[confirmed]

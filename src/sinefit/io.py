@@ -78,11 +78,14 @@ def write_acf_csv(path: str, acf: AcfSeries, bound: float | None) -> None:
 def read_timeseries_csv(path: str) -> TimeSeries:
     """Parse a `t,value` CSV into a record of finite, uniformly spaced samples.
 
-    Each step may differ from the first, the record's dt, by _DT_RTOL*dt
+    Each step may differ from the first by _DT_RTOL times the first step
     plus the rounding of the times (2 ulps of the largest |t|, at most
-    _ROUNDING_LIMIT*dt), so the times a writer rounds far from t = 0 read
-    back.  Errors name the file line of the offending row; blank lines
-    are skipped but still counted.
+    _ROUNDING_LIMIT times the first step), so the times a writer rounds
+    far from t = 0 read back.  The record's dt is the mean step
+    (t[-1] - t[0])/(N - 1), which spreads the rounding of two times over
+    N - 1 steps where the first step carries all of it.  Errors name the
+    file line of the offending row; blank lines are skipped but still
+    counted.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -122,7 +125,7 @@ def read_timeseries_csv(path: str) -> TimeSeries:
         raise ValueError(
             f"{path}: line {lines[i + 1]}: non-uniform sample spacing "
             f"({float(steps[i])!r} vs {dt!r})")
-    return TimeSeries(times[0], dt, values)
+    return TimeSeries(times[0], (times[-1] - times[0]) / (len(times) - 1), values)
 
 
 def params_to_dict(params: SinusoidParams) -> dict:

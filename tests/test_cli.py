@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -441,3 +442,91 @@ class TestExitOne:
         assert result.stderr == ""
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["verdict"] == "signal" and report["params"]["amplitude"] == 1e-171
+
+
+class TestUsage:
+    """What the command line refuses before any command runs: exit 1,
+    ``Error:`` on stderr, no traceback and no file written."""
+
+    CASES = {
+        "missing_input": ["estimate", "{missing}"],
+        "input_is_a_directory": ["screen", "{dir}"],
+        "out_is_a_directory": ["screen", "{csv}", "-o", "{dir}"],
+        "acf_out_is_a_directory": ["screen", "{csv}", "--acf-out", "{dir}"],
+        "plot_data_is_a_file": ["estimate", "{csv}", "--plot-data", "{csv}"],
+        "bad_objective_range": ["estimate", "{csv}", "--objective-range", "whole_record"],
+        "non_float_far": ["screen", "{csv}", "--far", "often"],
+        "unknown_subcommand": ["fit", "{csv}"],
+    }
+    OPTIONS = {
+        "generate": ["--amplitude", "-A", "--frequency", "-f", "--phase", "-p", "--sigma",
+                     "--seed", "-n", "--samples", "--dt", "--start", "-o", "--out"],
+        "screen": ["--far", "-o", "--out", "--acf-out"],
+        "acf": ["--max-lag", "-o", "--out"],
+        "spectrum": ["--pad", "-o", "--out"],
+        "estimate": ["--far", "--ma-k", "--objective-range", "--max-lag", "--skip-screen",
+                     "-o", "--out", "--plot-data"],
+    }
+
+    @staticmethod
+    def files(tmp_path):
+        return sorted(str(path) for path in tmp_path.rglob("*"))
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_refused_before_any_output(self, tmp_path, case):
+        from sinefit import io
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        io.write_timeseries_csv(str(tmp_path / "in.csv"), sf.synthesize(
+            sf.SinusoidParams(2.0, 0.05, 0.6109), sf.NoiseSpec(0.5, 3), 100))
+        paths = {"csv": str(tmp_path / "in.csv"), "dir": str(out_dir),
+                 "missing": str(tmp_path / "missing.csv")}
+        before = self.files(tmp_path)
+        result = run_cli([arg.format(**paths) for arg in self.CASES[case]], out_dir)
+        assert result.returncode == 1, result.stderr
+        assert "Error:" in result.stderr and "Traceback" not in result.stderr
+        assert self.files(tmp_path) == before
+
+    def test_no_subcommand_exits_one_naming_the_commands(self, tmp_path):
+        result = run_cli([], tmp_path)
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert all(name in result.stderr for name in self.OPTIONS)
+        assert self.files(tmp_path) == []
+
+    @pytest.mark.parametrize("command", list(OPTIONS))
+    def test_help_names_every_option(self, tmp_path, command):
+        result = run_cli([command, "--help"], tmp_path, check=0)
+        for option in self.OPTIONS[command]:
+            assert re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", result.stdout), option
+
+    def test_negative_numbers_in_any_notation_are_values(self, tmp_path):
+        run_cli(["generate", "-A", "2", "-f", "0.05", "-p", "-1e-3", "--start", "-1e5",
+                 "-o", str(tmp_path / "a.csv")], tmp_path, check=0)
+        _, rows = read_csv(tmp_path / "a.csv")
+        assert rows[0][0] == -1e5
+
+    def test_a_usage_error_exits_one_in_process(self, capsys):
+        from sinefit.cli import main
+        with pytest.raises(SystemExit) as exited:
+            main(["generate", "--no-such-flag"])
+        assert exited.value.code == 1
+        assert "Error:" in capsys.readouterr().err
+
+    def test_an_interrupt_exits_one_as_aborted(self, tmp_path, monkeypatch, capsys):
+        from sinefit import cli
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "synthesize", interrupted)
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["generate", "-A", "2", "-f", "0.05", "-o", str(tmp_path / "a.csv")])
+        assert exited.value.code == 1
+        assert capsys.readouterr().err == "aborted\n"
+        assert not (tmp_path / "a.csv").exists()
+
+    def test_importing_the_cli_leaves_click_out(self):
+        code = "import sys, sinefit.cli; print('click' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.stdout == "False\n", result.stderr

@@ -314,9 +314,9 @@ def reference_zero_crossings(series):
     for i in range(s.size - 1):
         a, b = s[i], s[i + 1]
         if a <= 0.0 < b:
-            raw.append((t[i] + series.dt * (0.0 - a) / (b - a), 1))
+            raw.append((t[i] + series.dt * ((0.0 - a) / (b - a)), 1))
         elif a >= 0.0 > b:
-            raw.append((t[i] + series.dt * (0.0 - a) / (b - a), -1))
+            raw.append((t[i] + series.dt * ((0.0 - a) / (b - a)), -1))
     states = np.where(s > h, 1, np.where(s < -h, -1, 0))
     confirmed = np.flatnonzero(states != 0)
     crossings = []
@@ -601,6 +601,18 @@ class TestPipeline:
         assert "ma_period" not in report.frequency_cross_checks_hz
         assert not any(w.startswith("ma_period") for w in report.warnings)
         assert all(0.0 < f < math.inf for f in report.frequency_cross_checks_hz.values())
+
+    def test_a_crossing_on_a_huge_grid_does_not_overflow(self):
+        # dt * |x| is past float max at dt = 1e300 and |x| ~ 1e100; the
+        # interpolated fraction of a step lies in [0, 1], so dt multiplies it
+        # last: the crossing times stay finite and the ma_period read is kept
+        samples = 1e100 * sf.synthesize(sf.SinusoidParams(AMPLITUDE, FREQUENCY, PHASE),
+                                        sf.NoiseSpec(SIGMA, 3), 300).samples
+        record = sf.TimeSeries(0.0, 1e300, samples)
+        report = sf.estimate_parameters(record, sf.PipelineConfig(skip_screen=True))
+        assert 0.0 < report.t_2pi < math.inf
+        assert report.frequency_cross_checks_hz["ma_period"] * 1e300 == pytest.approx(
+            FREQUENCY, rel=0.2)
 
     @pytest.mark.parametrize("config", [sf.PipelineConfig(),
                                         sf.PipelineConfig(objective_range="full_record"),

@@ -127,8 +127,20 @@ class TestReadTimeseriesCsvFarFromZero:
         io.write_timeseries_csv(path, record)
         back = io.read_timeseries_csv(path)
         t = record.times()
-        assert (back.start_time, back.dt) == (t[0], t[1] - t[0])  # dt is the first step
+        assert (back.start_time, back.dt) == (t[0], (t[-1] - t[0]) / (n - 1))  # the mean step
         assert back.samples.tobytes() == record.samples.tobytes()
+
+    def test_the_mean_step_keeps_the_frequency_of_a_record_far_from_zero(self, tmp_path):
+        # every 1 ms from t = 1.7e9 s a float holds the times to about 2.4e-7 s,
+        # so the first step is 7.2e-5 off and would put f at 50.0036 Hz
+        record = sf.synthesize(sf.SinusoidParams(2.0, 50.0, 0.6109), sf.NoiseSpec(0.5, 5), 200,
+                               dt=1e-3, start=1.7e9)
+        path = str(tmp_path / "record.csv")
+        io.write_timeseries_csv(path, record)
+        back = io.read_timeseries_csv(path)
+        assert abs(back.dt - 1e-3) < 1e-9
+        config = sf.PipelineConfig(objective_range="full_record")
+        assert abs(sf.estimate_parameters(back, config).params.frequency_hz - 50.0) < 1e-4
 
     def test_a_step_off_by_more_than_the_rounding_still_raises(self, tmp_path):
         path = self.write(tmp_path, [86400.0, 86400.01, 86400.02, 86400.030001])

@@ -14,17 +14,26 @@ With x(t) = A*sin(2*pi*f*t + phi):
 The gate-1 runs split, which the partition decides on most records, is
 pinned against a reference that gathers the kept signs on every record,
 on arbitrary finite arrays.
+
+No finite record ends in a traceback: on white noise, quantised samples
+with ties, tones at any f <= 0.5 cycles per sample and sparse spikes,
+scaled by 10**k for |k| <= 150 and sampled every 10**[-300, 300] s, the
+screen, the estimate with every report field read and the JSON payload
+each return or raise ``ValueError`` under the four configs of
+``scripts/same_outputs.py`` (pytest turns a ``RuntimeWarning`` into a
+failure).
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import sinefit as sf
-from sinefit import screening
+from sinefit import io, screening
 from sinefit.estimate import REFINE_STEP
+from sinefit.model import standard_normal_draws
 from test_gate1 import _gathered_runs_statistics
 
 CONFIG = sf.PipelineConfig(skip_screen=True)
@@ -120,3 +129,50 @@ def test_runs_split_equals_the_gathering_reference(x):
             screening._runs_statistics(record)
         return
     assert screening._runs_statistics(record) == _gathered_runs_statistics(x)
+
+
+SAME_OUTPUTS_CONFIGS = [sf.PipelineConfig(), sf.PipelineConfig(objective_range="full_record"),
+                        sf.PipelineConfig(ma_k=1), sf.PipelineConfig(skip_screen=True)]
+
+
+@st.composite
+def any_records(draw):
+    """N = 2..400 samples of one family, scaled by 10**k, every 10**e s."""
+    n, seed = draw(st.integers(2, 400)), draw(st.integers(0, 2 ** 32 - 1))
+    kind = draw(st.sampled_from(["white", "quantised", "tone", "spikes"]))
+    if kind == "white":
+        x = standard_normal_draws(seed, n)
+    elif kind == "quantised":  # a few levels, so many ties at the median
+        x = np.round(draw(st.floats(0.1, 3.0)) * standard_normal_draws(seed, n))
+    elif kind == "tone":
+        params = sf.SinusoidParams(1.0, draw(st.floats(0.0, 0.5, exclude_min=True)),
+                                   draw(st.floats(-math.pi, math.pi, exclude_max=True)))
+        x = sf.synthesize(params, sf.NoiseSpec(draw(st.floats(0.0, 2.0)), seed), n).samples
+    else:
+        x = np.zeros(n)
+        spikes = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+        x[spikes] = draw(st.lists(st.sampled_from([-1.0, 1.0, 2.5]),
+                                  min_size=len(spikes), max_size=len(spikes)))
+    scale = 10.0 ** draw(st.integers(-150, 150))
+    return sf.TimeSeries(0.0, 10.0 ** draw(st.floats(-300.0, 300.0)), scale * x)
+
+
+def read_every_field(report):
+    for name in dir(report):
+        if not name.startswith("_"):
+            getattr(report, name)
+    io.report_to_dict(report)
+
+
+# dt * |x| past float max: the crossing interpolation used to overflow
+@example(sf.TimeSeries(0.0, 1e300, 1e100 * sf.synthesize(
+    sf.SinusoidParams(2.0, 0.05, 0.6109), sf.NoiseSpec(0.5, 3), 300).samples))
+@given(any_records())
+def test_no_record_ends_in_a_traceback(record):
+    for config in SAME_OUTPUTS_CONFIGS:
+        for stage in (lambda: sf.screen(record, config.far),
+                      lambda: read_every_field(sf.estimate_parameters(record, config))):
+            try:
+                stage()
+            except ValueError:
+                pass
