@@ -29,9 +29,13 @@ Two ``read_all`` settings estimate the tones and then read the report's
 four cross-check fields, ``model_acf``, ``objective_value`` and
 ``delta_t``, as a caller that writes the whole report does: at N = 100
 under ``one_period`` and at N = 10^4 under ``full_record``, the cost of
-the values computed on first read included.  The last two time
-``synthesize`` of the demo tone at sigma = 0.5 and N = 100 and N = 10^4
-(seeds 0..R-1), the cost of building a seeded Monte Carlo pool.
+the values computed on first read included.  Two ``grid`` settings
+time ``phase_grid_search`` alone, on objectives built beforehand from
+the demo tones with the demo A and f: at N = 100 under ``one_period``
+and at N = 10^4 under ``full_record``, the phase grid of both objective
+ranges on its own.  The last two time ``synthesize`` of the demo tone
+at sigma = 0.5 and N = 100 and N = 10^4 (seeds 0..R-1), the cost of
+building a seeded Monte Carlo pool.
 """
 
 import argparse
@@ -50,6 +54,8 @@ SETTINGS = (("n=100 one_period", 100, "one_period", 40, "tone"),
             ("n=1000 ar1", 1000, "one_period", 40, "ar1"),
             ("n=100 read_all", 100, "one_period", 40, "read_all"),
             ("n=10000 read_all", 10_000, "full_record", 4, "read_all"),
+            ("n=100 grid one_period", 100, "one_period", 40, "grid"),
+            ("n=10000 grid full_record", 10_000, "full_record", 4, "grid"),
             ("n=100 synthesize", 100, None, 40, "synthesize"),
             ("n=10000 synthesize", 10_000, None, 4, "synthesize"))
 DEMO = (2.0, 0.05, 0.6109)
@@ -111,6 +117,11 @@ class Side:
         else:
             records = [sf.synthesize(tone, sf.NoiseSpec(SIGMA, seed), n)
                        for seed in range(count)]
+        if kind == "grid":
+            self.fn = sf.phase_grid_search
+            self.calls = [(sf.PhaseObjective(record, DEMO[0], DEMO[1], objective_range),)
+                          for record in records]
+            return
         config = sf.PipelineConfig(objective_range=objective_range)
         self.fn = read_all(sf.estimate_parameters) if kind == "read_all" else sf.estimate_parameters
         self.calls = [(record, config) for record in records]

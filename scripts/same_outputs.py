@@ -11,8 +11,11 @@ when sigma > 0), the same tones sampled from t = -2.3 s every 0.37 s
 (noise seed 0), plus white-noise and AR(1) (rho = 0.3) records at each
 N, seeds 0 and 1.  The shifted grid exercises the start-time rotation of
 the full-record phase sums and the index arithmetic of the one-period
-window.  Seven edge records close the list: [1, 2, -3, 0, 0] repeated to
+window.  Eight edge records close the list: [1, 2, -3, 0, 0] repeated to
 N = 100, which passes the screen but which MA-5 smooths to a constant;
+the same record with sample 53 set to 1e-170, whose amplitude 1e-171
+leaves every grid value rounded to the same constant, so the grid phase
+is the first point's, -pi - 0.01 (the tie rule);
 the N = 100 tone at sigma = 0.5 (seed 3) on dt = float max/100, where
 the crossing spacings sum past float max; the N = 100 tone at phi = 3.14
 and sigma = 0.5 (seed 2), whose grid phase steps past pi under every
@@ -97,7 +100,11 @@ def inputs():
     for n, seed in itertools.product(SIZES, SEEDS):
         yield f"white:n={n}:seed={seed}", sf.TimeSeries(0.0, 1.0, standard_normal_draws(seed, n))
         yield f"ar1:n={n}:seed={seed}", sf.TimeSeries(0.0, 1.0, ar1(seed, n))
-    yield "flat_after_ma5:n=100", sf.TimeSeries(0.0, 1.0, np.tile([1.0, 2.0, -3.0, 0.0, 0.0], 20))
+    flat = np.tile([1.0, 2.0, -3.0, 0.0, 0.0], 20)
+    yield "flat_after_ma5:n=100", sf.TimeSeries(0.0, 1.0, flat)
+    tie = flat.copy()
+    tie[53] = 1e-170
+    yield "flat_after_ma5:n=100:x53=1e-170", sf.TimeSeries(0.0, 1.0, tie)
     tone = sf.synthesize(sf.SinusoidParams(2.0, 0.05, 0.6109), sf.NoiseSpec(0.5, 3), 100)
     yield ("tone:f=0.05:n=100:sigma=0.5:seed=3:dt=max/100",
            sf.TimeSeries(0.0, float(np.finfo(float).max) / 100, tone.samples))

@@ -22,7 +22,8 @@ import numpy as np
 
 from .acf import (AcfSeries, DegenerateParametersError, _Record, _coupling_and_denominator,
                   frequency_from_acf, model_acf_full)
-from .model import SinusoidParams, TimeSeries, TWO_PI, _adopt, _on_first_read, wrap_phase
+from .model import (SinusoidParams, TimeSeries, TWO_PI, _SAMPLE_LIMIT_TIMES_N, _adopt,
+                    _on_first_read, wrap_phase)
 from .screening import ScreeningDecision, VERDICT_NOISE, _screen
 from .smoothing import SmoothedSeries, moving_average
 from .spectrum import Spectrum, _peak_bin
@@ -46,7 +47,14 @@ _FREQ_AGREEMENT = 0.2
 
 @dataclass(frozen=True)
 class PhaseObjective:
-    """Sum-of-squares phase objective with amplitude and frequency pinned."""
+    """Sum-of-squares phase objective with amplitude and frequency pinned.
+
+    The amplitude must lie in (0, L], L = sqrt(float max)/(2N) the sample
+    limit of ``check_finite`` for the record's length N, so A^2 and the
+    objective's sums stay finite; the frequency must be positive with
+    4*pi*f finite, the angular frequency of the double-angle sums.  NaN
+    and inf fail both.
+    """
 
     data: TimeSeries
     fixed_amplitude: float
@@ -54,10 +62,11 @@ class PhaseObjective:
     t_range: str = ONE_PERIOD
 
     def __post_init__(self):
-        if not self.fixed_amplitude > 0:
-            raise ValueError("fixed_amplitude must be positive")
-        if not self.fixed_frequency_hz > 0:
-            raise ValueError("fixed_frequency_hz must be positive")
+        if not 0.0 < self.fixed_amplitude <= _SAMPLE_LIMIT_TIMES_N / len(self.data):
+            raise ValueError("fixed_amplitude must lie in (0, sqrt(float max)/(2N)]")
+        f = self.fixed_frequency_hz
+        if not (f > 0 and math.isfinite(2.0 * TWO_PI * f)):
+            raise ValueError("fixed_frequency_hz must be positive, with 4*pi*f finite")
         if self.t_range not in _RANGES:
             raise ValueError(f"t_range must be one of {_RANGES}")
 
@@ -131,19 +140,24 @@ def _double_angle_sums(record: TimeSeries, lo: int, hi: int, theta: float) -> tu
 
 
 class _PhaseTable(NamedTuple):
-    """Grid phases with the cos(phi), sin(phi), cos(2phi) and sin(2phi) the
-    objective's trig polynomial reads."""
+    """Grid phases with the unit columns exp(i*phi) and exp(2i*phi) the
+    objective's trig polynomial reads, each built from the cos and sin of
+    its angle (so its real and imaginary parts are those values, bit for
+    bit)."""
 
     phis: np.ndarray
-    cos: np.ndarray
-    sin: np.ndarray
-    cos2: np.ndarray
-    sin2: np.ndarray
+    e1: np.ndarray
+    e2: np.ndarray
+
+
+def _unit_column(angles: np.ndarray) -> np.ndarray:
+    column = np.empty(angles.shape, complex)
+    column.real, column.imag = np.cos(angles), np.sin(angles)
+    return column
 
 
 def _phase_table(phis: np.ndarray) -> _PhaseTable:
-    return _PhaseTable(phis, np.cos(phis), np.sin(phis), np.cos(2.0 * phis),
-                       np.sin(2.0 * phis))
+    return _PhaseTable(phis, _unit_column(phis), _unit_column(2.0 * phis))
 
 
 def _frozen_table(phis: np.ndarray) -> _PhaseTable:
@@ -179,10 +193,15 @@ def _objective_on_tables(obj: PhaseObjective, lo: int, hi: int,
     they take one trig pass each over the window's times.  Returns the
     curve as a function of a ``_PhaseTable``.
 
-    The curve is sxx - (2A)*linear + A^2*square, with linear = cos*Sxs +
-    sin*Sxc and square = m/2 - (cos2*Sc2 - sin2*Ss2)/2, evaluated in that
-    operation order (so the values are those of the plain expression, bit
-    for bit) in three G-length arrays instead of twelve temporaries.
+    The same polynomial is const - Re(exp(i*phi)*alpha + exp(2i*phi)*beta),
+    with const = Sxx + A^2*m/2, alpha = 2A*(Sxs - i*Sxc) and
+    beta = (A^2/2)*(Sc2 + i*Ss2): two complex products, one sum and one
+    subtraction per table, all elementwise.  Its values may differ from
+    the real expression's in the last bits; what the search keeps is the
+    grid, the first-index tie rule (const stays in the ranked value, so a
+    record whose terms all round away ties at the first point) and the
+    direct residual sum of the winner, and the grid phases it picks match
+    the real expression's on every record of the seeded sweeps in the tests.
     """
     a, w = obj.fixed_amplitude, TWO_PI * obj.fixed_frequency_hz
     x = obj.data.samples[lo:hi]
@@ -190,24 +209,16 @@ def _objective_on_tables(obj: PhaseObjective, lo: int, hi: int,
         wt = w * obj.data.times(lo, hi)
         linear = x @ np.sin(wt), x @ np.cos(wt)
     sxs, sxc = linear
-    sxx = x @ x
     sc2, ss2 = _double_angle_sums(obj.data, lo, hi, 2.0 * w)
-    two_a, a_squared, half_m = 2.0 * a, a ** 2, (hi - lo) / 2.0
+    a_squared = a ** 2
+    const = x @ x + a_squared * ((hi - lo) / 2.0)
+    alpha = complex(2.0 * a * sxs, -2.0 * a * sxc)
+    beta = complex(a_squared / 2.0 * sc2, a_squared / 2.0 * ss2)
 
     def curve(table: _PhaseTable) -> np.ndarray:
-        out = np.multiply(table.cos, sxs)
-        scratch = np.multiply(table.sin, sxc)
-        out += scratch
-        out *= two_a
-        np.subtract(sxx, out, out)
-        square = np.multiply(table.cos2, sc2)
-        np.multiply(table.sin2, ss2, scratch)
-        square -= scratch
-        square /= 2.0
-        np.subtract(half_m, square, square)
-        square *= a_squared
-        out += square
-        return out
+        z = table.e1 * alpha
+        z += table.e2 * beta
+        return np.subtract(const, z.real)
 
     return curve
 
@@ -249,12 +260,13 @@ def phase_grid_search(obj: PhaseObjective) -> tuple[float, float]:
     The coarse pass steps phi from -pi to pi in hundredths; the refine
     pass steps in thousandths across the winning coarse cell.  Ties break
     toward the smaller phi.  Points are ranked by the objective's trig
-    polynomial, O(N + G) for G points, and the winner's value is the
-    direct residual sum.  The grids and their cos/sin of phi and 2*phi
-    do not depend on the record: the coarse table is built at import,
-    each coarse cell's refine table on first use, and both are kept for
-    the life of the process (629 cells at most, about 1 MB), so a
-    call takes no trig of grid points.  Returns (phi, phase_objective_value).
+    polynomial in its complex form, O(N + G) for G points, and the
+    winner's value is the direct residual sum.  The grids and their
+    exp(i*phi) and exp(2i*phi) columns do not depend on the record: the
+    coarse table is built at import, each coarse cell's refine table on
+    first use, and both are kept for the life of the process (629 cells
+    at most, about 1 MB), so a call takes no trig of grid points.
+    Returns (phi, phase_objective_value).
     """
     phi = _grid_search(obj, *_objective_window(obj))
     return phi, phase_objective_value(obj, phi)

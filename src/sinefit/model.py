@@ -122,9 +122,13 @@ def _adopt(cls, **fields):
     array it then drops, or a view of a read-only one).  In place of
     ``SinusoidParams``'s and ``PhaseObjective``'s ``__post_init__``,
     ``estimate_parameters`` vouches for the fit: the smoothed span is
-    finite and its half above zero, the frequency is a bin m*df with
-    df > 0 and 2*pi*(N//2)*df finite, the phase is passed through
-    ``wrap_phase`` and the range was checked by ``PipelineConfig``.  The
+    finite and its half above zero and at most max|x|, which
+    ``check_finite`` bounds by the sample limit, the frequency is a bin
+    m*df with df > 0 and 2*pi*(N//2)*df finite, the phase is passed
+    through ``wrap_phase`` and the range was checked by
+    ``PipelineConfig``.  Not vouched for is ``PhaseObjective``'s finite
+    4*pi*f: a dt just above pi/(float max) can overflow it at a high
+    peak bin, and the search then raises math's domain error.  The
     public constructors keep their checks and copies.
     """
     instance = object.__new__(cls)

@@ -23,22 +23,22 @@ from sinefit.model import SAMPLES_TOO_LARGE, check_finite
 from sinefit.normal import normal_quantile
 
 
-def fresh_table(phis):
-    return [phis, np.cos(phis), np.sin(phis), np.cos(2.0 * phis), np.sin(2.0 * phis)]
-
-
-def assert_same_bits(table, expected):
-    assert len(table) == len(expected)
-    for column, reference in zip(table, expected):
-        assert column.dtype == reference.dtype and column.shape == reference.shape
-        assert column.tobytes() == reference.tobytes()
+def assert_fresh_columns(table, phis):
+    """The table holds ``phis`` and exp(i*phi), exp(2i*phi) whose real and
+    imaginary parts are fresh cos and sin of phi and 2*phi, bit for bit."""
+    assert table._fields == ("phis", "e1", "e2")
+    assert table.phis.tobytes() == phis.tobytes()
+    for column, angles in ((table.e1, phis), (table.e2, 2.0 * phis)):
+        assert column.dtype == np.complex128 and column.shape == phis.shape
+        assert column.real.tobytes() == np.cos(angles).tobytes()
+        assert column.imag.tobytes() == np.sin(angles).tobytes()
 
 
 class TestPhaseTables:
     def test_coarse_table_is_the_fresh_grid_bit_for_bit(self):
         coarse = np.arange(-math.pi, math.pi, COARSE_STEP)
         assert coarse.size == 629
-        assert_same_bits(estimate._COARSE, fresh_table(coarse))
+        assert_fresh_columns(estimate._COARSE, coarse)
 
     def test_every_refine_table_is_the_fresh_grid_bit_for_bit(self):
         coarse = np.arange(-math.pi, math.pi, COARSE_STEP)
@@ -46,14 +46,19 @@ class TestPhaseTables:
             refine = np.arange(phi0 - COARSE_STEP, phi0 + COARSE_STEP + REFINE_STEP / 2,
                                REFINE_STEP)
             assert refine.size == 21
-            assert_same_bits(estimate._refine_table(cell), fresh_table(refine))
+            assert_fresh_columns(estimate._refine_table(cell), refine)
+
+    def test_tables_hold_40_bytes_per_grid_point(self):
+        for table in (estimate._COARSE, estimate._refine_table(0)):
+            assert sum(column.nbytes for column in table) == 40 * table.phis.size
 
     def test_refine_tables_are_built_once_and_kept(self):
         assert estimate._refine_table(100) is estimate._refine_table(100)
         assert estimate._refine_table.cache_info().currsize <= 629
 
     def test_tables_are_read_only(self):
-        for table in (estimate._COARSE, estimate._refine_table(0)):
+        tables = [estimate._COARSE] + [estimate._refine_table(cell) for cell in range(629)]
+        for table in tables:
             assert not any(column.flags.writeable for column in table)
 
     def test_curve_still_takes_any_array_and_leaves_it_writable(self, noisy_series):

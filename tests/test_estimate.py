@@ -72,6 +72,33 @@ class TestPhaseObjective:
         with pytest.raises(ValueError):
             sf.PhaseObjective(record, AMPLITUDE, FREQUENCY, "whole_thing")
 
+    @pytest.mark.parametrize("search", [True, False])
+    @pytest.mark.parametrize("field, a, f, t_range", [
+        ("fixed_amplitude", math.inf, FREQUENCY, "one_period"),  # else an all-NaN ranking
+        ("fixed_amplitude", math.nan, FREQUENCY, "one_period"),
+        ("fixed_amplitude", 1e160, FREQUENCY, "one_period"),  # else A**2 overflows
+        ("fixed_frequency_hz", AMPLITUDE, math.inf, "full_record"),  # else sin(inf)
+        ("fixed_frequency_hz", AMPLITUDE, math.nan, "full_record"),
+        ("fixed_frequency_hz", AMPLITUDE, 1e308, "full_record"),  # 4*pi*f overflows
+    ])
+    def test_bad_parameters_fail_early_naming_the_field(self, demo_params, search, field,
+                                                        a, f, t_range):
+        record = clean_record(demo_params)
+        with pytest.raises(ValueError, match=field):
+            obj = sf.PhaseObjective(record, a, f, t_range)
+            if search:
+                sf.phase_grid_search(obj)
+            else:
+                sf.phase_objective_value(obj, 0.0)
+
+    def test_the_amplitude_limit_is_the_sample_limit_of_the_record_length(self, demo_params):
+        record = clean_record(demo_params)
+        limit = math.sqrt(np.finfo(float).max) / 2.0 / len(record)
+        phi, value = sf.phase_grid_search(sf.PhaseObjective(record, limit, FREQUENCY))
+        assert math.isfinite(phi) and math.isfinite(value)
+        with pytest.raises(ValueError, match="fixed_amplitude"):
+            sf.PhaseObjective(record, math.nextafter(limit, math.inf), FREQUENCY)
+
 
 class TestPhaseGridSearch:
     def test_noise_free_demo(self, demo_params):
@@ -144,6 +171,97 @@ def noisy_objectives(n, t_range, perturbations):
 
 
 ALL_PERTURBATIONS = list(itertools.product((1.0, 1.05, 0.95), (1.0, 1.01, 0.99)))
+
+
+def real_objective_on_tables(obj, lo, hi, linear=None):
+    """The ranking before the complex form: the trig polynomial as eleven
+    real passes over the cos/sin of phi and 2*phi, in the same order."""
+    a, w = obj.fixed_amplitude, TWO_PI * obj.fixed_frequency_hz
+    x = obj.data.samples[lo:hi]
+    if linear is None:
+        wt = w * obj.data.times(lo, hi)
+        linear = x @ np.sin(wt), x @ np.cos(wt)
+    sxs, sxc = linear
+    sxx = x @ x
+    sc2, ss2 = estimate._double_angle_sums(obj.data, lo, hi, 2.0 * w)
+    two_a, a_squared, half_m = 2.0 * a, a ** 2, (hi - lo) / 2.0
+
+    def curve(table):
+        phis = table.phis
+        out = np.multiply(np.cos(phis), sxs)
+        scratch = np.multiply(np.sin(phis), sxc)
+        out += scratch
+        out *= two_a
+        np.subtract(sxx, out, out)
+        square = np.multiply(np.cos(2.0 * phis), sc2)
+        np.multiply(np.sin(2.0 * phis), ss2, scratch)
+        square -= scratch
+        square /= 2.0
+        np.subtract(half_m, square, square)
+        square *= a_squared
+        out += square
+        return out
+
+    return curve
+
+
+def real_grid_search(obj, lo, hi, linear=None):
+    """``estimate._grid_search`` ranked by ``real_objective_on_tables``."""
+    curve = real_objective_on_tables(obj, lo, hi, linear)
+    refine = estimate._refine_table(int(curve(estimate._COARSE).argmin()))
+    return float(refine.phis[curve(refine).argmin()])
+
+
+def ranking_sweep_records():
+    """Tones at f*dt up to the Nyquist 0.5 on the unit and the shifted grid,
+    the same tones quantised to integers, and white noise."""
+    for n, (start, dt) in itertools.product((25, 100, 1000, 1001), ((0.0, 1.0), (-2.3, 0.37))):
+        for f_dt in (0.05, 0.0537, 0.123, 0.3, 0.45, 0.5):
+            params = sf.SinusoidParams(AMPLITUDE, f_dt / dt, PHASE)
+            for sigma in (0.0, 0.5, 2.0):
+                for seed in range(1 if sigma == 0.0 else 12):
+                    yield sf.synthesize(params, sf.NoiseSpec(sigma, seed), n, dt=dt, start=start)
+            for seed in range(6):
+                tone = sf.synthesize(params, sf.NoiseSpec(0.5, seed), n, dt=dt, start=start)
+                yield sf.TimeSeries(start, dt, np.round(tone.samples))
+        for seed in range(24):
+            yield sf.TimeSeries(start, dt, sf.model.standard_normal_draws(seed, n))
+
+
+class TestComplexRanking:
+    def test_grid_phases_match_the_real_ranking(self, monkeypatch):
+        # every search of the pipeline runs both rankings on the same window
+        # and (Sxs, Sxc); the searches include f*dt = 0.5 (the Nyquist bin of
+        # an even N), odd N, the shifted grid, and noise the screen would reject
+        pairs = []
+        grid_search = estimate._grid_search
+
+        def both(obj, lo, hi, linear=None):
+            phi = grid_search(obj, lo, hi, linear)
+            pairs.append((phi, real_grid_search(obj, lo, hi, linear)))
+            return phi
+
+        monkeypatch.setattr(estimate, "_grid_search", both)
+        for record in ranking_sweep_records():
+            for t_range in ("one_period", "full_record"):
+                try:
+                    sf.estimate_parameters(record, sf.PipelineConfig(
+                        objective_range=t_range, skip_screen=True))
+                except ValueError:
+                    pass
+        assert len(pairs) == 3360
+        assert [new for new, _ in pairs] == [old for _, old in pairs]
+
+    @pytest.mark.parametrize("t_range", ["one_period", "full_record"])
+    def test_a_record_whose_terms_all_round_away_ties_at_the_first_point(self, t_range):
+        # A = 1e-171: A^2 is 0 and 2A*Sxs about 1e-169 against Sxx = 1400, so
+        # every grid value rounds to the constant and the first index wins
+        x = np.tile([1.0, 2.0, -3.0, 0.0, 0.0], 20)
+        x[53] = 1e-170
+        report = sf.estimate_parameters(sf.TimeSeries(0.0, 1.0, x),
+                                        sf.PipelineConfig(objective_range=t_range))
+        assert report.params.amplitude == 1e-171
+        assert report.grid_phase == -math.pi - 0.01
 
 
 class TestObjectivePolynomial:

@@ -53,13 +53,13 @@ def test_monte_carlo_times_synthesis_and_estimation():
 def test_same_outputs_prints_one_line_per_case():
     lines = run_script("same_outputs.py").splitlines()
     # (27 tone settings, two noise seeds when sigma > 0: 45 tones) + 27 tones
-    # on the shifted time grid + 12 noise records + 7 edge records, each
+    # on the shifted time grid + 12 noise records + 8 edge records, each
     # under 4 configs and through `sinefit screen`
-    assert len(lines) == (45 + 27 + 12 + 7) * 5
+    assert len(lines) == (45 + 27 + 12 + 8) * 5
     pattern = re.compile(r"\S+ (default|full_record|ma_k=1|skip_screen) [0-9a-f]{64} "
                          r"acf_arccos=(-|\S+) acf_period=(-|\S+)")
     screen_lines = [line for line in lines if line.split()[1] == "screen"]
-    assert len(screen_lines) == 45 + 27 + 12 + 7
+    assert len(screen_lines) == 45 + 27 + 12 + 8
     assert all(re.fullmatch(r"\S+ screen [0-9a-f]{64}", line) for line in screen_lines)
     assert all(pattern.fullmatch(line) for line in lines if line not in screen_lines), lines[:3]
     assert len({line.split()[2] for line in lines}) > 100
@@ -70,11 +70,14 @@ def test_same_outputs_prints_one_line_per_case():
 def test_ab_timing_prints_one_ratio_per_setting():
     src = os.path.join(ROOT, "src")
     lines = run_script("ab_timing.py", src, src, "--pairs", "2", "--batch-ms", "1").splitlines()
-    assert len(lines) == 10, lines
+    assert len(lines) == 12, lines
     assert [line.split(":")[0] for line in lines] == [
         "n=100 one_period", "n=1000 one_period", "n=10000 full_record", "n=1000 white_noise",
-        "n=1001 white_noise", "n=1000 ar1", "n=100 read_all", "n=10000 read_all", "n=100 synthesize", "n=10000 synthesize"]
-    pattern = re.compile(r"n=\d+ (one_period|full_record|white_noise|ar1|read_all|synthesize): "
+        "n=1001 white_noise", "n=1000 ar1", "n=100 read_all", "n=10000 read_all",
+        "n=100 grid one_period", "n=10000 grid full_record", "n=100 synthesize",
+        "n=10000 synthesize"]
+    pattern = re.compile(r"n=\d+ (one_period|full_record|white_noise|ar1|read_all|synthesize|"
+                         r"grid one_period|grid full_record): "
                          r"change/parent ([0-9.]+) "
                          r"\(quartiles ([0-9.]+)-([0-9.]+), 2 pairs, parent [0-9.]+ ms/record, "
                          r"parent/parent quartiles ([0-9.]+)-([0-9.]+)\)")
