@@ -11,7 +11,7 @@ when sigma > 0), the same tones sampled from t = -2.3 s every 0.37 s
 (noise seed 0), plus white-noise and AR(1) (rho = 0.3) records at each
 N, seeds 0 and 1.  The shifted grid exercises the start-time rotation of
 the full-record phase sums and the index arithmetic of the one-period
-window.  Eight edge records close the list: [1, 2, -3, 0, 0] repeated to
+window.  Nine edge records close the list: [1, 2, -3, 0, 0] repeated to
 N = 100, which passes the screen but which MA-5 smooths to a constant;
 the same record with sample 53 set to 1e-170, whose amplitude 1e-171
 leaves every grid value rounded to the same constant, so the grid phase
@@ -26,9 +26,11 @@ N = 100 tone at f = 0.025 Hz (sigma = 0.5, seed 4) on the integer grid
 TimeSeries(3, 2, ...), which a record holds as the floats 3.0 and 2.0;
 and a 50 Hz tone (sigma = 0.5, seed 5) sampled every 1 ms from
 t = 1.7e9 s (N = 200), whose times a float holds only to about 2.4e-7 s,
-so the CSV's steps differ by that much; and 18 zeros with one 1.0 and one
+so the CSV's steps differ by that much; 18 zeros with one 1.0 and one
 -1.0 (N = 20), one sample on each side of the median, whose runs count
-has no variance.
+has no variance; and 2*sin(0.98*pi*k) plus sigma = 0.5 noise (seed 0,
+N = 100) on dt = 2.497e-308, a tone near Nyquist whose double angle
+4*pi*f in the phase search overflows although 2*pi*f does not.
 Configs: default, full_record, ma_k=1, skip_screen.
 
 Each line is ``<input> <config> <sha256> acf_arccos=<v> acf_period=<v>``.
@@ -121,6 +123,8 @@ def inputs():
     x = np.zeros(20)
     x[5], x[12] = 1.0, -1.0
     yield "one_each_side_of_the_median:n=20", sf.TimeSeries(0.0, 1.0, x)
+    x = 2.0 * np.sin(0.98 * np.pi * np.arange(100)) + 0.5 * standard_normal_draws(0, 100)
+    yield "near_nyquist:n=100:sigma=0.5:seed=0:dt=2.497e-308", sf.TimeSeries(0.0, 2.497e-308, x)
 
 
 def plot_data_bytes(record, report):

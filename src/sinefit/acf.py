@@ -92,10 +92,12 @@ class _Record:
     ``magnitudes`` its modulus |X| and ``acf`` the full-lag circular ACF,
     the inverse transform of |X|^2.  Each is computed on first read
     (``model._on_first_read``) and kept read-only, so a record nothing
-    asks to transform (a gate-1 reject) costs no transform.  With every
-    |x| <= sqrt(float max)/(2N) no bin, no |X|^2 and no sum of the
-    inverse transform can overflow, so neither transform needs a
-    floating-point error guard.
+    asks to transform (a gate-1 reject) costs no transform.  ``df``, the
+    bin width 1/(N*dt) (bin m sits at m*df Hz), is the one place the
+    spectrum's bin frequencies come from.  With every |x| <=
+    sqrt(float max)/(2N) no bin, no |X|^2 and no sum of the inverse
+    transform can overflow, so neither transform needs a floating-point
+    error guard.
     """
 
     record: TimeSeries
@@ -103,6 +105,8 @@ class _Record:
     def __init__(self, record: TimeSeries):
         check_finite(record)
         self.__dict__["record"] = record
+
+    df = property(lambda self: 1.0 / (len(self.record) * self.record.dt))
 
     @_on_first_read
     def dft(self) -> np.ndarray:

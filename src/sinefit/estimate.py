@@ -23,9 +23,9 @@ import numpy as np
 from .acf import (AcfSeries, DegenerateParametersError, _Record, _coupling_and_denominator,
                   frequency_from_acf, model_acf_full)
 from .model import (SinusoidParams, TimeSeries, TWO_PI, _SAMPLE_LIMIT_TIMES_N, _adopt,
-                    _on_first_read, wrap_phase)
+                    _is_integer, _on_first_read, wrap_phase)
 from .screening import ScreeningDecision, VERDICT_NOISE, _screen
-from .smoothing import SmoothedSeries, moving_average
+from .smoothing import SmoothedSeries, _check_window, moving_average
 from .spectrum import Spectrum, _peak_bin
 
 ONE_PERIOD = "one_period"
@@ -477,12 +477,24 @@ def _cross_checks(acf: np.ndarray, smoothed: SmoothedSeries, frequency: float) -
     return _CrossChecks(cross_checks, t_2pi, phase_checks, warnings)
 
 
+def _count(name: str, value) -> int:
+    """``value`` as a Python int, once it is a Python or NumPy integer (a
+    bool is not one) of at least 1; otherwise ``ValueError`` naming it."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Free parameters of the estimation pipeline.
 
     With ``skip_screen`` the pipeline estimates even when the screen says
-    noise (the decision is still reported when computable).
+    noise (the decision is still reported when computable).  ``ma_k`` and
+    ``max_lag`` must be Python or NumPy integers (a bool is not one) and
+    are kept as Python ints.
     """
 
     far: float = 0.01
@@ -494,10 +506,9 @@ class PipelineConfig:
     def __post_init__(self):
         if not 0.0 < self.far < 0.5:
             raise ValueError("far must lie in (0, 0.5)")
-        if self.ma_k < 1:
-            raise ValueError("ma_k must be at least 1")
-        if self.max_lag is not None and self.max_lag < 1:
-            raise ValueError("max_lag must be at least 1")
+        object.__setattr__(self, "ma_k", _count("ma_k", self.ma_k))
+        if self.max_lag is not None:
+            object.__setattr__(self, "max_lag", _count("max_lag", self.max_lag))
         if self.objective_range not in _RANGES:
             raise ValueError(f"objective_range must be one of {_RANGES}")
 
@@ -506,35 +517,36 @@ class PipelineConfig:
 class EstimationReport:
     """What ``estimate_parameters`` decided, and what follows from it.
 
-    Nine fields are stored: ``params``, ``screening``, ``work`` (the
-    record's working set, ``acf._Record``), ``objective_range``,
-    ``grid_phase`` (the phase before ``params`` wraps it), ``smoothing_k``,
-    ``smoothed``, ``spectrum`` and ``max_lag``.  When screening rejects
-    the record only ``screening`` is set.  The rest is derived:
+    Six fields are stored: ``params``, ``screening``, ``work`` (the
+    record's working set, ``acf._Record``), ``config`` (the
+    ``PipelineConfig`` the record ran under, the same object),
+    ``grid_phase`` (the phase before ``params`` wraps it) and
+    ``smoothed``.  When screening rejects the record only ``screening``
+    and ``config`` are set.  The rest is derived.  Properties:
     ``frequency_source`` ("fft" when ``params`` is set), ``delta_t``
-    (``params.time_delay()``) and ``acf`` (``work``'s) are properties;
-    computed on first read through ``model._on_first_read`` are
-    ``objective_value``, the residual sum at ``grid_phase``, then
+    (``params.time_delay()``), ``acf`` (``work``'s), ``smoothing_k``
+    (``config.ma_k``), and, None on a noise report, ``objective_range``
+    (``config``'s) and ``max_lag`` (``config``'s, or N//2 when it has
+    none).  Computed on first read through ``model._on_first_read``:
+    ``spectrum``, the ``Spectrum`` of ``work``'s ``df`` and |X|, then
+    ``objective_value``, the residual sum at ``grid_phase``,
     ``model_params``, the fit with frequency in cycles per sample (None
     when the O(1) test of the full-model ACF's denominator calls it
     degenerate), ``model_acf``, that ACF at lags 0..max_lag (None with
     ``model_params``), and the cross-checks ``frequency_cross_checks_hz``,
     ``t_2pi``, ``phase_cross_checks`` and ``warnings`` (a noise report's
-    are None, None, None, {}, None, {} and ()).  Reading only ``params``
-    computes none of them; ``repr`` shows only the stored fields.  A
-    report keeps its record, its one-sided DFT (16*(N/2 + 1) bytes), |X|
-    and the ACF alive.
+    are None, None, None, None, {}, None, {} and ()).  Reading only
+    ``params`` computes none of them; ``repr`` shows only the stored
+    fields.  A report keeps its record, its one-sided DFT
+    (16*(N/2 + 1) bytes), |X| and the ACF alive.
     """
 
     params: SinusoidParams | None
     screening: ScreeningDecision | None
     work: _Record = field(repr=False)
-    objective_range: str | None = None
+    config: PipelineConfig
     grid_phase: float | None = None
-    smoothing_k: int = 1
     smoothed: SmoothedSeries | None = None
-    spectrum: Spectrum | None = None
-    max_lag: int | None = None
 
     @property
     def verdict(self) -> str:
@@ -545,6 +557,16 @@ class EstimationReport:
     frequency_source = property(lambda self: "fft" if self.params is not None else None)
     delta_t = property(lambda self: self.params.time_delay() if self.params is not None else None)
     acf = property(lambda self: self.work.acf)
+    smoothing_k = property(lambda self: self.config.ma_k)
+    objective_range = property(
+        lambda self: self.config.objective_range if self.params is not None else None)
+    max_lag = property(lambda self: None if self.params is None else (
+        self.config.max_lag or len(self.work.record) // 2))  # a config's max_lag is >= 1
+
+    @_on_first_read
+    def spectrum(self) -> Spectrum | None:
+        return None if self.params is None else _adopt(
+            Spectrum, df=self.work.df, magnitudes=self.work.magnitudes)
 
     @_on_first_read
     def objective_value(self) -> float | None:
@@ -600,19 +622,23 @@ def estimate_parameters(record: TimeSeries,
     warning); phase by grid search with the crossover formula recorded
     as a cross-check.  It computes only what decides the answer or can
     raise (the crossing scan's range check too) into the report's stored
-    fields; the report derives the rest on first read
-    (``model._on_first_read``).  ``max_lag`` is checked against the
-    record length before anything else, so a bad value fails on every
+    fields; the report derives the rest, the ``Spectrum`` included, on
+    first read (``model._on_first_read``).  ``max_lag`` and the MA-k
+    window (``moving_average``'s check and messages) are checked against
+    the record length before anything else, so a bad value fails on every
     record, not only on those past the screen.  The record's working set
-    runs ``check_finite`` once, and the screen, the spectrum and the ACF
+    runs ``check_finite`` once, and the screen, the frequency and the ACF
     reads share its one transform pair (none after a gate-1 reject).
     Past the screen, a record whose sample spacing puts the bin
-    frequencies m/(N*dt) or their angular frequencies outside the finite
-    positive floats raises ``ValueError``.
+    frequencies m*df (the working set's ``df`` = 1/(N*dt)) or the angular
+    frequency 4*pi*m*df of the phase search's double-angle sums outside
+    the finite positive floats raises ``ValueError``: that is
+    ``PhaseObjective``'s own check, made at the top bin m = N//2.
     """
     # the default, N // 2, always fits, and the config has checked max_lag >= 1
     if config.max_lag is not None and config.max_lag > len(record) - 1:
         raise ValueError(f"max_lag must be in [1, {len(record) - 1}]")
+    _check_window(config.ma_k, len(record))
     work = _Record(record)
     decision: ScreeningDecision | None
     if config.skip_screen:
@@ -624,17 +650,14 @@ def estimate_parameters(record: TimeSeries,
         decision = _screen(work, config.far)
         if decision.verdict == VERDICT_NOISE:
             return _adopt(EstimationReport, params=None, screening=decision, work=work,
-                          objective_range=None, grid_phase=None, smoothing_k=config.ma_k,
-                          smoothed=None, spectrum=None, max_lag=None)
+                          config=config, grid_phase=None, smoothed=None)
 
-    n = len(record)
-    dt = record.dt
-    # bins 1..N/2 sit at m*df Hz; the phase search needs 2*pi*m*df finite
-    df = 1.0 / (n * dt)
-    if not (df > 0.0 and math.isfinite(TWO_PI * ((n // 2) * df))):
-        raise ValueError(f"sample spacing dt = {dt!r} puts the spectrum's bin frequencies "
-                         "m/(N*dt) outside the finite positive floats; rescale the times")
-    max_lag = config.max_lag if config.max_lag is not None else n // 2
+    df = work.df
+    # bins 1..N/2 sit at m*df Hz; PhaseObjective needs 4*pi*m*df finite
+    if not (df > 0.0 and math.isfinite(2.0 * TWO_PI * ((len(record) // 2) * df))):
+        raise ValueError(f"sample spacing dt = {record.dt!r} puts the spectrum's bin frequencies "
+                         "m/(N*dt), or the phase search's angular frequencies 4*pi*m/(N*dt), "
+                         "outside the finite positive floats; rescale the times")
     smoothed = moving_average(record, config.ma_k)
     # amplitude_estimate(smoothed)
     smoothed_samples = smoothed.series.samples
@@ -645,9 +668,8 @@ def estimate_parameters(record: TimeSeries,
     amplitude = span / 2.0
 
     work.acf  # a zero-variance record fails here, not on a cross-check's read
-    spec = _adopt(Spectrum, df=df, magnitudes=work.magnitudes)
-    peak = _peak_bin(spec)
-    frequency = peak * df  # what fundamental_frequency(spec) returns
+    peak = _peak_bin(work.magnitudes)
+    frequency = peak * df
     if _HYSTERESIS_FRACTION * span / 2.0 == 0:  # the crossing scan's h: it cannot raise
         raise ValueError(f"MA-{config.ma_k} smoothing leaves a record whose range "
                          f"{span:.3g} is too small: its crossing threshold rounds to zero")
@@ -661,5 +683,4 @@ def estimate_parameters(record: TimeSeries,
     params = _adopt(SinusoidParams, amplitude=amplitude, frequency_hz=frequency,
                     phase_rad=wrap_phase(phi))
     return _adopt(EstimationReport, params=params, screening=decision, work=work,
-                  objective_range=config.objective_range, grid_phase=phi,
-                  smoothing_k=config.ma_k, smoothed=smoothed, spectrum=spec, max_lag=max_lag)
+                  config=config, grid_phase=phi, smoothed=smoothed)

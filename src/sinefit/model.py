@@ -124,12 +124,10 @@ def _adopt(cls, **fields):
     ``estimate_parameters`` vouches for the fit: the smoothed span is
     finite and its half above zero and at most max|x|, which
     ``check_finite`` bounds by the sample limit, the frequency is a bin
-    m*df with df > 0 and 2*pi*(N//2)*df finite, the phase is passed
-    through ``wrap_phase`` and the range was checked by
-    ``PipelineConfig``.  Not vouched for is ``PhaseObjective``'s finite
-    4*pi*f: a dt just above pi/(float max) can overflow it at a high
-    peak bin, and the search then raises math's domain error.  The
-    public constructors keep their checks and copies.
+    m*df with df > 0 and 4*pi*(N//2)*df finite (``PhaseObjective``'s own
+    check, at the top bin), the phase is passed through ``wrap_phase``
+    and the range was checked by ``PipelineConfig``.  The public
+    constructors keep their checks and copies.
     """
     instance = object.__new__(cls)
     instance.__dict__.update(fields)
@@ -198,6 +196,11 @@ def check_finite(record: TimeSeries) -> None:
         raise ValueError(SAMPLES_TOO_SMALL)
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or NumPy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Additive Gaussian noise: sigma in signal units, deterministic per seed.
@@ -214,8 +217,7 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind != "gaussian":
             raise ValueError(f"unsupported noise kind {self.kind!r}")
-        if (not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool)
-                or self.seed < 0):
+        if not _is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not self.sigma >= 0:
             raise ValueError("sigma must be non-negative")

@@ -17,16 +17,26 @@ class SmoothedSeries:
     The window is trailing (causal): output sample i averages input
     samples i..i+k-1 and carries the time of input sample i+k-1.  Times
     read off the smoothed record therefore lag the underlying signal by
-    ``group_delay`` seconds.
+    ``group_delay`` seconds.  Only the window and the filtered record are
+    stored; ``source_len``, the length of the input record, follows from
+    them.
     """
 
     window_k: int
     series: TimeSeries
-    source_len: int
 
-    @property
-    def group_delay(self) -> float:
-        return (self.window_k - 1) / 2.0 * self.series.dt
+    group_delay = property(lambda self: (self.window_k - 1) / 2.0 * self.series.dt)
+    source_len = property(lambda self: len(self.series) + self.window_k - 1)
+
+
+def _check_window(k: int, n: int) -> None:
+    """Reject an MA-k window that an N-sample record cannot take."""
+    if k < 1:
+        raise ValueError("window must be at least 1")
+    if k > n:
+        raise ValueError(f"window {k} exceeds record length {n}")
+    if n - k + 1 < 2:
+        raise ValueError(f"window {k} leaves fewer than two samples")
 
 
 def moving_average(record: TimeSeries, k: int) -> SmoothedSeries:
@@ -36,18 +46,12 @@ def moving_average(record: TimeSeries, k: int) -> SmoothedSeries:
     best, but the optimal size is data dependent and left to the caller.
     The smoothed samples are the filter's fresh array, frozen, not copied.
     """
-    n = len(record)
-    if k < 1:
-        raise ValueError("window must be at least 1")
-    if k > n:
-        raise ValueError(f"window {k} exceeds record length {n}")
-    if n - k + 1 < 2:
-        raise ValueError(f"window {k} leaves fewer than two samples")
+    _check_window(k, len(record))
     smoothed = np.convolve(record.samples, np.ones(k), mode="valid") / k
     smoothed.setflags(write=False)
     start = record.start_time + (k - 1) * record.dt  # no later than the last time, so finite
     series = _adopt(TimeSeries, start_time=start, dt=record.dt, samples=smoothed)
-    return _adopt(SmoothedSeries, window_k=k, series=series, source_len=n)
+    return _adopt(SmoothedSeries, window_k=k, series=series)
 
 
 def rms_error(smoothed: SmoothedSeries, reference: SinusoidParams) -> float:

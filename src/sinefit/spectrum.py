@@ -35,11 +35,11 @@ def dft_magnitude(record: TimeSeries) -> Spectrum:
     No windowing or zero padding is applied here; callers that need an
     off-grid peak can pad the input record first.  Records with NaN,
     infinite or too-large samples are rejected first (``check_finite``).
-    The magnitudes are the record's working set's |X| (see ``acf._Record``),
-    frozen, not copied.
+    The bin width and the magnitudes are the record's working set's ``df``
+    and |X| (see ``acf._Record``), frozen, not copied.
     """
-    magnitudes = _Record(record).magnitudes
-    return _adopt(Spectrum, df=1.0 / (len(record) * record.dt), magnitudes=magnitudes)
+    work = _Record(record)
+    return _adopt(Spectrum, df=work.df, magnitudes=work.magnitudes)
 
 
 def fundamental_frequency(spec: Spectrum) -> float:
@@ -48,11 +48,11 @@ def fundamental_frequency(spec: Spectrum) -> float:
     DC is excluded because the model has no vertical offset, so any
     energy at bin 0 is residual mean, not signal.
     """
-    return _peak_bin(spec) * spec.df
+    return _peak_bin(spec.magnitudes) * spec.df
 
 
-def _peak_bin(spec: Spectrum) -> int:
-    """Index of the largest non-DC bin; ties go to the lower bin."""
-    if spec.magnitudes.size < 2:
+def _peak_bin(magnitudes: np.ndarray) -> int:
+    """Index of the largest non-DC bin of |X|; ties go to the lower bin."""
+    if magnitudes.size < 2:
         raise ValueError("spectrum needs at least two bins")
-    return 1 + int(spec.magnitudes[1:].argmax())
+    return 1 + int(magnitudes[1:].argmax())

@@ -127,6 +127,18 @@ class TestEstimate:
         assert "max_lag must be" in result.stderr
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("kind", ["tone", "noise"])
+    def test_a_window_past_the_record_exits_one_on_every_record(self, tmp_path, kind):
+        # a noise record used to exit 2 here, at the screen, before the window was checked
+        sigma = "0.5" if kind == "tone" else "80"
+        run_cli(["generate", "-A", "2", "-f", "0.05", "--sigma", sigma, "--seed", "11",
+                 "-n", "100", "-o", str(tmp_path / "in.csv")], tmp_path, check=0)
+        result = run_cli(["estimate", str(tmp_path / "in.csv"), "--far", "0.001",
+                          "--ma-k", "150", "-o", str(tmp_path / "report.json")], tmp_path)
+        assert result.returncode == 1, result.stdout
+        assert "Error: window 150 exceeds record length 100" in result.stderr
+        assert not (tmp_path / "report.json").exists()
+
     def test_screening_rejection_exits_two(self, tmp_path):
         run_cli(["generate", "-A", "2", "-f", "0.05", "--sigma", "80",
                  "--seed", "11", "-n", "100", "-o", str(tmp_path / "noise.csv")],
@@ -324,6 +336,20 @@ class TestNonFiniteInput:
         assert "bin frequencies m/(N*dt)" in result.stderr
         assert "Warning" not in result.stderr
         assert not (tmp_path / "report.json").exists()
+
+    def test_estimate_exits_one_on_a_double_angle_past_float_max(self, tmp_path):
+        # near Nyquist at dt = 2.497e-308, 4*pi*f overflows although 2*pi*f
+        # does not; the record used to end in "math domain error"
+        from sinefit import io
+        from sinefit.model import standard_normal_draws
+        x = 2.0 * np.sin(0.98 * math.pi * np.arange(100)) + 0.5 * standard_normal_draws(0, 100)
+        io.write_timeseries_csv(str(tmp_path / "grid.csv"), sf.TimeSeries(0.0, 2.497e-308, x))
+        for extra in ([], ["--skip-screen", "--objective-range", "full_record"]):
+            result = run_cli(["estimate", str(tmp_path / "grid.csv"), *extra], tmp_path)
+            assert result.returncode == 1, result.stderr
+            assert result.stderr.startswith("Error: sample spacing dt = ")
+            assert "angular frequencies 4*pi*m/(N*dt)" in result.stderr
+            assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("row", ["1.0,nan", "1.0,inf", "1.0,-inf", "nan,2.0",
                                      "inf,2.0"])

@@ -342,16 +342,65 @@ class TestFrozenNotCopied:
                 assert kept[0] == 1.0
 
 
-STORED_FIELDS = ["params", "screening", "work", "objective_range", "grid_phase",
-                 "smoothing_k", "smoothed", "spectrum", "max_lag"]
-FIRST_READ = {"report": ("objective_value", "model_params", "model_acf", "_cross"),
+STORED_FIELDS = ["params", "screening", "work", "config", "grid_phase", "smoothed"]
+FIRST_READ = {"report": ("spectrum", "objective_value", "model_params", "model_acf", "_cross"),
               "work": ("dft", "magnitudes", "acf")}
+
+
+@pytest.fixture
+def adopted(monkeypatch):
+    """The classes ``estimate`` builds through ``model._adopt``, in call order."""
+    classes = []
+
+    def recording(cls, _real=estimate._adopt, **fields):
+        classes.append(cls)
+        return _real(cls, **fields)
+
+    monkeypatch.setattr(estimate, "_adopt", recording)
+    return classes
 
 
 class TestReportStoresWhatDecided:
     def test_the_stored_fields(self):
         assert [f.name for f in dataclasses.fields(sf.EstimationReport)] == STORED_FIELDS
         assert [f.name for f in dataclasses.fields(_Record)] == ["record"]
+        assert [f.name for f in dataclasses.fields(sf.SmoothedSeries)] == ["window_k", "series"]
+
+    @pytest.mark.parametrize("config", [sf.PipelineConfig(), sf.PipelineConfig(
+        ma_k=3, objective_range="full_record", max_lag=7, skip_screen=True)])
+    def test_the_config_is_kept_and_read(self, noisy_series, config):
+        record = noisy_series(2)
+        report = sf.estimate_parameters(record, config)
+        assert report.config is config
+        assert report.objective_range == config.objective_range
+        assert report.smoothing_k == config.ma_k == report.smoothed.window_k
+        assert report.max_lag == (config.max_lag or len(record) // 2)
+
+    def test_reading_params_builds_no_spectrum(self, noisy_series, adopted):
+        report = sf.estimate_parameters(noisy_series(3))
+        assert report.params is not None
+        assert "spectrum" not in vars(report) and sf.Spectrum not in adopted
+        spectrum = report.spectrum
+        assert adopted.count(sf.Spectrum) == 1 and report.spectrum is spectrum
+
+    @pytest.mark.parametrize("dt", [1.0, 0.37, 1e-300])
+    @pytest.mark.parametrize("n", [100, 101])
+    def test_the_spectrum_is_the_working_sets(self, dt, n):
+        record = sf.synthesize(sf.SinusoidParams(2.0, 0.05 / dt, 0.6109),
+                               sf.NoiseSpec(0.5, n), n, dt=dt)
+        report = sf.estimate_parameters(record, sf.PipelineConfig(skip_screen=True))
+        assert report.spectrum.magnitudes is report.work.magnitudes
+        df = sf.dft_magnitude(record).df
+        assert report.spectrum.df.hex() == df.hex() == report.work.df.hex()
+        assert report.params.frequency_hz == sf.fundamental_frequency(report.spectrum)
+
+    @pytest.mark.parametrize("ma_k", [1, 5])
+    def test_a_noise_report_derives_the_defaults(self, pure_noise, ma_k):
+        config = sf.PipelineConfig(far=0.001, ma_k=ma_k, max_lag=9)
+        report = sf.estimate_parameters(pure_noise(0, sigma=80.0), config)
+        assert report.params is None and report.config is config
+        assert (report.objective_range, report.max_lag, report.spectrum) == (None, None, None)
+        assert report.smoothing_k == ma_k
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("ma_k", [1, 5])
@@ -525,7 +574,9 @@ class TestOneConstructionPath:
                 cls = type(obj)
                 kinds.add(cls.__name__)
                 names = [f.name for f in dataclasses.fields(cls)]
-                assert list(vars(obj)) == names, (name, cls)
+                # the report's first-read values land in its __dict__ after the fields
+                stored = [key for key in vars(obj) if key not in FIRST_READ["report"]]
+                assert stored == names, (name, cls)
                 values = {field: getattr(obj, field) for field in names}
                 twin = cls(**values)
                 assert repr(obj) == repr(twin), (name, cls)

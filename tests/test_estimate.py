@@ -9,6 +9,7 @@ import pytest
 import sinefit as sf
 from sinefit import estimate, io
 from sinefit.estimate import _zero_crossings, COARSE_STEP, REFINE_STEP
+from sinefit.model import standard_normal_draws
 from conftest import AMPLITUDE, FREQUENCY, PHASE, PHASE_EXACT, SIGMA
 
 TWO_PI = 2.0 * math.pi
@@ -678,17 +679,33 @@ class TestPipeline:
                     sf.fundamental_frequency(sf.dft_magnitude(record))
 
     @pytest.mark.parametrize("dt, n", [(1.8e306, 100), (1e-310, 100), (9e306, 20),
-                                       (5e-324, 1000)])
+                                       (5e-324, 1000), (2.497e-308, 100)])
     @pytest.mark.parametrize("skip_screen", [False, True])
     def test_bin_frequencies_out_of_float_range_are_rejected(self, dt, n, skip_screen):
         # N*dt overflows at 1.8e306 and 9e306 (df = 0) although the last
-        # sample time (N - 1)*dt does not, 2*pi*(N/2)*df at 1e-310, and df
-        # itself at 5e-324
+        # sample time (N - 1)*dt does not, 4*pi*(N/2)*df at 1e-310 and at
+        # 2.497e-308 (the top bin's, although this tone's peak bin is low),
+        # and df itself at 5e-324
         samples = sf.synthesize(sf.SinusoidParams(AMPLITUDE, FREQUENCY, PHASE),
                                 sf.NoiseSpec(SIGMA, 0), n).samples
         record = sf.TimeSeries(0.0, dt, samples)
         with pytest.raises(ValueError, match=r"bin frequencies m/\(N\*dt\)"):
             sf.estimate_parameters(record, sf.PipelineConfig(skip_screen=skip_screen))
+
+    @pytest.mark.parametrize("objective_range", ["one_period", "full_record"])
+    @pytest.mark.parametrize("skip_screen", [False, True])
+    def test_a_double_angle_past_float_max_is_rejected(self, objective_range, skip_screen):
+        # 2*pi*(N/2)*df is finite at dt = 2.497e-308 but 4*pi*f, the phase
+        # search's double angle, overflows at this tone's peak bin near
+        # Nyquist: the record used to end in "math domain error"
+        record = near_nyquist_record()
+        config = sf.PipelineConfig(objective_range=objective_range, skip_screen=skip_screen)
+        with pytest.raises(ValueError, match=r"^sample spacing dt = 2\.497e-308 puts the "
+                           r"spectrum's bin frequencies m/\(N\*dt\), or the phase search's "
+                           r"angular frequencies 4\*pi\*m/\(N\*dt\), outside"):
+            sf.estimate_parameters(record, config)
+        peak = (len(record) // 2) / (len(record) * record.dt)
+        assert math.isfinite(TWO_PI * peak) and not math.isfinite(2.0 * TWO_PI * peak)
 
     @pytest.mark.parametrize("dt", [1e300, 1e-300, 2.0 ** -1000, 2.0 ** 1000])
     def test_extreme_but_representable_grids_still_estimate(self, dt, demo_params):
@@ -786,6 +803,47 @@ class TestPipeline:
             sf.PipelineConfig(ma_k=0)
         with pytest.raises(ValueError):
             sf.PipelineConfig(objective_range="both")
+
+    @pytest.mark.parametrize("name", ["ma_k", "max_lag"])
+    @pytest.mark.parametrize("value", [2.5, 5.0, True, False, "5", np.float64(5.0)])
+    def test_counts_must_be_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            sf.PipelineConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["ma_k", "max_lag"])
+    @pytest.mark.parametrize("value", [7, np.int64(7), np.uint8(7)])
+    def test_counts_are_kept_as_python_ints(self, noisy_series, name, value):
+        config = sf.PipelineConfig(**{name: value})
+        assert type(getattr(config, name)) is int and getattr(config, name) == 7
+        assert config == sf.PipelineConfig(**{name: 7})
+        report = sf.estimate_parameters(noisy_series(0), config)
+        # the payload reads the warnings, whose ACF slice ends at max_lag, and
+        # a NumPy smoothing_k would not serialise
+        payload = json.loads(json.dumps(io.report_to_dict(report)))
+        assert payload["smoothing_k"] == config.ma_k
+
+    @pytest.mark.parametrize("ma_k, message", [(150, "window 150 exceeds record length 100"),
+                                               (100, "window 100 leaves fewer than two samples")])
+    @pytest.mark.parametrize("skip_screen", [False, True])
+    def test_a_bad_window_fails_on_every_record(self, noisy_series, pure_noise, ma_k, message,
+                                                skip_screen):
+        # the same check as moving_average's, before the screen, so a noise
+        # record fails as a tone does
+        config = sf.PipelineConfig(far=0.001, ma_k=ma_k, skip_screen=skip_screen)
+        noise = pure_noise(0, sigma=80.0)
+        assert sf.screen(noise, 0.001).verdict == "noise"
+        for record in (noisy_series(0), noise):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                sf.estimate_parameters(record, config)
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                sf.moving_average(record, ma_k)
+
+
+def near_nyquist_record():
+    """2*sin(0.98*pi*k) plus sigma = 0.5 noise (seed 0), N = 100, at dt = 2.497e-308."""
+    k = np.arange(100)
+    x = 2.0 * np.sin(0.98 * math.pi * k) + 0.5 * standard_normal_draws(0, 100)
+    return sf.TimeSeries(0.0, 2.497e-308, x)
 
 
 def tone(n, f, start=0.0, dt=1.0, sigma=0.5, seed=0):

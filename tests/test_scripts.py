@@ -53,18 +53,53 @@ def test_monte_carlo_times_synthesis_and_estimation():
 def test_same_outputs_prints_one_line_per_case():
     lines = run_script("same_outputs.py").splitlines()
     # (27 tone settings, two noise seeds when sigma > 0: 45 tones) + 27 tones
-    # on the shifted time grid + 12 noise records + 8 edge records, each
+    # on the shifted time grid + 12 noise records + 9 edge records, each
     # under 4 configs and through `sinefit screen`
-    assert len(lines) == (45 + 27 + 12 + 8) * 5
+    assert len(lines) == (45 + 27 + 12 + 9) * 5
     pattern = re.compile(r"\S+ (default|full_record|ma_k=1|skip_screen) [0-9a-f]{64} "
                          r"acf_arccos=(-|\S+) acf_period=(-|\S+)")
     screen_lines = [line for line in lines if line.split()[1] == "screen"]
-    assert len(screen_lines) == 45 + 27 + 12 + 8
+    assert len(screen_lines) == 45 + 27 + 12 + 9
     assert all(re.fullmatch(r"\S+ screen [0-9a-f]{64}", line) for line in screen_lines)
     assert all(pattern.fullmatch(line) for line in lines if line not in screen_lines), lines[:3]
     assert len({line.split()[2] for line in lines}) > 100
     # signal and noise verdicts both occur, so the screen lines differ
     assert len({line.split()[2] for line in screen_lines}) == len(screen_lines)
+
+
+CODE_LINES_FIXTURE = '''"""Module docstring,
+over two lines."""
+
+import os  # a trailing comment leaves the line a code line
+
+# a comment line
+
+
+def f(a,
+      b):
+    """Function docstring."""
+    text = """a string that is not a docstring
+spans two lines"""
+    return (a +
+            # a comment inside a statement
+            b)
+'''
+
+
+def test_code_lines_counts_only_statement_lines(tmp_path):
+    (tmp_path / "fixture.py").write_text(CODE_LINES_FIXTURE)
+    (tmp_path / "notes.txt").write_text("x = 1\n")
+    # import 1, def over 2 lines, the two-line string 2, return over 2 lines
+    assert run_script("code_lines.py", str(tmp_path)) == "fixture.py 7\ntotal 7\n"
+    assert load_script("code_lines.py").code_lines(str(tmp_path / "fixture.py")) == 7
+
+
+def test_code_lines_totals_the_package():
+    lines = run_script("code_lines.py").splitlines()
+    counts = dict(line.split() for line in lines)
+    assert sorted(counts) == sorted(name for name in os.listdir(
+        os.path.join(ROOT, "src", "sinefit")) if name.endswith(".py")) + ["total"]
+    assert int(counts.pop("total")) == sum(int(count) for count in counts.values())
 
 
 def test_ab_timing_prints_one_ratio_per_setting():

@@ -32,6 +32,13 @@ class TestMovingAverage:
         assert out.series.times()[0] == pytest.approx(3.0)
         assert out.group_delay == pytest.approx(1.5)
 
+    @pytest.mark.parametrize("k", [1, 2, 5, 9])
+    @pytest.mark.parametrize("n", [10, 101])
+    def test_source_len_is_the_input_length(self, k, n):
+        out = sf.moving_average(series(np.arange(float(n))), k)
+        assert out.source_len == n
+        assert "source_len" not in vars(out)
+
     def test_window_means(self):
         ts = series(np.array([1.0, 2.0, 4.0, 8.0]))
         out = sf.moving_average(ts, 2)
