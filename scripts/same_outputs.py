@@ -5,6 +5,11 @@ moves any result of ``estimate_parameters``:
 
     PYTHONPATH=src python scripts/same_outputs.py > after.txt
 
+``tests/data/same_outputs.txt`` holds this output for the committed
+source, and ``tests/test_scripts.py`` compares a fresh sweep with it; a
+change that moves outputs on purpose regenerates that file with the
+command above.
+
 Inputs: tones (A = 2, phi = 0.6109) at f in {0.05, 0.0537, 0.123} Hz,
 N in {100, 1000, 10000} and sigma in {0, 0.5, 2} (noise seeds 0 and 1
 when sigma > 0), the same tones sampled from t = -2.3 s every 0.37 s
@@ -33,7 +38,13 @@ N = 100) on dt = 2.497e-308, a tone near Nyquist whose double angle
 4*pi*f in the phase search overflows although 2*pi*f does not.
 Configs: default, full_record, ma_k=1, skip_screen.
 
-Each line is ``<input> <config> <sha256> acf_arccos=<v> acf_period=<v>``.
+The first line is a ``#`` comment that names numpy's version, Python's
+version and the SIMD extensions numpy found on this CPU (as
+``numpy.show_runtime()`` reports them): the hashes may depend on numpy's
+dispatched ``sin``/``cos`` and on the BLAS dot kernel, so they are
+compared only between runs with the same fingerprint.
+
+Every other line is ``<input> <config> <sha256> acf_arccos=<v> acf_period=<v>``.
 The hash covers the canonical JSON of ``report_to_dict`` (or of the
 error message, when the pipeline raises a ``ValueError``, or of
 ``<TypeName>: <message>`` for any other exception, so that a tree that
@@ -58,6 +69,7 @@ import hashlib
 import itertools
 import json
 import os
+import platform
 import tempfile
 from io import StringIO
 
@@ -188,11 +200,29 @@ def screen_line(name, record):
     return f"{name} screen {hasher.hexdigest()}"
 
 
-def main():
+def fingerprint():
+    """The header line: what, besides the source, the hashes may depend on."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    found = ",".join(name for name in __cpu_dispatch__ if __cpu_features__.get(name))
+    return (f"# numpy={np.__version__} python={platform.python_version()} "
+            f"simd={found or '-'}")
+
+
+def sweep():
+    """Every line after the header, in order."""
     for name, record in inputs():
         for config_name in CONFIGS:
-            print(case_line(name, config_name, record))
-        print(screen_line(name, record))
+            yield case_line(name, config_name, record)
+        yield screen_line(name, record)
+
+
+def main():
+    print(fingerprint())
+    for line in sweep():
+        print(line)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Smoke tests: the scripts run end to end on the source tree, warning-free;
-bench_pairs.py's summary is checked on canned benchmark results."""
+the same-outputs sweep matches its pinned file; bench_pairs.py's summary is
+checked on canned benchmark results."""
 
 import importlib.util
 import json
@@ -7,6 +8,9 @@ import os
 import re
 import subprocess
 import sys
+import warnings
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -50,21 +54,28 @@ def test_monte_carlo_times_synthesis_and_estimation():
     assert lines[3].startswith("frequency: ")
 
 
-def test_same_outputs_prints_one_line_per_case():
-    lines = run_script("same_outputs.py").splitlines()
-    # (27 tone settings, two noise seeds when sigma > 0: 45 tones) + 27 tones
-    # on the shifted time grid + 12 noise records + 9 edge records, each
-    # under 4 configs and through `sinefit screen`
-    assert len(lines) == (45 + 27 + 12 + 9) * 5
-    pattern = re.compile(r"\S+ (default|full_record|ma_k=1|skip_screen) [0-9a-f]{64} "
-                         r"acf_arccos=(-|\S+) acf_period=(-|\S+)")
-    screen_lines = [line for line in lines if line.split()[1] == "screen"]
-    assert len(screen_lines) == 45 + 27 + 12 + 9
-    assert all(re.fullmatch(r"\S+ screen [0-9a-f]{64}", line) for line in screen_lines)
-    assert all(pattern.fullmatch(line) for line in lines if line not in screen_lines), lines[:3]
-    assert len({line.split()[2] for line in lines}) > 100
-    # signal and noise verdicts both occur, so the screen lines differ
-    assert len({line.split()[2] for line in screen_lines}) == len(screen_lines)
+def test_same_outputs_match_the_pinned_sweep():
+    """A fresh sweep reproduces ``tests/data/same_outputs.txt`` line for line,
+    warning-free, wherever numpy, Python and the SIMD dispatch match its
+    header."""
+    with open(os.path.join(ROOT, "tests", "data", "same_outputs.txt")) as handle:
+        header, *pinned = handle.read().splitlines()
+    same_outputs = load_script("same_outputs.py")
+    running = same_outputs.fingerprint()
+    if running != header:
+        pytest.skip(f"pinned under {header!r}, running under {running!r}")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        lines = list(same_outputs.sweep())
+    assert [str(warning.message) for warning in caught] == []
+
+    def keyed(sweep):  # "<input> <config>" -> line
+        return {" ".join(line.split()[:2]): line for line in sweep}
+
+    old, new = keyed(pinned), keyed(lines)
+    moved = sorted(key for key in old.keys() | new.keys() if old.get(key) != new.get(key))
+    assert not moved, f"{len(moved)} of {len(pinned)} lines moved: " + "; ".join(moved)
+    assert lines == pinned  # and in the same order
 
 
 CODE_LINES_FIXTURE = '''"""Module docstring,
