@@ -32,11 +32,6 @@ class DegenerateParametersError(ValueError):
     """The analytic normalization denominator vanished for these parameters."""
 
 
-DISCRETE_CIRCULAR = "discrete_circular"
-MODEL_FULL = "model_full"
-MODEL_REDUCED = "model_reduced"
-_KINDS = (DISCRETE_CIRCULAR, MODEL_FULL, MODEL_REDUCED)
-
 # How far outside [-1, 1] a correlation value may sit before it is treated
 # as a non-correlation input rather than roundoff.
 _CLAMP_SLACK = 1e-6
@@ -52,12 +47,9 @@ _ROUNDING_FLOOR = 4.0 * np.finfo(float).eps
 class AcfSeries:
     """Lag-indexed correlation values; values[tau] is the value at lag tau."""
 
-    kind: str
     values: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown ACF kind {self.kind!r}")
         values = np.array(self.values, dtype=float)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -133,7 +125,7 @@ class _Record:
             raise ValueError("constant record has zero variance")
         sums /= lag0
         sums.setflags(write=False)
-        return _adopt(AcfSeries, kind=DISCRETE_CIRCULAR, values=sums)
+        return _adopt(AcfSeries, values=sums)
 
 
 def circular_acf(record: TimeSeries, max_lag: int | None = None) -> AcfSeries:
@@ -156,7 +148,7 @@ def circular_acf(record: TimeSeries, max_lag: int | None = None) -> AcfSeries:
     if not 1 <= max_lag <= n - 1:
         raise ValueError(f"max_lag must be in [1, {n - 1}]")
     values = _Record(record).acf.values
-    return _adopt(AcfSeries, kind=DISCRETE_CIRCULAR, values=values[:max_lag + 1])
+    return _adopt(AcfSeries, values=values[:max_lag + 1])
 
 
 def sine_product_integral(p: IntegralParams) -> float:
@@ -221,7 +213,7 @@ def model_acf_full(params: SinusoidParams, max_lag: int) -> AcfSeries:
     taus = np.arange(max_lag + 1, dtype=float)
     values = (np.cos(w * taus)
               - coupling * np.cos((TWO_PI + taus) * w + 2.0 * phi)) / denominator
-    return AcfSeries(MODEL_FULL, values)
+    return AcfSeries(values)
 
 
 def model_acf_reduced(params: SinusoidParams, max_lag: int) -> AcfSeries:
@@ -229,7 +221,7 @@ def model_acf_reduced(params: SinusoidParams, max_lag: int) -> AcfSeries:
     if max_lag < 1:
         raise ValueError("max_lag must be at least 1")
     taus = np.arange(max_lag + 1, dtype=float)
-    return AcfSeries(MODEL_REDUCED, np.cos(params.omega() * taus))
+    return AcfSeries(np.cos(params.omega() * taus))
 
 
 def frequency_from_acf(r_value: float, tau: int) -> float:

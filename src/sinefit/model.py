@@ -212,11 +212,8 @@ class NoiseSpec:
 
     sigma: float
     seed: int
-    kind: str = "gaussian"
 
     def __post_init__(self):
-        if self.kind != "gaussian":
-            raise ValueError(f"unsupported noise kind {self.kind!r}")
         if not _is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not self.sigma >= 0:

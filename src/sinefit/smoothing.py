@@ -87,8 +87,9 @@ def ma_attenuation(k: int, frequency: float, dt: float = 1.0) -> float:
     return abs(math.sin(k * x) / denom)
 
 
-def recommended_windows(period_samples: float, limit: int | None = None) -> list[int]:
-    """Window sizes that divide the period into a whole number of chunks.
+def recommended_windows(period_samples: float) -> list[int]:
+    """Window sizes from 2 to half the period that divide the period into a
+    whole number of chunks.
 
     A heuristic only: picking the best smoothing window is an open
     problem, so nothing here is enforced.
@@ -96,5 +97,4 @@ def recommended_windows(period_samples: float, limit: int | None = None) -> list
     period = int(round(period_samples))
     if period < 2:
         return []
-    top = limit if limit is not None else period // 2
-    return [k for k in range(2, top + 1) if period % k == 0]
+    return [k for k in range(2, period // 2 + 1) if period % k == 0]

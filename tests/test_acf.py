@@ -317,9 +317,5 @@ class TestAcfSeries:
         with pytest.raises(ValueError):
             acf.values[0] = 2.0
 
-    def test_kind_is_checked(self):
-        with pytest.raises(ValueError):
-            sf.AcfSeries("bogus", [1.0, 0.5])
-
     def test_max_lag(self, noisy_series):
         assert sf.circular_acf(noisy_series(0), max_lag=7).max_lag == 7

@@ -79,7 +79,6 @@ class TestModelAcfOnFirstRead:
         p = report.params
         per_sample = sf.SinusoidParams(p.amplitude, p.frequency_hz * record.dt, p.phase_rad)
         expected = sf.model_acf_full(per_sample, max_lag or 50)
-        assert report.model_acf.kind == expected.kind
         assert report.model_acf.values.tobytes() == expected.values.tobytes()
 
     def test_computed_only_when_read_and_then_kept(self, noisy_series, monkeypatch):
@@ -250,7 +249,6 @@ class TestOneModulusPerRecord:
     def test_report_acf_is_circular_acf(self, noisy_series, config, n):
         record = noisy_series(1, n=n)
         report = sf.estimate_parameters(record, config)
-        assert report.acf.kind == "discrete_circular"
         assert report.acf.values.tobytes() == sf.circular_acf(record).values.tobytes()
 
     def test_gate1_record_under_skip_screen_takes_its_own_pair(self, pure_noise, screened):
@@ -328,7 +326,7 @@ class TestFrozenNotCopied:
     @pytest.mark.parametrize("writable", [True, False])
     def test_public_constructors_do_not_alias_the_callers_array(self, writable):
         made = [lambda a: (sf.TimeSeries(0.0, 1.0, a), "samples"),
-                lambda a: (sf.AcfSeries("discrete_circular", a), "values"),
+                lambda a: (sf.AcfSeries(a), "values"),
                 lambda a: (sf.Spectrum(0.1, a), "magnitudes")]
         for make in made:
             given = np.linspace(1.0, 2.0, 8)

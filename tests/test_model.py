@@ -117,8 +117,6 @@ class TestSynthesize:
     def test_noise_spec_validation(self):
         with pytest.raises(ValueError):
             sf.NoiseSpec(sigma=-0.5, seed=0)
-        with pytest.raises(ValueError):
-            sf.NoiseSpec(sigma=0.5, seed=0, kind="uniform")
         with pytest.raises(ValueError, match="sigma must be finite"):
             sf.NoiseSpec(sigma=math.inf, seed=0)
         with pytest.raises(ValueError, match="sigma must be non-negative"):

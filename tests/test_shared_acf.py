@@ -175,7 +175,6 @@ class TestReportAcfAfterAGate1Reject:
         assert transforms == ONE_PAIR
         assert report.acf is first
         assert transforms == ONE_PAIR
-        assert first.kind == "discrete_circular"
         assert first.values.tobytes() == sf.circular_acf(record).values.tobytes()
 
     def test_plot_data_writes_it(self, tmp_path):
