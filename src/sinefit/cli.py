@@ -2,10 +2,11 @@
 
 Exit codes: 0 on success, 2 when screening rejects the input as noise,
 1 for every other failure (parse errors, bad arguments, unwritable
-paths).  ``main`` maps them in one place: each command returns 0 or 2,
-and a ``ValueError``, ``OSError`` or ``KeyboardInterrupt`` it raises
-becomes ``Error: <message>`` (``aborted`` for the interrupt) on stderr
-and exit 1.  A usage error prints the usage and ``Error: <message>``
+paths, arrays too large to allocate).  ``main`` maps them in one place:
+each command returns 0 or 2, and a ``ValueError``, ``OSError``,
+``MemoryError`` or ``KeyboardInterrupt`` it raises becomes
+``Error: <message>`` (``aborted`` for the interrupt) on stderr and
+exit 1.  A usage error prints the usage and ``Error: <message>``
 and exits 1 too.  Path arguments are checked while the command line is
 parsed, so no command runs and no output is written when an input is
 missing or a path names the wrong kind of file.  When an output path is
@@ -189,7 +190,7 @@ def main(argv: list[str] | None = None) -> None:
     try:
         args = _parser().parse_args(argv)
         code = args.run(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"Error: {exc}", file=sys.stderr)
         code = 1
     except KeyboardInterrupt:

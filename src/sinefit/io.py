@@ -83,35 +83,40 @@ def read_timeseries_csv(path: str) -> TimeSeries:
     _ROUNDING_LIMIT times the first step), so the times a writer rounds
     far from t = 0 read back.  The record's dt is the mean step
     (t[-1] - t[0])/(N - 1), which spreads the rounding of two times over
-    N - 1 steps where the first step carries all of it.  Errors name the
-    file line of the offending row; blank lines are skipped but still
-    counted.
+    N - 1 steps where the first step carries all of it.  Every error is a
+    ``ValueError`` that starts with the path; those about a row (the csv
+    module's own errors among them) name its file line.  Blank lines are
+    skipped but still counted.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        if [c.strip() for c in header] != ["t", "value"]:
-            raise ValueError(f"{path}: expected header 't,value', got {header!r}")
-        times: list[float] = []
-        values: list[float] = []
-        lines: list[int] = []
-        for row in reader:
-            if not row:
-                continue
-            lineno = reader.line_num
-            if len(row) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected two columns")
-            try:
-                times.append(float(row[0]))
-                values.append(float(row[1]))
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: could not parse numbers") from None
-            if not (math.isfinite(times[-1]) and math.isfinite(values[-1])):
-                raise ValueError(f"{path}: line {lineno}: non-finite value")
-            lines.append(lineno)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty file")
+            if [c.strip() for c in header] != ["t", "value"]:
+                raise ValueError(f"{path}: expected header 't,value', got {header!r}")
+            times: list[float] = []
+            values: list[float] = []
+            lines: list[int] = []
+            for row in reader:
+                if not row:
+                    continue
+                lineno = reader.line_num
+                if len(row) != 2:
+                    raise ValueError(f"{path}: line {lineno}: expected two columns")
+                try:
+                    times.append(float(row[0]))
+                    values.append(float(row[1]))
+                except ValueError:
+                    raise ValueError(f"{path}: line {lineno}: could not parse numbers") from None
+                if not (math.isfinite(times[-1]) and math.isfinite(values[-1])):
+                    raise ValueError(f"{path}: line {lineno}: non-finite value")
+                lines.append(lineno)
+        except csv.Error as exc:  # such as a field past the csv module's size limit
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if len(values) < 2:
         raise ValueError(f"{path}: need at least two data rows")
     steps = np.diff(times)

@@ -1,13 +1,18 @@
+import contextlib
 import csv
 import json
+import locale
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
+from io import StringIO
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import sinefit as sf
 
@@ -202,6 +207,20 @@ class TestEstimate:
         empty.write_text("")
         result = run_cli(["estimate", str(empty)], tmp_path)
         assert result.returncode == 1
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("content,message", [
+        (b"t,value\n0,1\n1," + b"1" * 140_000 + b"\n2,3\n",
+         "line 3: field larger than field limit (131072)"),
+        (b"t,value\n0,1\xff\n1,2\n", "'utf-8' codec can't decode byte 0xff")],
+        ids=["long_field", "non_utf8"])
+    def test_csv_module_and_decoder_errors_name_the_file(self, tmp_path, content, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(content)
+        result = run_cli(["estimate", str(bad), "-o", str(tmp_path / "report.json")], tmp_path)
+        assert result.returncode == 1
+        assert result.stderr.startswith(f"Error: {bad}: ") and message in result.stderr
+        assert len(result.stderr.splitlines()) == 1
         assert not (tmp_path / "report.json").exists()
 
     def test_non_uniform_sampling_names_the_row(self, tmp_path):
@@ -429,6 +448,22 @@ class TestExitOne:
         result = run_cli([command, *args, "-o", str(tmp_path / "demo.csv" / "out")], tmp_path)
         self.assert_exit_one(result, "[Errno")
 
+    @pytest.mark.parametrize("command", ["generate", "spectrum"])
+    def test_an_array_too_large_to_allocate(self, tmp_path, command):
+        # the child caps its own address space at 2 GiB first, so numpy's
+        # 7.28 TiB request fails there whatever the machine's overcommit
+        cap = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+               "from sinefit.cli import main; main(sys.argv[1:])")
+        args = {"generate": ["-A", "2", "-f", "0.05", "-n", str(10 ** 12)],
+                "spectrum": [self.inputs(tmp_path)["csv"], "--pad", str(10 ** 12)]}[command]
+        out = tmp_path / "out.csv"
+        result = subprocess.run([sys.executable, "-c", cap, command, *args, "-o", str(out)],
+                                capture_output=True, text=True,
+                                env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+        self.assert_exit_one(result, "Unable to allocate 7.28 TiB")
+        assert len(result.stderr.splitlines()) == 1
+        assert not out.exists()
+
     def test_a_record_that_ma_5_smooths_flat(self, tmp_path):
         from sinefit import io
         io.write_timeseries_csv(str(tmp_path / "flat.csv"), sf.TimeSeries(
@@ -556,3 +591,69 @@ class TestUsage:
         code = "import sys, sinefit.cli; print('click' in sys.modules)"
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert result.stdout == "False\n", result.stderr
+
+
+# Field tokens that a CSV of any origin may hold: numbers of any magnitude
+# (as Python writes them, as integers past float range and quoted), NUL,
+# stray quotes and other odd text; then, each as likely as all of those,
+# the two that stop the reader itself: bytes that do not decode and a field
+# past the csv module's 131,072-character limit.
+CSV_FIELDS = st.one_of(
+    st.floats().map(lambda v: repr(v).encode()),
+    st.integers(-10 ** 400, 10 ** 400).map(lambda v: str(v).encode()),
+    st.floats(allow_nan=False).map(lambda v: b'"%r"' % v),
+    st.sampled_from([b"", b"\x00", b"1\x002", b'"', b'1"2', b'"1,2"', b" 1 ", b"1e999",
+                     b"-0", b"0x10", b"1_0"]),
+    st.sampled_from([b"\xff", b"1\xfe", b"7" * 140_000]))
+
+
+@st.composite
+def csv_files(draw):
+    """A `t,value` file of 0-60 rows of a tone at some magnitude, sampled on
+    some grid, with up to three fields replaced by ``CSV_FIELDS`` tokens,
+    under the header or a variant of it, with or without a BOM, ending its
+    lines in LF, CRLF or CR."""
+    n = draw(st.integers(0, 60))
+    dt = draw(st.sampled_from([1.0, 0.37, 1e-300, 1e300]))
+    scale = draw(st.floats(min_value=0.0, allow_infinity=False))
+    rows = [[repr(i * dt).encode(), repr(scale * math.sin(0.3 * i)).encode()] for i in range(n)]
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, 1))] = draw(CSV_FIELDS)
+    header = draw(st.one_of(st.just(b"t,value"), st.sampled_from(
+        [b" t , value ", b'"t","value"', b"T,value", b"t;value", b"t,value,x", b""])))
+    bom = draw(st.one_of(st.just(b""), st.just(b"\xef\xbb\xbf")))
+    end = draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    return bom + end.join([header] + [b",".join(row) for row in rows]) + end
+
+
+@given(csv_files())
+def test_any_csv_bytes_exit_cleanly(content):
+    """Whatever the file holds, ``sinefit estimate`` exits 0, 1 or 2; on 1
+    it prints one ``Error:`` line and writes no report, and a file that the
+    reader cannot take whole (a byte that does not decode, a field past the
+    csv module's limit) gets an error that names it."""
+    from sinefit.cli import main
+    try:
+        content.decode(locale.getpreferredencoding(False))
+        unreadable = len(content) > 131_072  # only the long field makes it so long
+    except UnicodeDecodeError:
+        unreadable = True
+    with tempfile.TemporaryDirectory() as directory:
+        path, out = os.path.join(directory, "in.csv"), os.path.join(directory, "report.json")
+        with open(path, "wb") as handle:
+            handle.write(content)
+        stderr = StringIO()
+        with contextlib.redirect_stdout(StringIO()), contextlib.redirect_stderr(stderr):
+            try:
+                main(["estimate", path, "-o", out])
+                code = 0
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2)
+        if code == 1:
+            lines = stderr.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("Error: "), lines
+            assert lines[0].startswith(f"Error: {path}: ") or not unreadable, lines
+            assert not os.path.exists(out)
+        else:
+            assert not unreadable
