@@ -19,6 +19,11 @@ the noise floor a change/parent ratio has to clear.
 Settings: N = 100 and N = 1000 under the default ``one_period``
 objective, N = 10^4 under ``full_record``; the records are the demo tone
 (A = 2, f = 0.05 Hz, phi = 0.6109, dt = 1) at sigma = 0.5, seeds 0..R-1.
+The ``new grids`` setting times the same tones at N = 100, 100 per pass,
+each starting at -0.37*seed so that each has its own time grid while the
+one_period window [0, 1/f] stays inside it: more grids than the phase
+objective keeps, so every lookup of the grid's window geometry misses, as
+in a process that estimates one record.
 A fourth setting times unit white noise at N = 1000 (seeds 0..R-1), which
 the default screen almost always rejects at gate 1: the reject path.  A
 fifth times the same at N = 1001, where the odd N keeps the runs test
@@ -47,6 +52,7 @@ import time
 
 # (label, N, objective range, records per batch pass, record kind)
 SETTINGS = (("n=100 one_period", 100, "one_period", 40, "tone"),
+            ("n=100 one_period new grids", 100, "one_period", 100, "new_grids"),
             ("n=1000 one_period", 1000, "one_period", 20, "tone"),
             ("n=10000 full_record", 10_000, "full_record", 4, "tone"),
             ("n=1000 white_noise", 1000, "one_period", 40, "white"),
@@ -61,6 +67,7 @@ SETTINGS = (("n=100 one_period", 100, "one_period", 40, "tone"),
 DEMO = (2.0, 0.05, 0.6109)
 SIGMA = 0.5
 AR_COEFFICIENT = 0.3
+NEW_GRID_STEP = -0.37  # start time per seed of the new-grids records
 READ_ALL_FIELDS = ("frequency_cross_checks_hz", "t_2pi", "phase_cross_checks", "warnings",
                    "model_acf", "objective_value", "delta_t")
 
@@ -115,7 +122,8 @@ class Side:
         if kind in ("white", "ar1"):
             records = [sf.TimeSeries(0.0, 1.0, noise(sf, kind, seed, n)) for seed in range(count)]
         else:
-            records = [sf.synthesize(tone, sf.NoiseSpec(SIGMA, seed), n)
+            records = [sf.synthesize(tone, sf.NoiseSpec(SIGMA, seed), n,
+                                     start=NEW_GRID_STEP * seed if kind == "new_grids" else 0.0)
                        for seed in range(count)]
         if kind == "grid":
             self.fn = sf.phase_grid_search

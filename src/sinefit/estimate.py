@@ -25,7 +25,7 @@ from .acf import (AcfSeries, DegenerateParametersError, _Record, _coupling_and_d
 from .model import (SinusoidParams, TimeSeries, TWO_PI, _SAMPLE_LIMIT_TIMES_N, _adopt,
                     _is_integer, _on_first_read, wrap_phase)
 from .screening import ScreeningDecision, VERDICT_NOISE, _screen
-from .smoothing import SmoothedSeries, _check_window, moving_average
+from .smoothing import SmoothedSeries, _check_window, _span, moving_average
 from .spectrum import Spectrum, _peak_bin
 
 ONE_PERIOD = "one_period"
@@ -71,26 +71,81 @@ class PhaseObjective:
             raise ValueError(f"t_range must be one of {_RANGES}")
 
 
-def _objective_window(obj: PhaseObjective) -> tuple[int, int]:
-    """Index range [lo, hi) of the samples the objective sums over: a run of
-    the record (all of it, or 0 <= t <= 1/f), so the times stay evenly spaced.
+# The closed-form double-angle sums lose about eps*m*|u|/|sin(u)| to
+# rounding (u = theta*dt/2); below this |sin(u)|/|u| they fall back to the
+# direct sums, which bounds that loss by about 2.2e-10*m.
+_MIN_SIN_RATIO = 1e-6
 
-    Sample k sits at start + dt*k, which never decreases with k, so the
-    one_period run is the index range of the k with t >= 0 and
-    t <= 1/f + 1e-12*dt (a sample at 1/f counts despite rounding, and the
-    slack scales with the time axis).  Each end is the index nearest its
-    bound over dt, clamped to [0, N - 1], or the next one, as one
-    comparison of that expression decides: exact while the times near the
-    bounds stay below about 2**50*dt, so their rounding is far below dt.
-    A one_period run of fewer than 2 samples (a record that starts after
-    1/f or ends before 0) raises ``ValueError``.
+
+def _double_angle_sums(start: float, dt: float, lo: int, hi: int,
+                       theta: float) -> tuple[float, float]:
+    """(sum cos(theta*t), sum sin(theta*t)) over the times t_k = start + dt*k
+    of samples lo..hi-1.
+
+    With t_k = t_lo + k*dt, k = 0..m-1 (m = hi - lo), the sum of
+    exp(i*theta*t_k) is a geometric series, O(1) with no time axis:
+    exp(i*theta*(t_lo + (m-1)*dt/2)) * sin(m*u)/sin(u), u = theta*dt/2.
+    When sin(u) is tiny against u (theta*dt near a non-zero multiple of
+    2*pi, such as f*dt = 0.5, the Nyquist bin an even-N spectrum can
+    pick) the quotient is badly conditioned, and the direct sums are
+    taken instead, over the window's times.
     """
-    record = obj.data
-    if obj.t_range == FULL_RECORD:
-        return 0, len(record)
-    last = len(record) - 1.0
-    start, dt = record.start_time, record.dt
-    period = 1.0 / obj.fixed_frequency_hz
+    m = hi - lo
+    u = theta * dt / 2.0
+    sin_u = math.sin(u)
+    if abs(sin_u) < _MIN_SIN_RATIO * abs(u):
+        angles = theta * (start + dt * np.arange(lo, hi))  # TimeSeries.times' arithmetic
+        return float(np.sum(np.cos(angles))), float(np.sum(np.sin(angles)))
+    gain = math.sin(m * u) / sin_u
+    middle = theta * (start + dt * lo + (m - 1) * dt / 2.0)
+    return gain * math.cos(middle), gain * math.sin(middle)
+
+
+# Longest one_period window whose sin(w*t) and cos(w*t) columns are kept:
+# 64 kept grids then hold at most 4 MiB of columns.
+_MAX_COLUMN = 4096
+
+
+class _Geometry(NamedTuple):
+    """What the objective reads of a record's time grid, not of its samples:
+    the index range [lo, hi) it sums over, the double-angle sums (Sc2, Ss2)
+    over those times, and, for a one_period window of at most
+    ``_MAX_COLUMN`` samples, the read-only columns sin(w*t) and cos(w*t)
+    (None otherwise)."""
+
+    lo: int
+    hi: int
+    sc2: float
+    ss2: float
+    sin_wt: np.ndarray | None
+    cos_wt: np.ndarray | None
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _geometry(start: float, dt: float, n: int, frequency_hz: float, t_range: str) -> _Geometry:
+    """The objective's ``_Geometry`` on the grid of N = ``n`` samples at
+    start + dt*k, for frequency f = ``frequency_hz``; the last 64 are kept,
+    so records that share N, dt, start and f build it once.  ``typed``
+    keeps an f of another number type, whose arithmetic may differ, apart;
+    a start of -0.0 shares the entry of 0.0, whose times are the same.
+
+    The window is a run of the record (all of it, or 0 <= t <= 1/f), so
+    the times stay evenly spaced.  Sample k sits at start + dt*k, which
+    never decreases with k, so the one_period run is the index range of
+    the k with t >= 0 and t <= 1/f + 1e-12*dt (a sample at 1/f counts
+    despite rounding, and the slack scales with the time axis).  Each end
+    is the index nearest its bound over dt, clamped to [0, N - 1], or the
+    next one, as one comparison of that expression decides: exact while
+    the times near the bounds stay below about 2**50*dt, so their
+    rounding is far below dt.  A one_period run of fewer than 2 samples
+    (a record that starts after 1/f or ends before 0) raises
+    ``ValueError``.
+    """
+    w = TWO_PI * frequency_hz
+    if t_range == FULL_RECORD:
+        return _Geometry(0, n, *_double_angle_sums(start, dt, 0, n, 2.0 * w), None, None)
+    last = n - 1.0
+    period = 1.0 / frequency_hz
     end = period + 1e-12 * dt
     lo = round(min(max(-start / dt, 0.0), last))
     if start + dt * lo < 0.0:
@@ -102,41 +157,20 @@ def _objective_window(obj: PhaseObjective) -> tuple[int, int]:
         raise ValueError(
             f"the one_period objective window [0, 1/f] = [0, {period:.6g}] holds "
             f"{hi - lo} sample(s) of the record, fewer than 2; use the full_record range")
-    return lo, hi
+    sums = _double_angle_sums(start, dt, lo, hi, 2.0 * w)
+    if hi - lo > _MAX_COLUMN:
+        return _Geometry(lo, hi, *sums, None, None)
+    wt = w * (start + dt * np.arange(lo, hi))  # TimeSeries.times' arithmetic
+    columns = np.sin(wt), np.cos(wt)
+    for column in columns:
+        column.setflags(write=False)
+    return _Geometry(lo, hi, *sums, *columns)
 
 
-def _objective_points(obj: PhaseObjective) -> tuple[np.ndarray, np.ndarray]:
-    """Sample times and values of the objective window (``_objective_window``)."""
-    lo, hi = _objective_window(obj)
-    return obj.data.times(lo, hi), obj.data.samples[lo:hi]
-
-
-# The closed-form double-angle sums lose about eps*m*|u|/|sin(u)| to
-# rounding (u = theta*dt/2); below this |sin(u)|/|u| they fall back to the
-# direct sums, which bounds that loss by about 2.2e-10*m.
-_MIN_SIN_RATIO = 1e-6
-
-
-def _double_angle_sums(record: TimeSeries, lo: int, hi: int, theta: float) -> tuple[float, float]:
-    """(sum cos(theta*t), sum sin(theta*t)) over the times of samples lo..hi-1.
-
-    With t_k = t_lo + k*dt, k = 0..m-1 (m = hi - lo), the sum of
-    exp(i*theta*t_k) is a geometric series, O(1) with no time axis:
-    exp(i*theta*(t_lo + (m-1)*dt/2)) * sin(m*u)/sin(u), u = theta*dt/2.
-    When sin(u) is tiny against u (theta*dt near a non-zero multiple of
-    2*pi, such as f*dt = 0.5, the Nyquist bin an even-N spectrum can
-    pick) the quotient is badly conditioned, and the direct sums are
-    taken instead, over the window's times.
-    """
-    m, dt = hi - lo, record.dt
-    u = theta * dt / 2.0
-    sin_u = math.sin(u)
-    if abs(sin_u) < _MIN_SIN_RATIO * abs(u):
-        angles = theta * record.times(lo, hi)
-        return float(np.sum(np.cos(angles))), float(np.sum(np.sin(angles)))
-    gain = math.sin(m * u) / sin_u
-    middle = theta * (record.start_time + dt * lo + (m - 1) * dt / 2.0)
-    return gain * math.cos(middle), gain * math.sin(middle)
+def _geometry_of(obj: PhaseObjective) -> _Geometry:
+    record = obj.data
+    return _geometry(record.start_time, record.dt, len(record), obj.fixed_frequency_hz,
+                     obj.t_range)
 
 
 class _PhaseTable(NamedTuple):
@@ -180,18 +214,19 @@ def _refine_table(cell: int) -> _PhaseTable:
                                    REFINE_STEP))
 
 
-def _objective_on_tables(obj: PhaseObjective, lo: int, hi: int,
-                         linear: tuple[float, float] | None = None):
+def _objective_on_tables(obj: PhaseObjective, linear: tuple[float, float] | None = None):
     """The objective as a trig polynomial in phi: O(N) sums once, O(1) per phi.
 
     Sum (x - A*sin(wt + phi))^2 = Sxx - 2A(cos(phi)*Sxs + sin(phi)*Sxc) + A^2*(m/2
     - (cos(2phi)*Sc2 - sin(2phi)*Ss2)/2), from the sine-fit sums of IEEE Std 1057,
-    over the window's samples lo..hi-1.  Sxx is one dot product; Sc2 and
-    Ss2 are the closed-form geometric sums of ``_double_angle_sums``.
-    ``linear`` is (Sxs, Sxc) when the caller already has them (the whole
-    record's, from its kept DFT peak bin: ``_peak_bin_sums``); otherwise
-    they take one trig pass each over the window's times.  Returns the
-    curve as a function of a ``_PhaseTable``.
+    over the window's samples lo..hi-1 (``_geometry``).  Sxx is one dot
+    product; Sc2 and Ss2 are the grid's kept double-angle sums.  ``linear``
+    is (Sxs, Sxc) when the caller already has them (the whole record's,
+    from its kept DFT peak bin: ``_peak_bin_sums``); otherwise they are
+    the dot products of the samples with the grid's kept sin(w*t) and
+    cos(w*t) columns, or, where it keeps none, with one trig pass each
+    over the window's times.  Returns the curve as a function of a
+    ``_PhaseTable``.
 
     The same polynomial is const - Re(exp(i*phi)*alpha + exp(2i*phi)*beta),
     with const = Sxx + A^2*m/2, alpha = 2A*(Sxs - i*Sxc) and
@@ -203,13 +238,15 @@ def _objective_on_tables(obj: PhaseObjective, lo: int, hi: int,
     direct residual sum of the winner, and the grid phases it picks match
     the real expression's on every record of the seeded sweeps in the tests.
     """
-    a, w = obj.fixed_amplitude, TWO_PI * obj.fixed_frequency_hz
+    a = obj.fixed_amplitude
+    lo, hi, sc2, ss2, sin_wt, cos_wt = _geometry_of(obj)
     x = obj.data.samples[lo:hi]
     if linear is None:
-        wt = w * obj.data.times(lo, hi)
-        linear = x @ np.sin(wt), x @ np.cos(wt)
+        if sin_wt is None:
+            wt = TWO_PI * obj.fixed_frequency_hz * obj.data.times(lo, hi)
+            sin_wt, cos_wt = np.sin(wt), np.cos(wt)
+        linear = x @ sin_wt, x @ cos_wt
     sxs, sxc = linear
-    sc2, ss2 = _double_angle_sums(obj.data, lo, hi, 2.0 * w)
     a_squared = a ** 2
     const = x @ x + a_squared * ((hi - lo) / 2.0)
     alpha = complex(2.0 * a * sxs, -2.0 * a * sxc)
@@ -251,7 +288,8 @@ def phase_objective_value(obj: PhaseObjective, phi: float) -> float:
     In one_period mode the sum runs over the record's samples with
     0 <= t <= 1/f; in full_record mode over every sample.
     """
-    return _residual_sum(obj, *_objective_points(obj), phi)
+    lo, hi = _geometry_of(obj)[:2]
+    return _residual_sum(obj, obj.data.times(lo, hi), obj.data.samples[lo:hi], phi)
 
 
 def phase_grid_search(obj: PhaseObjective) -> tuple[float, float]:
@@ -265,18 +303,20 @@ def phase_grid_search(obj: PhaseObjective) -> tuple[float, float]:
     exp(i*phi) and exp(2i*phi) columns do not depend on the record: the
     coarse table is built at import, each coarse cell's refine table on
     first use, and both are kept for the life of the process (629 cells
-    at most, about 1 MB), so a call takes no trig of grid points.
+    at most, about 1 MB), so a call takes no trig of grid points.  The
+    window, its double-angle sums and, for a one_period window, its
+    sin(w*t) and cos(w*t) columns depend only on the record's time grid
+    and f, and the last 64 grids keep them (``_geometry``).
     Returns (phi, phase_objective_value).
     """
-    phi = _grid_search(obj, *_objective_window(obj))
+    phi = _grid_search(obj)
     return phi, phase_objective_value(obj, phi)
 
 
-def _grid_search(obj: PhaseObjective, lo: int, hi: int,
-                 linear: tuple[float, float] | None = None) -> float:
-    """``phase_grid_search``'s phase, unwrapped, over the samples lo..hi-1;
-    (Sxs, Sxc) come from ``linear`` when given (``_objective_on_tables``)."""
-    curve = _objective_on_tables(obj, lo, hi, linear)
+def _grid_search(obj: PhaseObjective, linear: tuple[float, float] | None = None) -> float:
+    """``phase_grid_search``'s phase, unwrapped; (Sxs, Sxc) come from
+    ``linear`` when given (``_objective_on_tables``)."""
+    curve = _objective_on_tables(obj, linear)
     refine = _refine_table(int(curve(_COARSE).argmin()))
     return float(refine.phis[curve(refine).argmin()])
 
@@ -350,7 +390,7 @@ def _zero_crossings(series: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
     """
     s = series.samples
     start, dt = series.start_time, series.dt
-    h = _HYSTERESIS_FRACTION * (s.max() - s.min()) / 2.0
+    h = _HYSTERESIS_FRACTION * _span(s) / 2.0
     if h == 0:
         raise ValueError("constant record has no zero crossings")
     p, q = s > 0.0, s < 0.0
@@ -659,9 +699,7 @@ def estimate_parameters(record: TimeSeries,
                          "m/(N*dt), or the phase search's angular frequencies 4*pi*m/(N*dt), "
                          "outside the finite positive floats; rescale the times")
     smoothed = moving_average(record, config.ma_k)
-    # amplitude_estimate(smoothed)
-    smoothed_samples = smoothed.series.samples
-    span = float(np.maximum.reduce(smoothed_samples)) - float(np.minimum.reduce(smoothed_samples))
+    span = _span(smoothed.series.samples)  # amplitude_estimate(smoothed) is span / 2
     if not span > 0:
         raise ValueError(f"MA-{config.ma_k} smoothing leaves a constant record: no "
                          "amplitude, crossings or phase to estimate")
@@ -678,7 +716,7 @@ def estimate_parameters(record: TimeSeries,
                        fixed_frequency_hz=frequency, t_range=config.objective_range)
     linear = (_peak_bin_sums(work.dft[peak], TWO_PI * frequency, record.start_time)
               if config.objective_range == FULL_RECORD else None)
-    phi = _grid_search(objective, *_objective_window(objective), linear)
+    phi = _grid_search(objective, linear)
 
     params = _adopt(SinusoidParams, amplitude=amplitude, frequency_hz=frequency,
                     phase_rad=wrap_phase(phi))

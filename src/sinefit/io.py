@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -86,37 +87,45 @@ def read_timeseries_csv(path: str) -> TimeSeries:
     N - 1 steps where the first step carries all of it.  Every error is a
     ``ValueError`` that starts with the path; those about a row (the csv
     module's own errors among them) name its file line.  Blank lines are
-    skipped but still counted.
+    skipped but still counted.  The file is read whole and decoded as
+    UTF-8, so a byte that does not decode is named by its line and its
+    offset in the file.
     """
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise ValueError(f"{path}: empty file")
-            if [c.strip() for c in header] != ["t", "value"]:
-                raise ValueError(f"{path}: expected header 't,value', got {header!r}")
-            times: list[float] = []
-            values: list[float] = []
-            lines: list[int] = []
-            for row in reader:
-                if not row:
-                    continue
-                lineno = reader.line_num
-                if len(row) != 2:
-                    raise ValueError(f"{path}: line {lineno}: expected two columns")
-                try:
-                    times.append(float(row[0]))
-                    values.append(float(row[1]))
-                except ValueError:
-                    raise ValueError(f"{path}: line {lineno}: could not parse numbers") from None
-                if not (math.isfinite(times[-1]) and math.isfinite(values[-1])):
-                    raise ValueError(f"{path}: line {lineno}: non-finite value")
-                lines.append(lineno)
-        except csv.Error as exc:  # such as a field past the csv module's size limit
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bad byte ends the slice, so the last line split off is its line;
+        # bytes.splitlines breaks at \n, \r and \r\n, as the reader below does
+        line = len(data[:exc.start + 1].splitlines())
+        raise ValueError(f"{path}: line {line}: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        if [c.strip() for c in header] != ["t", "value"]:
+            raise ValueError(f"{path}: expected header 't,value', got {header!r}")
+        times: list[float] = []
+        values: list[float] = []
+        lines: list[int] = []
+        for row in reader:
+            if not row:
+                continue
+            lineno = reader.line_num
+            if len(row) != 2:
+                raise ValueError(f"{path}: line {lineno}: expected two columns")
+            try:
+                times.append(float(row[0]))
+                values.append(float(row[1]))
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: could not parse numbers") from None
+            if not (math.isfinite(times[-1]) and math.isfinite(values[-1])):
+                raise ValueError(f"{path}: line {lineno}: non-finite value")
+            lines.append(lineno)
+    except csv.Error as exc:  # such as a field past the csv module's size limit
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if len(values) < 2:
         raise ValueError(f"{path}: need at least two data rows")
     steps = np.diff(times)

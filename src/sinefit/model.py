@@ -187,7 +187,7 @@ def check_finite(record: TimeSeries) -> None:
     or a vanishing amplitude square).  An all-zero record passes, for the
     stages to reject as constant.
     """
-    m = float(np.abs(record.samples).max())
+    m = float(np.maximum.reduce(np.abs(record.samples)))
     if not math.isfinite(m):
         raise ValueError(NON_FINITE_SAMPLES)
     if m > _SAMPLE_LIMIT_TIMES_N / len(record):

@@ -44,10 +44,14 @@ def moving_average(record: TimeSeries, k: int) -> SmoothedSeries:
 
     Window sizes that divide the period evenly preserve the waveform
     best, but the optimal size is data dependent and left to the caller.
-    The smoothed samples are the filter's fresh array, frozen, not copied.
+    The smoothed samples are the filter's fresh array, divided by k in
+    place and frozen, not copied.  The window sums are ``np.correlate``
+    with the all-ones kernel: ``np.convolve`` only reverses the kernel
+    and calls the same core, so the bits are the same.
     """
     _check_window(k, len(record))
-    smoothed = np.convolve(record.samples, np.ones(k), mode="valid") / k
+    smoothed = np.correlate(record.samples, np.ones(k), "valid")
+    smoothed /= k
     smoothed.setflags(write=False)
     start = record.start_time + (k - 1) * record.dt  # no later than the last time, so finite
     series = _adopt(TimeSeries, start_time=start, dt=record.dt, samples=smoothed)
@@ -65,10 +69,16 @@ def rms_error(smoothed: SmoothedSeries, reference: SinusoidParams) -> float:
     return float(np.sqrt(np.mean(residual ** 2)))
 
 
+def _span(s: np.ndarray) -> float:
+    """The range max - min of the samples ``s``, as a Python float: the one
+    owner of the smoothed range (``amplitude_estimate``, the pipeline's
+    amplitude and the crossing scan's hysteresis read it)."""
+    return float(np.maximum.reduce(s)) - float(np.minimum.reduce(s))
+
+
 def amplitude_estimate(smoothed: SmoothedSeries) -> float:
     """Half the range (max - min)/2 of the smoothed samples."""
-    s = smoothed.series.samples
-    return float((s.max() - s.min()) / 2.0)
+    return _span(smoothed.series.samples) / 2.0
 
 
 def ma_attenuation(k: int, frequency: float, dt: float = 1.0) -> float:

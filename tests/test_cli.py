@@ -1,7 +1,6 @@
 import contextlib
 import csv
 import json
-import locale
 import math
 import os
 import re
@@ -212,8 +211,11 @@ class TestEstimate:
     @pytest.mark.parametrize("content,message", [
         (b"t,value\n0,1\n1," + b"1" * 140_000 + b"\n2,3\n",
          "line 3: field larger than field limit (131072)"),
-        (b"t,value\n0,1\xff\n1,2\n", "'utf-8' codec can't decode byte 0xff")],
-        ids=["long_field", "non_utf8"])
+        (b"t,value\n0,1\xff\n1,2\n", "line 2: 'utf-8' codec can't decode byte 0xff"),
+        # past the first 8 KB: the line and the offset in the file, not in a read chunk
+        (b"t,value\n" + b"0,1\n" * 2999 + b"1,\xff\n",
+         "line 3001: 'utf-8' codec can't decode byte 0xff in position 12006: ")],
+        ids=["long_field", "non_utf8", "non_utf8_past_8kb"])
     def test_csv_module_and_decoder_errors_name_the_file(self, tmp_path, content, message):
         bad = tmp_path / "bad.csv"
         bad.write_bytes(content)
@@ -634,7 +636,7 @@ def test_any_csv_bytes_exit_cleanly(content):
     csv module's limit) gets an error that names it."""
     from sinefit.cli import main
     try:
-        content.decode(locale.getpreferredencoding(False))
+        content.decode("utf-8")  # the reader decodes as UTF-8, whatever the locale
         unreadable = len(content) > 131_072  # only the long field makes it so long
     except UnicodeDecodeError:
         unreadable = True

@@ -63,12 +63,82 @@ class TestPhaseTables:
 
     def test_curve_still_takes_any_array_and_leaves_it_writable(self, noisy_series):
         obj = sf.PhaseObjective(noisy_series(1), 2.0, 0.05)
-        curve = estimate._objective_on_tables(obj, *estimate._objective_window(obj))
+        curve = estimate._objective_on_tables(obj)
         phis = np.linspace(-3.0, 3.0, 7)
         values = curve(estimate._phase_table(phis))
         assert values.shape == (7,) and phis.flags.writeable
         fresh = curve(estimate._phase_table(estimate._COARSE.phis))
         assert fresh.tobytes() == curve(estimate._COARSE).tobytes()
+
+
+def grid_outcome(record, config):
+    """(grid phase, objective value, phase_grid_search's pair) of a record
+    as float hex strings, or the message of the ``ValueError`` it raises."""
+    try:
+        report = sf.estimate_parameters(record, config)
+        p = report.params
+        search = sf.phase_grid_search(
+            sf.PhaseObjective(record, p.amplitude, p.frequency_hz, config.objective_range))
+        return [v.hex() for v in (report.grid_phase, report.objective_value, *search)]
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestObjectiveGeometry:
+    def test_cache_is_capped_and_its_columns_are_short_and_read_only(self):
+        estimate._geometry.cache_clear()
+        kept = set()
+        for i in range(200):  # 200 distinct grids; f = 1/4095 and 1/4096 on integer
+            # times give one_period windows of 4,096 and 4,097 samples, 0.05 one of 21
+            f = (1 / 4095, 1 / 4096, 0.05)[i % 3]
+            for t_range in RANGES:
+                g = estimate._geometry(-float(i), 1.0, 5000, f, t_range)
+                columns = [c for c in (g.sin_wt, g.cos_wt) if c is not None]
+                assert len(columns) in (0, 2)
+                for column in columns:
+                    assert not column.flags.writeable and column.size == g.hi - g.lo <= 4096
+                kept.add((t_range, g.hi - g.lo, bool(columns)))
+        assert estimate._geometry.cache_info().currsize <= 64
+        assert kept == {("one_period", 21, True), ("one_period", 4096, True),
+                        ("one_period", 4097, False), ("full_record", 5000, False)}
+
+    def test_a_second_record_on_the_same_grid_takes_no_trig(self, noisy_series, monkeypatch):
+        for cell in range(estimate._COARSE.phis.size):
+            estimate._refine_table(cell)  # every refine table built, so none is built below
+        estimate._geometry.cache_clear()
+        first, record = sf.estimate_parameters(noisy_series(0)), noisy_series(1)
+        calls = []
+        for name in ("sin", "cos"):
+            def counting(*args, _real=getattr(np, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np, name, counting)
+        second = sf.estimate_parameters(record)
+        assert second.params.frequency_hz == first.params.frequency_hz
+        assert calls == []
+
+    def test_cold_and_warm_cache_give_the_same_phases_and_values(self):
+        cases = []
+        for n, t_range, start, dt, f_dt in itertools.product(
+                (100, 101, 1000), RANGES, (0.0, -0.0, -3.7, 12.5), (1.0, 0.01), (0.05, 0.5)):
+            # f*dt = 0.5 is the Nyquist bin of an even N: the double-angle sums' fallback;
+            # start = -0.0 looks up the key of 0.0, which must give the same geometry
+            params = sf.SinusoidParams(2.0, f_dt / dt, 1.0)
+            config = sf.PipelineConfig(objective_range=t_range, skip_screen=True)
+            for seed in range(2):
+                cases.append((sf.synthesize(params, sf.NoiseSpec(0.5, seed), n, dt=dt,
+                                            start=start), config))
+        cold = []
+        for record, config in cases:
+            with pytest.MonkeyPatch.context() as patch:  # cleared before every lookup
+                lookup = estimate._geometry
+                patch.setattr(estimate, "_geometry",
+                              lambda *key: (lookup.cache_clear(), lookup(*key))[1])
+                cold.append(grid_outcome(record, config))
+        warm = [(grid_outcome(record, config), grid_outcome(record, config))[1]
+                for record, config in cases]
+        assert cold == warm
+        assert sum(isinstance(outcome, list) for outcome in warm) > len(cases) // 2
 
 
 class TestModelAcfOnFirstRead:

@@ -21,8 +21,14 @@ def clean_record(params, n=100, dt=1.0):
 
 def objective_polynomial(obj):
     """The objective's trig polynomial as a function of any array of phases."""
-    curve = estimate._objective_on_tables(obj, *estimate._objective_window(obj))
+    curve = estimate._objective_on_tables(obj)
     return lambda phis: curve(estimate._phase_table(phis))
+
+
+def objective_points(obj):
+    """Sample times and values of the objective window."""
+    lo, hi = estimate._geometry_of(obj)[:2]
+    return obj.data.times(lo, hi), obj.data.samples[lo:hi]
 
 
 class TestPhaseObjective:
@@ -59,7 +65,7 @@ class TestPhaseObjective:
         # the residual sum runs in one buffer; the expression form is the reference
         for seed in range(5):
             obj = sf.PhaseObjective(noisy_series(seed), AMPLITUDE, FREQUENCY, objective_range)
-            t, x = estimate._objective_points(obj)
+            t, x = objective_points(obj)
             for phi in np.linspace(-math.pi, math.pi, 13).tolist():
                 expected = float(np.sum((x - AMPLITUDE * np.sin(TWO_PI * FREQUENCY * t + phi)) ** 2))
                 assert sf.phase_objective_value(obj, phi) == expected
@@ -138,7 +144,7 @@ def reference_objective_curve(obj, phis):
     Rows are independent, so they are summed in blocks of 64 phases to
     bound the memory of the G x N temporary.
     """
-    t, x = estimate._objective_points(obj)
+    t, x = objective_points(obj)
     w = TWO_PI * obj.fixed_frequency_hz
     rows = []
     for start in range(0, phis.size, 64):
@@ -184,7 +190,7 @@ def real_objective_on_tables(obj, lo, hi, linear=None):
         linear = x @ np.sin(wt), x @ np.cos(wt)
     sxs, sxc = linear
     sxx = x @ x
-    sc2, ss2 = estimate._double_angle_sums(obj.data, lo, hi, 2.0 * w)
+    sc2, ss2 = estimate._double_angle_sums(obj.data.start_time, obj.data.dt, lo, hi, 2.0 * w)
     two_a, a_squared, half_m = 2.0 * a, a ** 2, (hi - lo) / 2.0
 
     def curve(table):
@@ -237,8 +243,9 @@ class TestComplexRanking:
         pairs = []
         grid_search = estimate._grid_search
 
-        def both(obj, lo, hi, linear=None):
-            phi = grid_search(obj, lo, hi, linear)
+        def both(obj, linear=None):
+            phi = grid_search(obj, linear)
+            lo, hi = estimate._geometry_of(obj)[:2]
             pairs.append((phi, real_grid_search(obj, lo, hi, linear)))
             return phi
 
@@ -302,9 +309,10 @@ class TestObjectivePolynomial:
         f = (7 / n if f_dt == "bin" else f_dt) / dt
         record = sf.TimeSeries(-2.3, dt, np.sin(np.arange(n)))
         obj = sf.PhaseObjective(record, 1.0, f, t_range)
-        t, _ = estimate._objective_points(obj)
+        t, _ = objective_points(obj)
         theta = 2.0 * TWO_PI * f
-        sc2, ss2 = estimate._double_angle_sums(record, *estimate._objective_window(obj), theta)
+        lo, hi = estimate._geometry_of(obj)[:2]
+        sc2, ss2 = estimate._double_angle_sums(record.start_time, dt, lo, hi, theta)
         assert abs(sc2 - np.sum(np.cos(theta * t))) <= 1e-9 * t.size
         assert abs(ss2 - np.sum(np.sin(theta * t))) <= 1e-9 * t.size
 
@@ -913,15 +921,15 @@ class TestObjectiveWindow:
             t, x = reference_one_period_points(obj)
             if t.size < 2:
                 with pytest.raises(ValueError, match="full_record"):
-                    estimate._objective_points(obj)
+                    objective_points(obj)
                 continue
-            got_t, got_x = estimate._objective_points(obj)
+            got_t, got_x = objective_points(obj)
             assert got_t.tobytes() == t.tobytes(), (n, start, dt, f)
             assert got_x.tobytes() == x.tobytes(), (n, start, dt, f)
 
     def test_window_may_end_exactly_on_a_sample(self):
         obj = sf.PhaseObjective(tone(100, 0.05), AMPLITUDE, 0.05)
-        t, _ = estimate._objective_points(obj)
+        t, _ = objective_points(obj)
         assert (t[0], t[-1], t.size) == (0.0, 20.0, 21)
 
     @pytest.mark.parametrize("start, n", [(100.0, 100), (-200.0, 100), (19.5, 100)])

@@ -12,6 +12,17 @@ def series(values, dt=1.0, start=0.0):
 
 
 class TestMovingAverage:
+    def test_equals_the_convolve_reference_bit_for_bit(self):
+        # k up to 40 crosses the dot product's 32-element blocks; N = k + 1
+        # and k + 2 are the shortest records the window check lets through
+        rng = np.random.default_rng(27)
+        for k in range(1, 41):
+            for n in (k + 1, k + 2, 100, 1001):
+                x = rng.standard_normal(n) * 10.0 ** int(rng.integers(-3, 4))
+                got = sf.moving_average(series(x), k).series.samples
+                expected = np.convolve(x, np.ones(k), "valid") / k
+                assert got.view(np.int64).tolist() == expected.view(np.int64).tolist(), (k, n)
+
     def test_window_of_one_is_identity(self, noisy_series):
         ts = noisy_series(0)
         out = sf.moving_average(ts, 1)
