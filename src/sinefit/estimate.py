@@ -124,10 +124,11 @@ class _Geometry(NamedTuple):
 @functools.lru_cache(maxsize=64, typed=True)
 def _geometry(start: float, dt: float, n: int, frequency_hz: float, t_range: str) -> _Geometry:
     """The objective's ``_Geometry`` on the grid of N = ``n`` samples at
-    start + dt*k, for frequency f = ``frequency_hz``; the last 64 are kept,
-    so records that share N, dt, start and f build it once.  ``typed``
-    keeps an f of another number type, whose arithmetic may differ, apart;
-    a start of -0.0 shares the entry of 0.0, whose times are the same.
+    start + dt*k, for frequency f = ``frequency_hz``; the 64 most recently
+    used are kept, so records that share N, dt, start and f build it once.
+    ``typed`` keeps an f of another number type, whose arithmetic may
+    differ, apart; a start of -0.0 shares the entry of 0.0, whose times
+    are the same.
 
     The window is a run of the record (all of it, or 0 <= t <= 1/f), so
     the times stay evenly spaced.  Sample k sits at start + dt*k, which
@@ -306,7 +307,7 @@ def phase_grid_search(obj: PhaseObjective) -> tuple[float, float]:
     at most, about 1 MB), so a call takes no trig of grid points.  The
     window, its double-angle sums and, for a one_period window, its
     sin(w*t) and cos(w*t) columns depend only on the record's time grid
-    and f, and the last 64 grids keep them (``_geometry``).
+    and f, and the 64 most recently used grids keep them (``_geometry``).
     Returns (phi, phase_objective_value).
     """
     phi = _grid_search(obj)
