@@ -121,7 +121,7 @@ class _Record:
         power[0] = 0.0
         sums = np.fft.irfft(power, len(self.record))
         lag0 = float(sums[0])
-        if not lag0 > 0.0 or math.sqrt(lag0) <= _ROUNDING_FLOOR * magnitudes[0]:
+        if not lag0 > 0.0 or math.sqrt(lag0) <= _ROUNDING_FLOOR * float(magnitudes[0]):
             raise ValueError("constant record has zero variance")
         sums /= lag0
         sums.setflags(write=False)

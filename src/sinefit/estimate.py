@@ -25,7 +25,7 @@ from .acf import (AcfSeries, DegenerateParametersError, _Record, _coupling_and_d
 from .model import (SinusoidParams, TimeSeries, TWO_PI, _SAMPLE_LIMIT_TIMES_N, _adopt,
                     _is_integer, _on_first_read, wrap_phase)
 from .screening import ScreeningDecision, VERDICT_NOISE, _screen
-from .smoothing import SmoothedSeries, _check_window, _span, moving_average
+from .smoothing import SmoothedSeries, _check_window, _moving_average, _span
 from .spectrum import Spectrum, _peak_bin
 
 ONE_PERIOD = "one_period"
@@ -53,7 +53,10 @@ class PhaseObjective:
     limit of ``check_finite`` for the record's length N, so A^2 and the
     objective's sums stay finite; the frequency must be positive with
     4*pi*f finite, the angular frequency of the double-angle sums.  NaN
-    and inf fail both.
+    and inf fail both.  Both are kept as Python floats, whatever number
+    type they were given as, so the checks, the window and the sums are
+    double arithmetic (a float32 f would put 1/f, and so the window's
+    end, at another sample).
     """
 
     data: TimeSeries
@@ -62,13 +65,15 @@ class PhaseObjective:
     t_range: str = ONE_PERIOD
 
     def __post_init__(self):
-        if not 0.0 < self.fixed_amplitude <= _SAMPLE_LIMIT_TIMES_N / len(self.data):
+        a, f = float(self.fixed_amplitude), float(self.fixed_frequency_hz)
+        if not 0.0 < a <= _SAMPLE_LIMIT_TIMES_N / len(self.data):
             raise ValueError("fixed_amplitude must lie in (0, sqrt(float max)/(2N)]")
-        f = self.fixed_frequency_hz
         if not (f > 0 and math.isfinite(2.0 * TWO_PI * f)):
             raise ValueError("fixed_frequency_hz must be positive, with 4*pi*f finite")
         if self.t_range not in _RANGES:
             raise ValueError(f"t_range must be one of {_RANGES}")
+        object.__setattr__(self, "fixed_amplitude", a)
+        object.__setattr__(self, "fixed_frequency_hz", f)
 
 
 # The closed-form double-angle sums lose about eps*m*|u|/|sin(u)| to
@@ -121,14 +126,14 @@ class _Geometry(NamedTuple):
     cos_wt: np.ndarray | None
 
 
-@functools.lru_cache(maxsize=64, typed=True)
+@functools.lru_cache(maxsize=64)
 def _geometry(start: float, dt: float, n: int, frequency_hz: float, t_range: str) -> _Geometry:
     """The objective's ``_Geometry`` on the grid of N = ``n`` samples at
     start + dt*k, for frequency f = ``frequency_hz``; the 64 most recently
     used are kept, so records that share N, dt, start and f build it once.
-    ``typed`` keeps an f of another number type, whose arithmetic may
-    differ, apart; a start of -0.0 shares the entry of 0.0, whose times
-    are the same.
+    Every caller passes Python floats (``TimeSeries`` and
+    ``PhaseObjective`` keep them so); a start of -0.0 shares the entry of
+    0.0, whose times are the same.
 
     The window is a run of the record (all of it, or 0 <= t <= 1/f), so
     the times stay evenly spaced.  Sample k sits at start + dt*k, which
@@ -166,12 +171,6 @@ def _geometry(start: float, dt: float, n: int, frequency_hz: float, t_range: str
     for column in columns:
         column.setflags(write=False)
     return _Geometry(lo, hi, *sums, *columns)
-
-
-def _geometry_of(obj: PhaseObjective) -> _Geometry:
-    record = obj.data
-    return _geometry(record.start_time, record.dt, len(record), obj.fixed_frequency_hz,
-                     obj.t_range)
 
 
 class _PhaseTable(NamedTuple):
@@ -215,8 +214,12 @@ def _refine_table(cell: int) -> _PhaseTable:
                                    REFINE_STEP))
 
 
-def _objective_on_tables(obj: PhaseObjective, linear: tuple[float, float] | None = None):
-    """The objective as a trig polynomial in phi: O(N) sums once, O(1) per phi.
+def _objective_on_tables(record: TimeSeries, amplitude: float, frequency_hz: float,
+                         t_range: str, linear: tuple[float, float] | None = None):
+    """The objective of ``record`` with A = ``amplitude`` and f =
+    ``frequency_hz`` pinned, over ``t_range``, as a trig polynomial in phi:
+    O(N) sums once, O(1) per phi.  The caller vouches that A, f and the
+    range pass ``PhaseObjective``'s checks.
 
     Sum (x - A*sin(wt + phi))^2 = Sxx - 2A(cos(phi)*Sxs + sin(phi)*Sxc) + A^2*(m/2
     - (cos(2phi)*Sc2 - sin(2phi)*Ss2)/2), from the sine-fit sums of IEEE Std 1057,
@@ -239,18 +242,18 @@ def _objective_on_tables(obj: PhaseObjective, linear: tuple[float, float] | None
     direct residual sum of the winner, and the grid phases it picks match
     the real expression's on every record of the seeded sweeps in the tests.
     """
-    a = obj.fixed_amplitude
-    lo, hi, sc2, ss2, sin_wt, cos_wt = _geometry_of(obj)
-    x = obj.data.samples[lo:hi]
+    lo, hi, sc2, ss2, sin_wt, cos_wt = _geometry(record.start_time, record.dt, len(record),
+                                                 frequency_hz, t_range)
+    x = record.samples[lo:hi]
     if linear is None:
         if sin_wt is None:
-            wt = TWO_PI * obj.fixed_frequency_hz * obj.data.times(lo, hi)
+            wt = TWO_PI * frequency_hz * record.times(lo, hi)
             sin_wt, cos_wt = np.sin(wt), np.cos(wt)
         linear = x @ sin_wt, x @ cos_wt
     sxs, sxc = linear
-    a_squared = a ** 2
+    a_squared = amplitude ** 2
     const = x @ x + a_squared * ((hi - lo) / 2.0)
-    alpha = complex(2.0 * a * sxs, -2.0 * a * sxc)
+    alpha = complex(2.0 * amplitude * sxs, -2.0 * amplitude * sxc)
     beta = complex(a_squared / 2.0 * sc2, a_squared / 2.0 * ss2)
 
     def curve(table: _PhaseTable) -> np.ndarray:
@@ -289,8 +292,10 @@ def phase_objective_value(obj: PhaseObjective, phi: float) -> float:
     In one_period mode the sum runs over the record's samples with
     0 <= t <= 1/f; in full_record mode over every sample.
     """
-    lo, hi = _geometry_of(obj)[:2]
-    return _residual_sum(obj, obj.data.times(lo, hi), obj.data.samples[lo:hi], phi)
+    record = obj.data
+    lo, hi = _geometry(record.start_time, record.dt, len(record), obj.fixed_frequency_hz,
+                       obj.t_range)[:2]
+    return _residual_sum(obj, record.times(lo, hi), record.samples[lo:hi], phi)
 
 
 def phase_grid_search(obj: PhaseObjective) -> tuple[float, float]:
@@ -310,14 +315,17 @@ def phase_grid_search(obj: PhaseObjective) -> tuple[float, float]:
     and f, and the 64 most recently used grids keep them (``_geometry``).
     Returns (phi, phase_objective_value).
     """
-    phi = _grid_search(obj)
+    phi = _grid_search(obj.data, obj.fixed_amplitude, obj.fixed_frequency_hz, obj.t_range)
     return phi, phase_objective_value(obj, phi)
 
 
-def _grid_search(obj: PhaseObjective, linear: tuple[float, float] | None = None) -> float:
-    """``phase_grid_search``'s phase, unwrapped; (Sxs, Sxc) come from
-    ``linear`` when given (``_objective_on_tables``)."""
-    curve = _objective_on_tables(obj, linear)
+def _grid_search(record: TimeSeries, amplitude: float, frequency_hz: float, t_range: str,
+                 linear: tuple[float, float] | None = None) -> float:
+    """``phase_grid_search``'s phase, unwrapped, with no ``PhaseObjective``:
+    the caller vouches for A, f and the range (``phase_grid_search`` by the
+    object's checks, ``estimate_parameters`` by its own).  (Sxs, Sxc) come
+    from ``linear`` when given (``_objective_on_tables``)."""
+    curve = _objective_on_tables(record, amplitude, frequency_hz, t_range, linear)
     refine = _refine_table(int(curve(_COARSE).argmin()))
     return float(refine.phis[curve(refine).argmin()])
 
@@ -667,14 +675,16 @@ def estimate_parameters(record: TimeSeries,
     first read (``model._on_first_read``).  ``max_lag`` and the MA-k
     window (``moving_average``'s check and messages) are checked against
     the record length before anything else, so a bad value fails on every
-    record, not only on those past the screen.  The record's working set
-    runs ``check_finite`` once, and the screen, the frequency and the ACF
-    reads share its one transform pair (none after a gate-1 reject).
-    Past the screen, a record whose sample spacing puts the bin
-    frequencies m*df (the working set's ``df`` = 1/(N*dt)) or the angular
-    frequency 4*pi*m*df of the phase search's double-angle sums outside
-    the finite positive floats raises ``ValueError``: that is
-    ``PhaseObjective``'s own check, made at the top bin m = N//2.
+    record, not only on those past the screen; the smoothing then runs
+    unchecked.  The record's working set runs ``check_finite`` once, and
+    the screen, the frequency and the ACF reads share its one transform
+    pair (none after a gate-1 reject).  Past the screen, a record whose
+    sample spacing puts the bin frequencies m*df (the working set's
+    ``df`` = 1/(N*dt)) or the angular frequency 4*pi*m*df of the phase
+    search's double-angle sums outside the finite positive floats raises
+    ``ValueError``: the frequency check of ``PhaseObjective``, made here
+    once at the top bin m = N//2, so the phase search runs on A, f and
+    the range with no ``PhaseObjective`` built.
     """
     # the default, N // 2, always fits, and the config has checked max_lag >= 1
     if config.max_lag is not None and config.max_lag > len(record) - 1:
@@ -694,12 +704,12 @@ def estimate_parameters(record: TimeSeries,
                           config=config, grid_phase=None, smoothed=None)
 
     df = work.df
-    # bins 1..N/2 sit at m*df Hz; PhaseObjective needs 4*pi*m*df finite
+    # bins 1..N/2 sit at m*df Hz; the phase search needs 4*pi*m*df finite
     if not (df > 0.0 and math.isfinite(2.0 * TWO_PI * ((len(record) // 2) * df))):
         raise ValueError(f"sample spacing dt = {record.dt!r} puts the spectrum's bin frequencies "
                          "m/(N*dt), or the phase search's angular frequencies 4*pi*m/(N*dt), "
                          "outside the finite positive floats; rescale the times")
-    smoothed = moving_average(record, config.ma_k)
+    smoothed = _moving_average(record, config.ma_k)  # the window was checked above
     span = _span(smoothed.series.samples)  # amplitude_estimate(smoothed) is span / 2
     if not span > 0:
         raise ValueError(f"MA-{config.ma_k} smoothing leaves a constant record: no "
@@ -713,11 +723,9 @@ def estimate_parameters(record: TimeSeries,
         raise ValueError(f"MA-{config.ma_k} smoothing leaves a record whose range "
                          f"{span:.3g} is too small: its crossing threshold rounds to zero")
 
-    objective = _adopt(PhaseObjective, data=record, fixed_amplitude=amplitude,
-                       fixed_frequency_hz=frequency, t_range=config.objective_range)
     linear = (_peak_bin_sums(work.dft[peak], TWO_PI * frequency, record.start_time)
               if config.objective_range == FULL_RECORD else None)
-    phi = _grid_search(objective, linear)
+    phi = _grid_search(record, amplitude, frequency, config.objective_range, linear)
 
     params = _adopt(SinusoidParams, amplitude=amplitude, frequency_hz=frequency,
                     phase_rad=wrap_phase(phi))

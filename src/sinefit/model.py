@@ -120,14 +120,15 @@ def _adopt(cls, **fields):
     checks and that every array it passes is already read-only, each
     producer freezing its own (``setflags(write=False)`` on a fresh
     array it then drops, or a view of a read-only one).  In place of
-    ``SinusoidParams``'s and ``PhaseObjective``'s ``__post_init__``,
-    ``estimate_parameters`` vouches for the fit: the smoothed span is
-    finite and its half above zero and at most max|x|, which
-    ``check_finite`` bounds by the sample limit, the frequency is a bin
-    m*df with df > 0 and 4*pi*(N//2)*df finite (``PhaseObjective``'s own
-    check, at the top bin), the phase is passed through ``wrap_phase``
-    and the range was checked by ``PipelineConfig``.  The public
-    constructors keep their checks and copies.
+    ``SinusoidParams``'s ``__post_init__``, ``estimate_parameters``
+    vouches for the fit, and for the phase search it runs with no
+    ``PhaseObjective``: the smoothed span is finite and its half above
+    zero and at most max|x|, which ``check_finite`` bounds by the sample
+    limit, the frequency is a bin m*df with df > 0 and 4*pi*(N//2)*df
+    finite (``PhaseObjective``'s own check, at the top bin), the phase is
+    passed through ``wrap_phase`` and the range was checked by
+    ``PipelineConfig``.  The public constructors keep their checks and
+    copies.
     """
     instance = object.__new__(cls)
     instance.__dict__.update(fields)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,6 +40,22 @@ def _check_window(k: int, n: int) -> None:
         raise ValueError(f"window {k} leaves fewer than two samples")
 
 
+# Longest MA-k window whose all-ones kernel is kept: the 16 kept kernels
+# then hold at most 16*8*4096 bytes = 512 KiB.
+_MAX_KEPT_KERNEL = 4096
+
+
+@functools.lru_cache(maxsize=16, typed=True)
+def _kept_kernel(k: int) -> np.ndarray:
+    """The read-only all-ones MA-k kernel, built once for each of the 16
+    most recently used k up to ``_MAX_KEPT_KERNEL``.  ``typed`` keeps a
+    float k apart from the int of the same value, so it still fails in
+    ``np.ones`` as it would uncached."""
+    kernel = np.ones(k)
+    kernel.setflags(write=False)
+    return kernel
+
+
 def moving_average(record: TimeSeries, k: int) -> SmoothedSeries:
     """MA-k smoothing with a trailing window; k = 1 is the identity.
 
@@ -46,11 +63,19 @@ def moving_average(record: TimeSeries, k: int) -> SmoothedSeries:
     best, but the optimal size is data dependent and left to the caller.
     The smoothed samples are the filter's fresh array, divided by k in
     place and frozen, not copied.  The window sums are ``np.correlate``
-    with the all-ones kernel: ``np.convolve`` only reverses the kernel
-    and calls the same core, so the bits are the same.
+    with the all-ones kernel, kept per k up to 4,096 (``_kept_kernel``):
+    ``np.convolve`` only reverses the kernel and calls the same core, so
+    the bits are the same.
     """
     _check_window(k, len(record))
-    smoothed = np.correlate(record.samples, np.ones(k), "valid")
+    return _moving_average(record, k)
+
+
+def _moving_average(record: TimeSeries, k: int) -> SmoothedSeries:
+    """``moving_average`` with no window check: the caller has run
+    ``_check_window(k, len(record))``."""
+    kernel = _kept_kernel(k) if k <= _MAX_KEPT_KERNEL else np.ones(k)
+    smoothed = np.correlate(record.samples, kernel, "valid")
     smoothed /= k
     smoothed.setflags(write=False)
     start = record.start_time + (k - 1) * record.dt  # no later than the last time, so finite

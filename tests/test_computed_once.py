@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import sinefit as sf
-from sinefit import estimate, screening
+from sinefit import estimate, screening, smoothing
 from sinefit.acf import _Record
 from sinefit.estimate import COARSE_STEP, REFINE_STEP
 from sinefit.model import SAMPLES_TOO_LARGE, check_finite
@@ -63,7 +63,8 @@ class TestPhaseTables:
 
     def test_curve_still_takes_any_array_and_leaves_it_writable(self, noisy_series):
         obj = sf.PhaseObjective(noisy_series(1), 2.0, 0.05)
-        curve = estimate._objective_on_tables(obj)
+        curve = estimate._objective_on_tables(obj.data, obj.fixed_amplitude,
+                                              obj.fixed_frequency_hz, obj.t_range)
         phis = np.linspace(-3.0, 3.0, 7)
         values = curve(estimate._phase_table(phis))
         assert values.shape == (7,) and phis.flags.writeable
@@ -714,6 +715,66 @@ class TestObjectiveValueOnFirstRead:
         report = sf.estimate_parameters(pure_noise(0, sigma=80.0), sf.PipelineConfig(far=0.001))
         assert report.params is None and report.grid_phase is None
         assert report.objective_value is None and residual_sums == []
+
+
+class TestDirectPath:
+    """The estimator calls the phase search's and MA-k's unchecked cores: it
+    builds no ``PhaseObjective``, checks the MA-k window once per record and
+    smooths with the kept all-ones kernel."""
+
+    @pytest.mark.parametrize("objective_range", RANGES)
+    def test_an_estimate_builds_no_phase_objective(self, noisy_series, monkeypatch,
+                                                   objective_range):
+        built = []
+        adopt, post_init = estimate._adopt, sf.PhaseObjective.__post_init__
+        monkeypatch.setattr(estimate, "_adopt",
+                            lambda cls, **fields: (built.append(cls), adopt(cls, **fields))[1])
+        monkeypatch.setattr(sf.PhaseObjective, "__post_init__",
+                            lambda self: (built.append(type(self)), post_init(self))[1])
+        config = sf.PipelineConfig(objective_range=objective_range)
+        for seed in range(3):
+            assert sf.estimate_parameters(noisy_series(seed), config).params is not None
+        assert built == [sf.SinusoidParams, sf.EstimationReport] * 3
+
+    def test_the_window_is_checked_once_per_record(self, noisy_series, pure_noise, monkeypatch):
+        calls = []
+
+        def counting(k, n, _check=smoothing._check_window):
+            calls.append((k, n))
+            _check(k, n)
+
+        monkeypatch.setattr(smoothing, "_check_window", counting)
+        monkeypatch.setattr(estimate, "_check_window", counting)
+        reports = [sf.estimate_parameters(noisy_series(seed)) for seed in range(3)]
+        reports.append(sf.estimate_parameters(pure_noise(0, sigma=80.0),
+                                              sf.PipelineConfig(far=0.001)))
+        assert [report.params is None for report in reports] == [False, False, False, True]
+        assert calls == [(5, 100)] * 4
+        with pytest.raises(ValueError, match="window 101 exceeds record length 100"):
+            sf.estimate_parameters(noisy_series(0), sf.PipelineConfig(ma_k=101))
+        assert calls[4:] == [(101, 100)]
+
+    def test_the_kernel_is_kept_read_only_and_shared_per_k(self, noisy_series, monkeypatch):
+        record, long_record = noisy_series(0), noisy_series(0, n=5000)
+        smoothing._kept_kernel.cache_clear()
+        sizes = []
+        ones = np.ones
+        monkeypatch.setattr(np, "ones", lambda k: (sizes.append(k), ones(k))[1])
+        for k in (5, 5, 3, 5):
+            sf.moving_average(record, k)
+        sf.estimate_parameters(record)
+        assert sizes == [5, 3]
+        kernel = smoothing._kept_kernel(5)
+        assert kernel is smoothing._kept_kernel(5) and not kernel.flags.writeable
+        assert kernel.tolist() == [1.0] * 5
+        with pytest.raises(TypeError):  # a float window fails in np.ones, kept int k or not
+            sf.moving_average(record, 5.0)
+        for _ in range(2):  # past the cap, each call builds its own kernel and keeps none
+            sf.moving_average(long_record, 4097)
+        assert sizes[-2:] == [4097, 4097] and smoothing._kept_kernel.cache_info().currsize == 2
+        for k in range(1, 41):
+            sf.moving_average(record, k)
+        assert smoothing._kept_kernel.cache_info().currsize == 16
 
 
 def at_the_sample_limit(n):

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -21,13 +22,21 @@ def clean_record(params, n=100, dt=1.0):
 
 def objective_polynomial(obj):
     """The objective's trig polynomial as a function of any array of phases."""
-    curve = estimate._objective_on_tables(obj)
+    curve = estimate._objective_on_tables(obj.data, obj.fixed_amplitude,
+                                          obj.fixed_frequency_hz, obj.t_range)
     return lambda phis: curve(estimate._phase_table(phis))
+
+
+def objective_window(obj):
+    """Index range [lo, hi) of the objective window."""
+    record = obj.data
+    return estimate._geometry(record.start_time, record.dt, len(record),
+                              obj.fixed_frequency_hz, obj.t_range)[:2]
 
 
 def objective_points(obj):
     """Sample times and values of the objective window."""
-    lo, hi = estimate._geometry_of(obj)[:2]
+    lo, hi = objective_window(obj)
     return obj.data.times(lo, hi), obj.data.samples[lo:hi]
 
 
@@ -105,6 +114,27 @@ class TestPhaseObjective:
         assert math.isfinite(phi) and math.isfinite(value)
         with pytest.raises(ValueError, match="fixed_amplitude"):
             sf.PhaseObjective(record, math.nextafter(limit, math.inf), FREQUENCY)
+
+
+    @pytest.mark.parametrize("t_range", ["one_period", "full_record"])
+    @pytest.mark.parametrize("a, f, dt", [
+        (AMPLITUDE, np.float32(FREQUENCY), 1.0),  # its 1/f used to end the window a sample later
+        (np.float32(2.2), FREQUENCY, 1.0),  # used to overflow in the range check's cast
+        (np.float64(AMPLITUDE), np.float64(FREQUENCY), 1.0),
+        (2, np.float32(0.0537), 1.0),
+        (np.int64(2), 1, 0.01),
+    ])
+    def test_numpy_and_int_parameters_act_as_their_float_values(self, a, f, dt, t_range):
+        record = sf.synthesize(sf.SinusoidParams(AMPLITUDE, float(f), PHASE),
+                               sf.NoiseSpec(SIGMA, 0), 100, dt=dt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            given = sf.PhaseObjective(record, a, f, t_range)
+            as_float = sf.PhaseObjective(record, float(a), float(f), t_range)
+            assert type(given.fixed_amplitude) is float and type(given.fixed_frequency_hz) is float
+            assert (given.fixed_amplitude, given.fixed_frequency_hz) == (float(a), float(f))
+            assert objective_window(given) == objective_window(as_float)
+            assert sf.phase_grid_search(given) == sf.phase_grid_search(as_float)
 
 
 class TestPhaseGridSearch:
@@ -243,9 +273,10 @@ class TestComplexRanking:
         pairs = []
         grid_search = estimate._grid_search
 
-        def both(obj, linear=None):
-            phi = grid_search(obj, linear)
-            lo, hi = estimate._geometry_of(obj)[:2]
+        def both(record, amplitude, frequency_hz, t_range, linear=None):
+            phi = grid_search(record, amplitude, frequency_hz, t_range, linear)
+            obj = sf.PhaseObjective(record, amplitude, frequency_hz, t_range)
+            lo, hi = objective_window(obj)
             pairs.append((phi, real_grid_search(obj, lo, hi, linear)))
             return phi
 
@@ -311,7 +342,7 @@ class TestObjectivePolynomial:
         obj = sf.PhaseObjective(record, 1.0, f, t_range)
         t, _ = objective_points(obj)
         theta = 2.0 * TWO_PI * f
-        lo, hi = estimate._geometry_of(obj)[:2]
+        lo, hi = objective_window(obj)
         sc2, ss2 = estimate._double_angle_sums(record.start_time, dt, lo, hi, theta)
         assert abs(sc2 - np.sum(np.cos(theta * t))) <= 1e-9 * t.size
         assert abs(ss2 - np.sum(np.sin(theta * t))) <= 1e-9 * t.size
