@@ -16,20 +16,22 @@ ends with the quartiles of the parent's own batch-to-batch ratios (each
 parent batch over the one before it, from the batches already timed):
 the noise floor a change/parent ratio has to clear.
 
-Settings: N = 100 and N = 1000 under the default ``one_period``
-objective, N = 10^4 under ``full_record``; the records are the demo tone
-(A = 2, f = 0.05 Hz, phi = 0.6109, dt = 1) at sigma = 0.5, seeds 0..R-1.
+Settings: N = 100, N = 1000 and N = 1001 (an odd N, whose forward
+transform takes pocketfft's odd-length path) under the default
+``one_period`` objective, N = 10^4 under ``full_record``; the records
+are the demo tone (A = 2, f = 0.05 Hz, phi = 0.6109, dt = 1) at
+sigma = 0.5, seeds 0..R-1.
 The ``new grids`` setting times the same tones at N = 100, 100 per pass,
 each starting at -0.37*seed so that each has its own time grid while the
 one_period window [0, 1/f] stays inside it: more grids than the phase
 objective keeps, so every lookup of the grid's window geometry misses, as
 in a process that estimates one record.
-A fourth setting times unit white noise at N = 1000 (seeds 0..R-1), which
-the default screen almost always rejects at gate 1: the reject path.  A
-fifth times the same at N = 1001, where the odd N keeps the runs test
-on its counting path.  A sixth times AR(1) noise at N = 1000 (rho = 0.3,
-unit innovations, seeds 0..R-1), which the runs test passes and gate 2
-rejects: the gate-2 reject path.
+A ``white_noise`` setting times unit white noise at N = 1000 (seeds
+0..R-1), which the default screen almost always rejects at gate 1: the
+reject path.  A second times the same at N = 1001, where the odd N keeps
+the runs test on its counting path.  The ``ar1`` setting times AR(1)
+noise at N = 1000 (rho = 0.3, unit innovations, seeds 0..R-1), which the
+runs test passes and gate 2 rejects: the gate-2 reject path.
 Two ``read_all`` settings estimate the tones and then read the report's
 four cross-check fields, ``model_acf``, ``objective_value`` and
 ``delta_t``, as a caller that writes the whole report does: at N = 100
@@ -54,6 +56,7 @@ import time
 SETTINGS = (("n=100 one_period", 100, "one_period", 40, "tone"),
             ("n=100 one_period new grids", 100, "one_period", 100, "new_grids"),
             ("n=1000 one_period", 1000, "one_period", 20, "tone"),
+            ("n=1001 one_period", 1001, "one_period", 20, "tone"),
             ("n=10000 full_record", 10_000, "full_record", 4, "tone"),
             ("n=1000 white_noise", 1000, "one_period", 40, "white"),
             ("n=1001 white_noise", 1001, "one_period", 40, "white"),

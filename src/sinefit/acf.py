@@ -25,7 +25,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SinusoidParams, TimeSeries, TWO_PI, _adopt, _on_first_read, check_finite
+from .model import (SinusoidParams, TimeSeries, TWO_PI, _adopt, _count, _is_integer,
+                    _on_first_read, check_finite)
+
+try:
+    import numpy.fft._pocketfft_umath as _pocketfft
+except ImportError:  # numpy < 2, or a numpy that has moved the module
+    _rfft, _irfft = np.fft.rfft, np.fft.irfft
+else:
+    # the gufuncs np.fft.rfft and np.fft.irfft call, given the scale and
+    # the output array those pass them (1/n is the quotient np.reciprocal(n)
+    # gives): the same bits without the wrappers' Python
+    def _rfft(x):
+        forward = _pocketfft.rfft_n_odd if x.size % 2 else _pocketfft.rfft_n_even
+        return forward(x, 1.0, out=np.empty_like(x, shape=(x.size // 2 + 1,), dtype=complex))
+
+    def _irfft(power, n):
+        return _pocketfft.irfft(power, 1.0 / n, out=np.empty_like(power, shape=(n,), dtype=float))
 
 
 class DegenerateParametersError(ValueError):
@@ -80,9 +96,12 @@ class _Record:
     through ``check_finite`` once on construction, and what the pipeline
     reads of its one forward and one inverse transform.
 
-    ``dft`` is the one-sided DFT X = ``np.fft.rfft(x)`` (bins 0..floor(N/2)),
-    ``magnitudes`` its modulus |X| and ``acf`` the full-lag circular ACF,
-    the inverse transform of |X|^2.  Each is computed on first read
+    ``dft`` is the one-sided DFT X of ``np.fft.rfft(x)`` (bins
+    0..floor(N/2)), ``magnitudes`` its modulus |X| and ``acf`` the
+    full-lag circular ACF, ``np.fft.irfft(|X|^2, N)`` divided by its lag
+    0.  Both transforms call numpy's pocketfft gufuncs directly where
+    numpy (2.0 on) has them, and ``np.fft`` otherwise: the same bits
+    either way.  Each is computed on first read
     (``model._on_first_read``) and kept read-only, so a record nothing
     asks to transform (a gate-1 reject) costs no transform.  ``df``, the
     bin width 1/(N*dt) (bin m sits at m*df Hz), is the one place the
@@ -102,7 +121,7 @@ class _Record:
 
     @_on_first_read
     def dft(self) -> np.ndarray:
-        dft = np.fft.rfft(self.record.samples)
+        dft = _rfft(self.record.samples)
         dft.setflags(write=False)
         return dft
 
@@ -119,7 +138,7 @@ class _Record:
         magnitudes = self.magnitudes
         power = magnitudes ** 2
         power[0] = 0.0
-        sums = np.fft.irfft(power, len(self.record))
+        sums = _irfft(power, len(self.record))
         lag0 = float(sums[0])
         if not lag0 > 0.0 or math.sqrt(lag0) <= _ROUNDING_FLOOR * float(magnitudes[0]):
             raise ValueError("constant record has zero variance")
@@ -139,12 +158,16 @@ def circular_acf(record: TimeSeries, max_lag: int | None = None) -> AcfSeries:
     same ones ``dft_magnitude`` reports, plus one inverse, O(N log N),
     divided by the lag-0 term.  The full-lag version (max_lag = N-1, the
     default) satisfies values[tau] == values[N - tau]: the fold-over
-    symmetry that makes lags beyond N/2 redundant.  Records with NaN,
-    infinite or too-large samples are rejected first (``check_finite``).
+    symmetry that makes lags beyond N/2 redundant.  ``max_lag`` must be a
+    Python or NumPy integer (a bool is not one) in [1, N-1].  Records with
+    NaN, infinite or too-large samples are rejected first
+    (``check_finite``).
     """
     n = len(record)
     if max_lag is None:
         max_lag = n - 1
+    elif not _is_integer(max_lag):
+        raise ValueError(f"max_lag must be an integer, got {max_lag!r}")
     if not 1 <= max_lag <= n - 1:
         raise ValueError(f"max_lag must be in [1, {n - 1}]")
     values = _Record(record).acf.values
@@ -203,10 +226,10 @@ def model_acf_full(params: SinusoidParams, max_lag: int) -> AcfSeries:
     values[tau] = [cos(w*tau) - c*cos((2*pi + tau)*w + 2*phi)] / D with
     c = sin(2*pi*w)/(2*pi*w) and D = 1 - c*cos(2*pi*w + 2*phi), so
     values[0] = 1 exactly.  Not an even function of tau in general, unlike
-    the reduced model.
+    the reduced model.  ``max_lag`` must be a Python or NumPy integer (a
+    bool is not one) of at least 1, here and in ``model_acf_reduced``.
     """
-    if max_lag < 1:
-        raise ValueError("max_lag must be at least 1")
+    max_lag = _count("max_lag", max_lag)
     w = params.omega()
     phi = params.phase_rad
     coupling, denominator = _coupling_and_denominator(w, phi)
@@ -218,9 +241,7 @@ def model_acf_full(params: SinusoidParams, max_lag: int) -> AcfSeries:
 
 def model_acf_reduced(params: SinusoidParams, max_lag: int) -> AcfSeries:
     """Random-phase ACF cos(w*tau); the A^2/2 scale is dropped outright."""
-    if max_lag < 1:
-        raise ValueError("max_lag must be at least 1")
-    taus = np.arange(max_lag + 1, dtype=float)
+    taus = np.arange(_count("max_lag", max_lag) + 1, dtype=float)
     return AcfSeries(np.cos(params.omega() * taus))
 
 

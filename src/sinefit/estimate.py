@@ -23,7 +23,7 @@ import numpy as np
 from .acf import (AcfSeries, DegenerateParametersError, _Record, _coupling_and_denominator,
                   frequency_from_acf, model_acf_full)
 from .model import (SinusoidParams, TimeSeries, TWO_PI, _SAMPLE_LIMIT_TIMES_N, _adopt,
-                    _is_integer, _on_first_read, wrap_phase)
+                    _count, _on_first_read, wrap_phase)
 from .screening import ScreeningDecision, VERDICT_NOISE, _screen
 from .smoothing import SmoothedSeries, _check_window, _moving_average, _span
 from .spectrum import Spectrum, _peak_bin
@@ -524,16 +524,6 @@ def _cross_checks(acf: np.ndarray, smoothed: SmoothedSeries, frequency: float) -
     except ValueError:
         pass
     return _CrossChecks(cross_checks, t_2pi, phase_checks, warnings)
-
-
-def _count(name: str, value) -> int:
-    """``value`` as a Python int, once it is a Python or NumPy integer (a
-    bool is not one) of at least 1; otherwise ``ValueError`` naming it."""
-    if not _is_integer(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1")
-    return int(value)
 
 
 @dataclass(frozen=True)

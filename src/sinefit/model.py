@@ -202,6 +202,16 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _count(name: str, value) -> int:
+    """``value`` as a Python int, once it is a Python or NumPy integer (a
+    bool is not one) of at least 1; otherwise ``ValueError`` naming it."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Additive Gaussian noise: sigma in signal units, deterministic per seed.

@@ -116,9 +116,10 @@ def test_code_lines_totals_the_package():
 def test_ab_timing_prints_one_ratio_per_setting():
     src = os.path.join(ROOT, "src")
     lines = run_script("ab_timing.py", src, src, "--pairs", "2", "--batch-ms", "1").splitlines()
-    assert len(lines) == 13, lines
+    assert len(lines) == 14, lines
     assert [line.split(":")[0] for line in lines] == [
         "n=100 one_period", "n=100 one_period new grids", "n=1000 one_period",
+        "n=1001 one_period",
         "n=10000 full_record", "n=1000 white_noise", "n=1001 white_noise", "n=1000 ar1",
         "n=100 read_all", "n=10000 read_all", "n=100 grid one_period",
         "n=10000 grid full_record", "n=100 synthesize", "n=10000 synthesize"]

@@ -5,7 +5,10 @@ read that working set."""
 
 import csv
 import dataclasses
+import importlib.util
 import math
+import os
+import sys
 import warnings
 
 import numpy as np
@@ -54,17 +57,29 @@ RECORDS = {"signal": (signal_record, 0.01, "none"),
            "gate2": (gate2_record, 0.01, "gate2")}
 
 
-@pytest.fixture
-def transforms(monkeypatch):
-    """Count forward and inverse real FFTs."""
-    calls = {"rfft": 0, "irfft": 0}
-    for name in calls:
-        def counting(*args, _real=getattr(np.fft, name), _name=name, **kwargs):
+def count_calls(monkeypatch, module, names):
+    """Wrap each attribute of ``module`` named in ``names`` in a counter;
+    the call counts, keyed by the name ``names`` maps the attribute to."""
+    calls = {name: 0 for name in names.values()}
+    for attribute, name in names.items():
+        def counting(*args, _real=getattr(module, attribute), _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(np.fft, name, counting)
+        monkeypatch.setattr(module, attribute, counting)
     return calls
+
+
+@pytest.fixture
+def transforms(monkeypatch):
+    """Count forward and inverse real FFTs through the working set's two transforms."""
+    return count_calls(monkeypatch, acf, {"_rfft": "rfft", "_irfft": "irfft"})
+
+
+@pytest.fixture
+def wrapper_calls(monkeypatch):
+    """Count calls through ``np.fft.rfft`` and ``np.fft.irfft``."""
+    return count_calls(monkeypatch, np.fft, {"rfft": "rfft", "irfft": "irfft"})
 
 
 def read_rows(path):
@@ -107,6 +122,74 @@ class TestScreenReadsTheWorkingSet:
 
 
 ONE_PAIR = {"rfft": 1, "irfft": 1}
+GUFUNCS = importlib.util.find_spec("numpy.fft._pocketfft_umath") is not None
+
+
+@pytest.mark.skipif(not GUFUNCS, reason="this numpy has no pocketfft gufunc module")
+@pytest.mark.parametrize("consumer", [sf.screen, sf.estimate_parameters])
+def test_transforms_bypass_the_np_fft_wrappers(transforms, wrapper_calls, consumer):
+    consumer(signal_record())
+    assert transforms == ONE_PAIR
+    assert wrapper_calls == {"rfft": 0, "irfft": 0}
+
+
+def load_without_gufuncs():
+    """A second copy of the package, imported as ``sinefit_np_fft`` while
+    ``numpy.fft._pocketfft_umath`` cannot be imported: its working set
+    transforms through ``np.fft.rfft`` and ``np.fft.irfft``."""
+    package = os.path.dirname(sf.__file__)
+    spec = importlib.util.spec_from_file_location(
+        "sinefit_np_fft", os.path.join(package, "__init__.py"),
+        submodule_search_locations=[package])
+    module = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(sys.modules, "numpy.fft._pocketfft_umath", None)
+        patch.setitem(sys.modules, "sinefit_np_fft", module)
+        spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def np_fft_acf():
+    yield load_without_gufuncs().acf
+    for name in [name for name in sys.modules if name.startswith("sinefit_np_fft.")]:
+        del sys.modules[name]
+
+
+class TestTransformBits:
+    """Both transform branches give the bytes of ``np.fft.rfft`` and
+    ``np.fft.irfft``, the zero-variance floor and the division by lag 0
+    included."""
+
+    @pytest.fixture(params=["gufuncs", "np.fft"])
+    def module(self, request, np_fft_acf):
+        if request.param == "np.fft":
+            assert not hasattr(np_fft_acf, "_pocketfft")
+            return np_fft_acf
+        if not GUFUNCS:
+            pytest.skip("this numpy has no pocketfft gufunc module")
+        assert hasattr(acf, "_pocketfft")
+        return acf
+
+    @pytest.mark.parametrize("n", [20, 21, 100, 101, 1000, 1001, 10 ** 4, 10 ** 4 + 7])
+    def test_working_set_matches_the_np_fft_wrappers(self, module, n):
+        x = sf.synthesize(sf.SinusoidParams(2.0, 0.05, 0.6109), sf.NoiseSpec(0.5, n), n).samples
+        work = module._Record(sf.TimeSeries(0.0, 1.0, x))
+        dft = np.fft.rfft(x)
+        power = np.abs(dft) ** 2
+        power[0] = 0.0
+        sums = np.fft.irfft(power, n)
+        assert work.dft.tobytes() == dft.tobytes()
+        assert work.magnitudes.tobytes() == np.abs(dft).tobytes()
+        assert work.acf.values.tobytes() == (sums / float(sums[0])).tobytes()
+        assert work.dft.dtype == dft.dtype and work.acf.values.dtype == sums.dtype
+        assert work.dft.shape == (n // 2 + 1,) and work.acf.values.shape == (n,)
+
+    @pytest.mark.parametrize("n", [20, 21])
+    def test_constant_record_has_zero_variance(self, module, n):
+        work = module._Record(sf.TimeSeries(0.0, 1.0, np.full(n, 3.7)))
+        with pytest.raises(ValueError, match="zero variance"):
+            work.acf
 
 
 class TestOneAcfPerRecord:
@@ -370,6 +453,19 @@ class TestMaxLag:
         config = sf.PipelineConfig(far=0.001, max_lag=max_lag, skip_screen=skip_screen)
         with pytest.raises(ValueError, match=r"max_lag must be in \[1, 99\]"):
             sf.estimate_parameters(make(), config)
+
+    @pytest.mark.parametrize("max_lag", [2.5, True, math.nan, np.int64(3)])
+    @pytest.mark.parametrize("acf_of", [
+        lambda max_lag: sf.model_acf_full(sf.SinusoidParams(1.0, 0.1, 0.0), max_lag),
+        lambda max_lag: sf.model_acf_reduced(sf.SinusoidParams(1.0, 0.1, 0.0), max_lag),
+        lambda max_lag: sf.circular_acf(signal_record(), max_lag)],
+        ids=["model_acf_full", "model_acf_reduced", "circular_acf"])
+    def test_public_acfs_take_only_an_integer_max_lag(self, acf_of, max_lag):
+        if isinstance(max_lag, np.integer):
+            assert acf_of(max_lag).max_lag == 3
+        else:
+            with pytest.raises(ValueError, match="max_lag must be an integer"):
+                acf_of(max_lag)
 
     def test_largest_max_lag_works(self):
         record = signal_record()
