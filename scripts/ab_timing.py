@@ -1,6 +1,7 @@
 """Time ``estimate_parameters`` and ``synthesize`` of two source trees.
 
-    python scripts/ab_timing.py PARENT_SRC CHANGE_SRC [--pairs 30] [--batch-ms 50]
+    python scripts/ab_timing.py PARENT_SRC CHANGE_SRC [--pairs 30] [--batch-ms 50] \
+        [--only LABEL ...]
 
 Each SRC is a directory holding a ``sinefit`` package (a checkout's
 ``src``).  Both are imported into this one process, under the module
@@ -43,6 +44,9 @@ and at N = 10^4 under ``full_record``, the phase grid of both objective
 ranges on its own.  The last two time ``synthesize`` of the demo tone
 at sigma = 0.5 and N = 100 and N = 10^4 (seeds 0..R-1), the cost of
 building a seeded Monte Carlo pool.
+``--only LABEL`` (repeatable) times only the settings whose labels it
+names, matched exactly, in the order above; an unknown label exits 1
+and lists the valid ones.
 """
 
 import argparse
@@ -179,12 +183,21 @@ def main():
                         help="alternating batch pairs per setting (default 30)")
     parser.add_argument("--batch-ms", type=float, default=50.0,
                         help="target length of one batch in ms (default 50)")
+    parser.add_argument("--only", action="append", metavar="LABEL",
+                        help="time only this setting (repeatable; the exact label)")
     args = parser.parse_args()
     if args.pairs < 1 or not args.batch_ms > 0:
         parser.error("--pairs must be at least 1 and --batch-ms positive")
+    labels = [label for label, *_ in SETTINGS]
+    unknown = [label for label in args.only or () if label not in labels]
+    if unknown:
+        sys.exit(f"unknown setting {', '.join(map(repr, unknown))}; valid labels:\n"
+                 + "\n".join(labels))
     parent = load(args.parent_src, "sinefit_parent")
     change = load(args.change_src, "sinefit_change")
     for label, *setting in SETTINGS:
+        if args.only and label not in args.only:
+            continue
         median, q1, q3, parent_s, floor = compare(
             Side(parent, *setting), Side(change, *setting), args.pairs, args.batch_ms / 1000.0)
         floor_text = "-" if floor is None else f"{floor[0]:.3f}-{floor[1]:.3f}"

@@ -33,15 +33,16 @@ try:
 except ImportError:  # numpy < 2, or a numpy that has moved the module
     _rfft, _irfft = np.fft.rfft, np.fft.irfft
 else:
-    # the gufuncs np.fft.rfft and np.fft.irfft call, given the scale and
-    # the output array those pass them (1/n is the quotient np.reciprocal(n)
-    # gives): the same bits without the wrappers' Python
+    # the gufuncs np.fft.rfft and np.fft.irfft call, given the scale those
+    # pass them (1/n is the quotient np.reciprocal(n) gives) and a fresh
+    # output of the same shape and type: the same bits without the
+    # wrappers' Python
     def _rfft(x):
         forward = _pocketfft.rfft_n_odd if x.size % 2 else _pocketfft.rfft_n_even
-        return forward(x, 1.0, out=np.empty_like(x, shape=(x.size // 2 + 1,), dtype=complex))
+        return forward(x, 1.0, out=np.empty(x.size // 2 + 1, complex))
 
     def _irfft(power, n):
-        return _pocketfft.irfft(power, 1.0 / n, out=np.empty_like(power, shape=(n,), dtype=float))
+        return _pocketfft.irfft(power, 1.0 / n, out=np.empty(n))
 
 
 class DegenerateParametersError(ValueError):
@@ -100,10 +101,12 @@ class _Record:
     0..floor(N/2)), ``magnitudes`` its modulus |X| and ``acf`` the
     full-lag circular ACF, ``np.fft.irfft(|X|^2, N)`` divided by its lag
     0.  Both transforms call numpy's pocketfft gufuncs directly where
-    numpy (2.0 on) has them, and ``np.fft`` otherwise: the same bits
-    either way.  Each is computed on first read
-    (``model._on_first_read``) and kept read-only, so a record nothing
-    asks to transform (a gate-1 reject) costs no transform.  ``df``, the
+    numpy (2.0 on) has them, each into an ``np.empty`` output, and
+    ``np.fft`` otherwise: the same bits either way.  Each is computed on
+    first read (``model._on_first_read``) and kept read-only, so a record
+    nothing asks to transform (a gate-1 reject) costs no transform; X and
+    |X| are one step, which the first read of either (or of the ACF, as
+    gate 2's) takes and which keeps both.  ``df``, the
     bin width 1/(N*dt) (bin m sits at m*df Hz), is the one place the
     spectrum's bin frequencies come from.  With every |x| <=
     sqrt(float max)/(2N) no bin, no |X|^2 and no sum of the inverse
@@ -121,14 +124,17 @@ class _Record:
 
     @_on_first_read
     def dft(self) -> np.ndarray:
-        dft = _rfft(self.record.samples)
-        dft.setflags(write=False)
-        return dft
+        self.magnitudes  # keeps X with |X|
+        return self.__dict__["dft"]
 
     @_on_first_read
     def magnitudes(self) -> np.ndarray:
-        magnitudes = np.abs(self.dft)
+        # X and |X| in one step: the first read of either keeps both
+        dft = _rfft(self.record.samples)
+        magnitudes = np.abs(dft)
+        dft.setflags(write=False)
         magnitudes.setflags(write=False)
+        self.__dict__.setdefault("dft", dft)
         return magnitudes
 
     @_on_first_read

@@ -215,7 +215,8 @@ def _refine_table(cell: int) -> _PhaseTable:
 
 
 def _objective_on_tables(record: TimeSeries, amplitude: float, frequency_hz: float,
-                         t_range: str, linear: tuple[float, float] | None = None):
+                         t_range: str, linear: tuple[float, float] | None = None
+                         ) -> tuple[float, complex, complex]:
     """The objective of ``record`` with A = ``amplitude`` and f =
     ``frequency_hz`` pinned, over ``t_range``, as a trig polynomial in phi:
     O(N) sums once, O(1) per phi.  The caller vouches that A, f and the
@@ -229,18 +230,12 @@ def _objective_on_tables(record: TimeSeries, amplitude: float, frequency_hz: flo
     from its kept DFT peak bin: ``_peak_bin_sums``); otherwise they are
     the dot products of the samples with the grid's kept sin(w*t) and
     cos(w*t) columns, or, where it keeps none, with one trig pass each
-    over the window's times.  Returns the curve as a function of a
-    ``_PhaseTable``.
+    over the window's times.
 
     The same polynomial is const - Re(exp(i*phi)*alpha + exp(2i*phi)*beta),
     with const = Sxx + A^2*m/2, alpha = 2A*(Sxs - i*Sxc) and
-    beta = (A^2/2)*(Sc2 + i*Ss2): two complex products, one sum and one
-    subtraction per table, all elementwise.  Its values may differ from
-    the real expression's in the last bits; what the search keeps is the
-    grid, the first-index tie rule (const stays in the ranked value, so a
-    record whose terms all round away ties at the first point) and the
-    direct residual sum of the winner, and the grid phases it picks match
-    the real expression's on every record of the seeded sweeps in the tests.
+    beta = (A^2/2)*(Sc2 + i*Ss2); returns (const, alpha, beta), which
+    ``_curve`` evaluates on a ``_PhaseTable``.
     """
     lo, hi, sc2, ss2, sin_wt, cos_wt = _geometry(record.start_time, record.dt, len(record),
                                                  frequency_hz, t_range)
@@ -252,16 +247,26 @@ def _objective_on_tables(record: TimeSeries, amplitude: float, frequency_hz: flo
         linear = x @ sin_wt, x @ cos_wt
     sxs, sxc = linear
     a_squared = amplitude ** 2
-    const = x @ x + a_squared * ((hi - lo) / 2.0)
-    alpha = complex(2.0 * amplitude * sxs, -2.0 * amplitude * sxc)
-    beta = complex(a_squared / 2.0 * sc2, a_squared / 2.0 * ss2)
+    return (x @ x + a_squared * ((hi - lo) / 2.0),
+            complex(2.0 * amplitude * sxs, -2.0 * amplitude * sxc),
+            complex(a_squared / 2.0 * sc2, a_squared / 2.0 * ss2))
 
-    def curve(table: _PhaseTable) -> np.ndarray:
-        z = table.e1 * alpha
-        z += table.e2 * beta
-        return np.subtract(const, z.real)
 
-    return curve
+def _curve(table: _PhaseTable, const: float, alpha: complex, beta: complex) -> np.ndarray:
+    """The objective at each of ``table``'s phases, from the terms
+    ``_objective_on_tables`` returns: two complex products, one sum and one
+    subtraction, all elementwise.
+
+    Its values may differ from the real expression's in the last bits;
+    what the search keeps is the grid, the first-index tie rule (const
+    stays in the ranked value, so a record whose terms all round away ties
+    at the first point) and the direct residual sum of the winner, and the
+    grid phases it picks match the real expression's on every record of
+    the seeded sweeps in the tests.
+    """
+    z = table.e1 * alpha
+    z += table.e2 * beta
+    return np.subtract(const, z.real)
 
 
 def _peak_bin_sums(peak: complex, w: float, t0: float) -> tuple[float, float]:
@@ -325,9 +330,9 @@ def _grid_search(record: TimeSeries, amplitude: float, frequency_hz: float, t_ra
     the caller vouches for A, f and the range (``phase_grid_search`` by the
     object's checks, ``estimate_parameters`` by its own).  (Sxs, Sxc) come
     from ``linear`` when given (``_objective_on_tables``)."""
-    curve = _objective_on_tables(record, amplitude, frequency_hz, t_range, linear)
-    refine = _refine_table(int(curve(_COARSE).argmin()))
-    return float(refine.phis[curve(refine).argmin()])
+    terms = _objective_on_tables(record, amplitude, frequency_hz, t_range, linear)
+    refine = _refine_table(int(_curve(_COARSE, *terms).argmin()))
+    return float(refine.phis[_curve(refine, *terms).argmin()])
 
 
 def phase_from_crossover(period: float, t_2pi: float) -> tuple[float, float]:

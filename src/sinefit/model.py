@@ -14,6 +14,11 @@ import numpy as np
 
 from .normal import normal_quantile
 
+try:  # the C functions np.correlate and a whole-array np.count_nonzero call
+    from numpy._core.multiarray import correlate2 as _correlate, count_nonzero as _count_nonzero
+except ImportError:  # numpy < 2
+    _correlate, _count_nonzero = np.correlate, np.count_nonzero
+
 TWO_PI = 2.0 * math.pi
 
 NON_FINITE_SAMPLES = "record has non-finite (NaN or inf) samples"

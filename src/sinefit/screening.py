@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acf import _Record
-from .model import TimeSeries, _adopt, check_finite
+from .model import TimeSeries, _adopt, _count_nonzero, check_finite
 from .normal import normal_quantile
 
 MIN_SAMPLES = 20
@@ -50,35 +50,50 @@ def _two_sided_quantile(far: float) -> float:
     return normal_quantile(1.0 - far / 2.0)
 
 
-def _gate1_threshold(n: int, far: float) -> float:
-    """Runs-test threshold z_{1-far/2}; divided by sqrt(n) it is the ACF bound.
+@functools.lru_cache(maxsize=64)
+def _gate_constants(n: int, far: float) -> tuple[float, float, int]:
+    """What the screen of an n-sample record at false-alarm rate ``far``
+    reads that depends on nothing else: the runs-test threshold
+    z_{1-far/2}, the ACF bound z_{1-far/2}/sqrt(n) and the count of
+    significant lags gate 2 requires of its n//2 judged lags.
 
-    Both arguments are checked on every call.  The quantile depends on
-    ``far`` alone, which a screening job rarely changes, so it is kept per
-    ``far`` (the 64 most recent) and each record after the first costs a
-    lookup.
+    Both arguments are checked on every call (a call that raises keeps
+    nothing).  A screening job rarely changes N or ``far``, so the 64 most
+    recent pairs are kept and each record after the first costs one
+    lookup; the quantile, which depends on ``far`` alone, is kept per
+    ``far``.
     """
     if not 0.0 < far < 0.5:
         raise ValueError("false-alarm rate must lie in (0, 0.5)")
     if n < MIN_SAMPLES:
         raise ValueError(f"screening needs at least {MIN_SAMPLES} samples")
-    return _two_sided_quantile(far)
+    threshold = _two_sided_quantile(far)
+    return threshold, threshold / math.sqrt(n), required_exceedances(n // 2)
+
+
+def _partitioned(x: np.ndarray, kth: int) -> np.ndarray:
+    """A copy of ``x`` partitioned at ``kth``: ``np.partition``'s copy and
+    selection, called as the ndarray method without its Python wrapper."""
+    part = x.copy()
+    part.partition(kth)
+    return part
 
 
 def _middle_pair(x: np.ndarray) -> tuple[float, float]:
     """The lower and upper middle order statistics of a finite 1-D array,
     as Python floats.
 
-    ``np.partition(x, n // 2)`` places the upper middle one at ``n // 2``
-    with every smaller-indexed element no larger, so for even n the lower
-    middle one is the largest of ``part[:n // 2]``; for odd n both are
-    the middle sample.  One selection gives both, at a fraction of the
-    cost of a two-kth partition, since numpy's partition with two kth
-    values does far more than two selections.
+    One single-kth selection, ``_partitioned(x, n // 2)``, places the
+    upper middle one at ``n // 2`` with every smaller-indexed element no
+    larger, so for even n the lower middle one is the largest of
+    ``part[:n // 2]``; for odd n both are the middle sample.  One
+    selection gives both, at a fraction of the cost of a two-kth
+    partition, since numpy's partition with two kth values does far more
+    than two selections.
     """
     n = x.size
     half = n // 2
-    part = np.partition(x, half)
+    part = _partitioned(x, half)
     upper = float(part[half])
     if n % 2:
         return upper, upper
@@ -114,8 +129,8 @@ def _runs_statistics(record: TimeSeries) -> tuple[float, int, int, int]:
         signs = above
     else:
         below = x < median
-        n1 = int(np.count_nonzero(above))
-        n2 = int(np.count_nonzero(below))
+        n1 = int(_count_nonzero(above))
+        n2 = int(_count_nonzero(below))
         if n1 == 0 or n2 == 0:
             raise ValueError("degenerate dichotomy: all samples on one side of the median")
         if n1 + n2 == 2:
@@ -123,7 +138,7 @@ def _runs_statistics(record: TimeSeries) -> tuple[float, int, int, int]:
                              "leaves the runs count no variance")
         signs = above if n1 + n2 == x.size else above[above | below]
     n = n1 + n2
-    runs = 1 + int(np.count_nonzero(signs[1:] != signs[:-1]))
+    runs = 1 + int(_count_nonzero(signs[1:] != signs[:-1]))
     mu = 2.0 * n1 * n2 / n + 1.0
     var = 2.0 * n1 * n2 * (2.0 * n1 * n2 - n) / (n * n * (n - 1.0))
     z = (runs - mu) / math.sqrt(var)
@@ -137,7 +152,7 @@ def runs_test(record: TimeSeries, far: float) -> tuple[float, bool]:
     run count compared with the normal approximation, which is why at
     least 20 samples are required.
     """
-    threshold = _gate1_threshold(len(record), far)
+    threshold = _gate_constants(len(record), far)[0]
     check_finite(record)
     z, _, _, _ = _runs_statistics(record)
     return z, abs(z) < threshold
@@ -145,7 +160,7 @@ def runs_test(record: TimeSeries, far: float) -> tuple[float, bool]:
 
 def acf_bounds(n: int, far: float) -> float:
     """Symmetric significance bound z_{1-far/2}/sqrt(n) for ACF lag values."""
-    return _gate1_threshold(n, far) / math.sqrt(n)
+    return _gate_constants(n, far)[1]
 
 
 def required_exceedances(n_lags: int) -> int:
@@ -153,19 +168,20 @@ def required_exceedances(n_lags: int) -> int:
     return max(2, math.ceil(0.05 * n_lags))
 
 
-def _gate2_passes(lag_values: np.ndarray, bound: float) -> tuple[bool, int]:
-    """Apply the gate-2 rule to ACF values at lags 1..L.
+def _gate2_passes(lag_values: np.ndarray, bound: float, required: int) -> tuple[bool, int]:
+    """Apply the gate-2 rule to the finite ACF values at lags 1..L: at
+    least ``required`` (``required_exceedances(L)``) of them outside
+    +-``bound``, on both sides of zero.
 
-    Since ``bound`` is positive, "significant lags on both sides of zero"
-    is ``max > bound`` and ``min < -bound`` over all the judged lags, two
-    ufunc reductions with no gather of the significant ones.
+    Since ``bound`` is positive, |v| > bound is v > bound or v < -bound,
+    never both, so the count is the sum of two one-sided counts, and
+    "both sides of zero" is both counts above zero: no |v| temporary and
+    no max or min reduction.
     """
-    count = int(np.count_nonzero(np.abs(lag_values) > bound))
-    if count < required_exceedances(lag_values.size):
-        return False, count
-    both_signs = bool(np.maximum.reduce(lag_values) > bound
-                      and np.minimum.reduce(lag_values) < -bound)
-    return both_signs, count
+    above = int(_count_nonzero(lag_values > bound))
+    below = int(_count_nonzero(lag_values < -bound))
+    count = above + below
+    return count >= required and above > 0 and below > 0, count
 
 
 def screen(record: TimeSeries, far: float = 0.01) -> ScreeningDecision:
@@ -176,7 +192,7 @@ def screen(record: TimeSeries, far: float = 0.01) -> ScreeningDecision:
     Records with NaN, infinite or too-large samples are rejected (see
     ``check_finite``), after the checks on ``far`` and the record length.
     """
-    _gate1_threshold(len(record), far)
+    _gate_constants(len(record), far)
     return _screen(_Record(record), far)
 
 
@@ -184,14 +200,13 @@ def _screen(work: _Record, far: float) -> ScreeningDecision:
     """``screen`` on a record's working set; only gate 2 reads its ACF."""
     record = work.record
     n = len(record)
-    threshold = _gate1_threshold(n, far)
+    threshold, bound, required = _gate_constants(n, far)
     z, runs, n1, n2 = _runs_statistics(record)
-    bound = threshold / math.sqrt(n)
 
     if abs(z) < threshold:
         count, verdict, gate_failed = 0, VERDICT_NOISE, "gate1"
     else:
-        passed, count = _gate2_passes(work.acf.values[1:n // 2 + 1], bound)
+        passed, count = _gate2_passes(work.acf.values[1:n // 2 + 1], bound, required)
         verdict, gate_failed = (VERDICT_SIGNAL, "none") if passed else (VERDICT_NOISE, "gate2")
     return _adopt(ScreeningDecision, runs_statistic=z, runs_count=runs, n_above=n1, n_below=n2,
                   acf_exceedances=count, acf_bound=bound, far=far, verdict=verdict,

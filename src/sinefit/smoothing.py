@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SinusoidParams, TimeSeries, _adopt, evaluate
+from .model import SinusoidParams, TimeSeries, _adopt, _correlate, evaluate
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,8 +62,10 @@ def moving_average(record: TimeSeries, k: int) -> SmoothedSeries:
     Window sizes that divide the period evenly preserve the waveform
     best, but the optimal size is data dependent and left to the caller.
     The smoothed samples are the filter's fresh array, divided by k in
-    place and frozen, not copied.  The window sums are ``np.correlate``
-    with the all-ones kernel, kept per k up to 4,096 (``_kept_kernel``):
+    place and frozen, not copied.  The window sums are the correlation of
+    the record with the all-ones kernel, kept per k up to 4,096
+    (``_kept_kernel``), taken by the C core ``multiarray.correlate2``
+    that ``np.correlate`` calls (``np.correlate`` itself on numpy < 2):
     ``np.convolve`` only reverses the kernel and calls the same core, so
     the bits are the same.
     """
@@ -75,7 +77,7 @@ def _moving_average(record: TimeSeries, k: int) -> SmoothedSeries:
     """``moving_average`` with no window check: the caller has run
     ``_check_window(k, len(record))``."""
     kernel = _kept_kernel(k) if k <= _MAX_KEPT_KERNEL else np.ones(k)
-    smoothed = np.correlate(record.samples, kernel, "valid")
+    smoothed = _correlate(record.samples, kernel, "valid")
     smoothed /= k
     smoothed.setflags(write=False)
     start = record.start_time + (k - 1) * record.dt  # no later than the last time, so finite

@@ -63,8 +63,12 @@ class TestPhaseTables:
 
     def test_curve_still_takes_any_array_and_leaves_it_writable(self, noisy_series):
         obj = sf.PhaseObjective(noisy_series(1), 2.0, 0.05)
-        curve = estimate._objective_on_tables(obj.data, obj.fixed_amplitude,
+        terms = estimate._objective_on_tables(obj.data, obj.fixed_amplitude,
                                               obj.fixed_frequency_hz, obj.t_range)
+
+        def curve(table):
+            return estimate._curve(table, *terms)
+
         phis = np.linspace(-3.0, 3.0, 7)
         values = curve(estimate._phase_table(phis))
         assert values.shape == (7,) and phis.flags.writeable
@@ -223,9 +227,11 @@ class TestGate1Threshold:
     @pytest.mark.parametrize("far", [0.001, 0.01, 0.05, 0.2, 0.4999, np.float64(0.01)])
     def test_equals_the_normal_quantile(self, far):
         expected = normal_quantile(1.0 - far / 2.0)
-        assert screening._gate1_threshold(100, far) == expected
-        assert screening._gate1_threshold(20, far) == expected
-        assert type(screening._gate1_threshold(100, far)) is float
+        for n in (100, 20, 101):
+            threshold, bound, required = screening._gate_constants(n, far)
+            assert threshold == expected and type(threshold) is float
+            assert bound == expected / math.sqrt(n) == sf.acf_bounds(n, far)
+            assert required == screening.required_exceedances(n // 2)
 
     def test_quantile_is_taken_once_per_far(self, monkeypatch):
         calls = []
@@ -234,26 +240,29 @@ class TestGate1Threshold:
             calls.append(p)
             return _real(p)
 
-        screening._two_sided_quantile.cache_clear()
+        caches = (screening._two_sided_quantile, screening._gate_constants)
+        for cache in caches:
+            cache.cache_clear()
         monkeypatch.setattr(screening, "normal_quantile", counting)
         try:
             for n in (20, 100, 1000):
-                screening._gate1_threshold(n, 0.01)
-                screening._gate1_threshold(n, 0.001)
+                screening._gate_constants(n, 0.01)
+                screening._gate_constants(n, 0.001)
         finally:
-            screening._two_sided_quantile.cache_clear()
+            for cache in caches:
+                cache.cache_clear()
         assert calls == [1.0 - 0.01 / 2.0, 1.0 - 0.001 / 2.0]
 
     @pytest.mark.parametrize("far", [0.0, 0.5, -0.1, 0.7, math.nan])
     def test_bad_far_still_raises_after_a_good_one(self, far):
-        screening._gate1_threshold(100, 0.01)
+        screening._gate_constants(100, 0.01)
         with pytest.raises(ValueError, match="false-alarm rate"):
-            screening._gate1_threshold(100, far)
+            screening._gate_constants(100, far)
 
     def test_short_record_still_raises_after_a_good_one(self):
-        screening._gate1_threshold(100, 0.01)
+        screening._gate_constants(100, 0.01)
         with pytest.raises(ValueError, match="at least 20 samples"):
-            screening._gate1_threshold(19, 0.01)
+            screening._gate_constants(19, 0.01)
 
 
 class TestGate1Median:
@@ -261,11 +270,11 @@ class TestGate1Median:
     def test_a_gate1_reject_makes_one_single_kth_partition(self, monkeypatch, n):
         calls = []
 
-        def counting(a, kth, *args, _real=np.partition, **kwargs):
+        def counting(a, kth, _real=screening._partitioned):
             calls.append(kth)
-            return _real(a, kth, *args, **kwargs)
+            return _real(a, kth)
 
-        monkeypatch.setattr(np, "partition", counting)
+        monkeypatch.setattr(screening, "_partitioned", counting)
         record = sf.TimeSeries(0.0, 1.0, np.random.default_rng(n).standard_normal(n))
         for run in (lambda: sf.screen(record), lambda: sf.estimate_parameters(record)):
             calls.clear()

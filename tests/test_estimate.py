@@ -22,9 +22,9 @@ def clean_record(params, n=100, dt=1.0):
 
 def objective_polynomial(obj):
     """The objective's trig polynomial as a function of any array of phases."""
-    curve = estimate._objective_on_tables(obj.data, obj.fixed_amplitude,
+    terms = estimate._objective_on_tables(obj.data, obj.fixed_amplitude,
                                           obj.fixed_frequency_hz, obj.t_range)
-    return lambda phis: curve(estimate._phase_table(phis))
+    return lambda phis: estimate._curve(estimate._phase_table(phis), *terms)
 
 
 def objective_window(obj):

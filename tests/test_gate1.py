@@ -125,23 +125,25 @@ def test_partition_median_equals_np_median(index):
 
 @pytest.mark.parametrize("index", range(len(_median_cases())))
 def test_partition_median_needs_only_the_partition_contract(monkeypatch, index):
-    # np.partition guarantees only the kth element and which side each
+    # A partition guarantees only the kth element and which side each
     # other element lies on; numpy's selection happens to leave its
-    # neighbours nearly sorted, so shuffle each side to take that away.
-    # The median and the runs split read from the partition both hold.
+    # neighbours nearly sorted, so shuffle each side of the screen's one
+    # selection (``screening._partitioned``) to take that away.  The
+    # median and the runs split read from the partition both hold.
     x = _median_cases()[index]
     expected = float(np.median(x))
     expected_runs = _gathered_runs_statistics(x)
     rng = np.random.default_rng(index)
 
-    def shuffled_sides(a, kth, _real=np.partition):
+    def shuffled_sides(a, kth, _real=screening._partitioned):
         part = _real(a, kth)
+        assert part.tobytes() == np.partition(a, kth).tobytes()
         k = int(kth)
         part[:k] = rng.permutation(part[:k])
         part[k + 1:] = rng.permutation(part[k + 1:])
         return part
 
-    monkeypatch.setattr(np, "partition", shuffled_sides)
+    monkeypatch.setattr(screening, "_partitioned", shuffled_sides)
     assert _partition_median(x) == expected
     assert screening._runs_statistics(sf.TimeSeries(0.0, 1.0, x)) == expected_runs
 

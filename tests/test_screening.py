@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.stats import norm
 
 import sinefit as sf
@@ -90,23 +91,61 @@ class TestAcfBounds:
         assert required_exceedances(10) == 2
 
 
+def gate2(values, bound):
+    """``_gate2_passes`` with the count the screen requires of this many lags."""
+    return _gate2_passes(values, bound, required_exceedances(values.size))
+
+
+def abs_count_gate2(values, bound):
+    """The gate-2 rule as the screen applied it before the one-sided counts:
+    the ``|v| > bound`` count, then ``max > bound`` and ``min < -bound``."""
+    count = int(np.count_nonzero(np.abs(values) > bound))
+    if count < required_exceedances(values.size):
+        return False, count
+    both_signs = bool(np.maximum.reduce(values) > bound
+                      and np.minimum.reduce(values) < -bound)
+    return both_signs, count
+
+
+@st.composite
+def lag_vectors(draw):
+    """(values, bound): finite lag values, many exactly at +-bound, one float
+    either side of it or zero, and one-sided patterns as often as mixed ones."""
+    bound = draw(st.floats(1e-3, 1.0))
+    edges = [bound, -bound, 0.0, -0.0] + [np.nextafter(b, toward) for b in (bound, -bound)
+                                           for toward in (-np.inf, np.inf)]
+    values = np.array(draw(st.lists(st.one_of(st.sampled_from(edges), st.floats(-1.0, 1.0)),
+                                    min_size=1, max_size=80)))
+    side = draw(st.sampled_from(["mixed", "above", "below"]))
+    if side != "mixed":
+        values = np.abs(values) if side == "above" else -np.abs(values)
+    return values, bound
+
+
 class TestGate2Rule:
     def test_needs_enough_exceedances(self):
         values = np.zeros(50)
         values[3], values[17] = 0.9, -0.9
-        passed, count = _gate2_passes(values, bound=0.3)
+        passed, count = gate2(values, bound=0.3)
         assert count == 2 and not passed  # 50 lags require 3
 
     def test_needs_both_signs(self):
         values = np.zeros(50)
         values[[3, 9, 17, 30]] = 0.9
-        passed, count = _gate2_passes(values, bound=0.3)
+        passed, count = gate2(values, bound=0.3)
         assert count == 4 and not passed
 
     def test_passes_cosine_like_pattern(self):
         values = 0.8 * np.cos(2 * math.pi * 0.05 * np.arange(1, 51))
-        passed, count = _gate2_passes(values, bound=0.3)
+        passed, count = gate2(values, bound=0.3)
         assert passed and count >= 3
+
+    @given(lag_vectors())
+    def test_one_sided_counts_give_the_abs_count_rule(self, case):
+        values, bound = case
+        passed, count = gate2(values, bound)
+        assert (passed, count) == abs_count_gate2(values, bound)
+        assert type(passed) is bool and type(count) is int
 
 
 class TestScreen:

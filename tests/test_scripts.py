@@ -137,6 +137,19 @@ def test_ab_timing_prints_one_ratio_per_setting():
         assert 0 < float(match.group(5)) == float(match.group(6))
 
 
+def test_ab_timing_only_times_the_named_settings():
+    src = os.path.join(ROOT, "src")
+    lines = run_script("ab_timing.py", src, src, "--pairs", "1", "--batch-ms", "1",
+                       "--only", "n=1000 ar1", "--only", "n=100 one_period").splitlines()
+    assert [line.split(":")[0] for line in lines] == ["n=100 one_period", "n=1000 ar1"]
+    unknown = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "ab_timing.py"),
+                              src, src, "--only", "n=100 one_period", "--only", "n=100"],
+                             capture_output=True, text=True)
+    assert unknown.returncode == 1 and unknown.stdout == ""
+    assert "unknown setting 'n=100'" in unknown.stderr
+    assert "n=100 one_period new grids\n" in unknown.stderr  # the valid labels are listed
+
+
 def load_script(name):
     spec = importlib.util.spec_from_file_location(name[:-3], os.path.join(ROOT, "scripts", name))
     module = importlib.util.module_from_spec(spec)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import sinefit as sf
-from sinefit import acf, io, model, screening
+from sinefit import acf, io, model, screening, smoothing
 from sinefit.cli import main
 from sinefit.model import standard_normal_draws
 
@@ -131,6 +131,25 @@ def test_transforms_bypass_the_np_fft_wrappers(transforms, wrapper_calls, consum
     consumer(signal_record())
     assert transforms == ONE_PAIR
     assert wrapper_calls == {"rfft": 0, "irfft": 0}
+
+
+# numpy 2.0 on: the working set's transforms, the screen's counts and MA-k
+# call numpy's C entry points, not the Python wrappers around them
+C_ENTRY_POINTS = (GUFUNCS and screening._count_nonzero is not np.count_nonzero
+                  and smoothing._correlate is not np.correlate)
+WRAPPERS = ("partition", "count_nonzero", "correlate", "empty_like")
+
+
+@pytest.mark.skipif(not C_ENTRY_POINTS, reason="this numpy has no pocketfft gufunc module or "
+                    "no numpy._core.multiarray, so the library falls back to the wrappers")
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_default_path_makes_no_wrapper_call(monkeypatch, name):
+    make, far, gate = RECORDS[name]
+    record = make()
+    calls = count_calls(monkeypatch, np, {wrapper: wrapper for wrapper in WRAPPERS})
+    report = sf.estimate_parameters(record, sf.PipelineConfig(far=far))
+    assert report.screening.gate_failed == gate
+    assert calls == dict.fromkeys(WRAPPERS, 0)
 
 
 def load_without_gufuncs():
