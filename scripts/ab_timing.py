@@ -41,9 +41,10 @@ the values computed on first read included.  Two ``grid`` settings
 time ``phase_grid_search`` alone, on objectives built beforehand from
 the demo tones with the demo A and f: at N = 100 under ``one_period``
 and at N = 10^4 under ``full_record``, the phase grid of both objective
-ranges on its own.  The last two time ``synthesize`` of the demo tone
-at sigma = 0.5 and N = 100 and N = 10^4 (seeds 0..R-1), the cost of
-building a seeded Monte Carlo pool.
+ranges on its own.  The last three time ``synthesize`` of the demo tone
+at sigma = 0.5 and N = 100, N = 1000 and N = 10^4 (seeds 0..R-1), the
+cost of building a seeded Monte Carlo pool: N = 100 below the size cut
+of ``normal_quantile``'s one-pass layout, N = 1000 just above it.
 ``--only LABEL`` (repeatable) times only the settings whose labels it
 names, matched exactly, in the order above; an unknown label exits 1
 and lists the valid ones.
@@ -70,6 +71,7 @@ SETTINGS = (("n=100 one_period", 100, "one_period", 40, "tone"),
             ("n=100 grid one_period", 100, "one_period", 40, "grid"),
             ("n=10000 grid full_record", 10_000, "full_record", 4, "grid"),
             ("n=100 synthesize", 100, None, 40, "synthesize"),
+            ("n=1000 synthesize", 1000, None, 20, "synthesize"),
             ("n=10000 synthesize", 10_000, None, 4, "synthesize"))
 DEMO = (2.0, 0.05, 0.6109)
 SIGMA = 0.5

@@ -120,7 +120,7 @@ class _Record:
         check_finite(record)
         self.__dict__["record"] = record
 
-    df = property(lambda self: 1.0 / (len(self.record) * self.record.dt))
+    df = property(lambda self: 1.0 / (self.record.samples.size * self.record.dt))
 
     @_on_first_read
     def dft(self) -> np.ndarray:
@@ -144,7 +144,7 @@ class _Record:
         magnitudes = self.magnitudes
         power = magnitudes ** 2
         power[0] = 0.0
-        sums = _irfft(power, len(self.record))
+        sums = _irfft(power, self.record.samples.size)
         lag0 = float(sums[0])
         if not lag0 > 0.0 or math.sqrt(lag0) <= _ROUNDING_FLOOR * float(magnitudes[0]):
             raise ValueError("constant record has zero variance")

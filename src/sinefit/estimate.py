@@ -237,8 +237,8 @@ def _objective_on_tables(record: TimeSeries, amplitude: float, frequency_hz: flo
     beta = (A^2/2)*(Sc2 + i*Ss2); returns (const, alpha, beta), which
     ``_curve`` evaluates on a ``_PhaseTable``.
     """
-    lo, hi, sc2, ss2, sin_wt, cos_wt = _geometry(record.start_time, record.dt, len(record),
-                                                 frequency_hz, t_range)
+    lo, hi, sc2, ss2, sin_wt, cos_wt = _geometry(record.start_time, record.dt,
+                                                 record.samples.size, frequency_hz, t_range)
     x = record.samples[lo:hi]
     if linear is None:
         if sin_wt is None:
@@ -682,9 +682,10 @@ def estimate_parameters(record: TimeSeries,
     the range with no ``PhaseObjective`` built.
     """
     # the default, N // 2, always fits, and the config has checked max_lag >= 1
-    if config.max_lag is not None and config.max_lag > len(record) - 1:
-        raise ValueError(f"max_lag must be in [1, {len(record) - 1}]")
-    _check_window(config.ma_k, len(record))
+    n = record.samples.size
+    if config.max_lag is not None and config.max_lag > n - 1:
+        raise ValueError(f"max_lag must be in [1, {n - 1}]")
+    _check_window(config.ma_k, n)
     work = _Record(record)
     decision: ScreeningDecision | None
     if config.skip_screen:
@@ -700,7 +701,7 @@ def estimate_parameters(record: TimeSeries,
 
     df = work.df
     # bins 1..N/2 sit at m*df Hz; the phase search needs 4*pi*m*df finite
-    if not (df > 0.0 and math.isfinite(2.0 * TWO_PI * ((len(record) // 2) * df))):
+    if not (df > 0.0 and math.isfinite(2.0 * TWO_PI * ((n // 2) * df))):
         raise ValueError(f"sample spacing dt = {record.dt!r} puts the spectrum's bin frequencies "
                          "m/(N*dt), or the phase search's angular frequencies 4*pi*m/(N*dt), "
                          "outside the finite positive floats; rescale the times")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .normal import normal_quantile
+from .normal import _quantile
 
 try:  # the C functions np.correlate and a whole-array np.count_nonzero call
     from numpy._core.multiarray import correlate2 as _correlate, count_nonzero as _count_nonzero
@@ -196,7 +196,7 @@ def check_finite(record: TimeSeries) -> None:
     m = float(np.maximum.reduce(np.abs(record.samples)))
     if not math.isfinite(m):
         raise ValueError(NON_FINITE_SAMPLES)
-    if m > _SAMPLE_LIMIT_TIMES_N / len(record):
+    if m > _SAMPLE_LIMIT_TIMES_N / record.samples.size:
         raise ValueError(SAMPLES_TOO_LARGE)
     if 0.0 < m < _SAMPLE_FLOOR:
         raise ValueError(SAMPLES_TOO_SMALL)
@@ -251,9 +251,10 @@ def standard_normal_draws(seed: int, n: int) -> np.ndarray:
     deterministic, so the same (seed, n) always yields the same values.
     """
     u = np.random.default_rng(seed).random(n)
-    # rng.random() can return exactly 0.0; keep the quantile finite.
+    # rng.random() can return exactly 0.0, and is below 1; clipped to
+    # [2**-54, 1) the quantile is finite and its range check can go.
     np.maximum(u, 2.0 ** -54, out=u)
-    return normal_quantile(u)
+    return _quantile(u)
 
 
 def synthesize(params: SinusoidParams, noise: NoiseSpec, n: int,
@@ -263,6 +264,8 @@ def synthesize(params: SinusoidParams, noise: NoiseSpec, n: int,
     With sigma = 0 the output equals ``evaluate`` pointwise, bit for bit.
     A grid on which omega*t overflows, or samples that come out NaN or
     infinite, raise ``ValueError``: such a record could not be read back.
+    The checks are ``TimeSeries``'s, so the fresh samples are frozen and
+    adopted as they are, with no copy.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -278,7 +281,8 @@ def synthesize(params: SinusoidParams, noise: NoiseSpec, n: int,
         samples += draws
     if not np.isfinite(samples).all():
         raise ValueError(NON_FINITE_SAMPLES)
-    return TimeSeries(start, dt, samples)
+    samples.setflags(write=False)
+    return _adopt(TimeSeries, start_time=start, dt=dt, samples=samples)
 
 
 @dataclass(frozen=True)

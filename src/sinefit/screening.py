@@ -199,7 +199,7 @@ def screen(record: TimeSeries, far: float = 0.01) -> ScreeningDecision:
 def _screen(work: _Record, far: float) -> ScreeningDecision:
     """``screen`` on a record's working set; only gate 2 reads its ACF."""
     record = work.record
-    n = len(record)
+    n = record.samples.size
     threshold, bound, required = _gate_constants(n, far)
     z, runs, n1, n2 = _runs_statistics(record)
 

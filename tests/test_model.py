@@ -8,8 +8,10 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 import sinefit as sf
+from sinefit import normal
 from sinefit.model import standard_normal_draws
 from conftest import AMPLITUDE, FREQUENCY, PHASE, PHASE_EXACT
+from test_normal import masked_reference
 
 
 class TestSinusoidParams:
@@ -92,6 +94,20 @@ class TestSynthesize:
             expected = (sf.evaluate(demo_params, np.arange(n, dtype=float))
                         + sigma * standard_normal_draws(n, n))
             assert ts.samples.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 100, normal._ONE_PASS_BELOW - 1, normal._ONE_PASS_BELOW,
+                                   1000, 10_000])
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    def test_both_quantile_layouts_give_the_reference_bytes(self, demo_params, n, sigma):
+        ts = sf.synthesize(demo_params, sf.NoiseSpec(sigma=sigma, seed=n), n, dt=2, start=-3)
+        assert type(ts.start_time) is float and type(ts.dt) is float
+        assert (ts.start_time, ts.dt) == (-3.0, 2.0)
+        assert ts.samples.dtype == np.float64 and not ts.samples.flags.writeable
+        expected = sf.evaluate(demo_params, -3.0 + 2.0 * np.arange(n))
+        if sigma > 0:
+            u = np.maximum(np.random.default_rng(n).random(n), 2.0 ** -54)
+            expected = expected + sigma * masked_reference(u)
+        assert ts.samples.tobytes() == expected.tobytes()
 
     def test_different_seeds_differ(self, demo_params):
         a = sf.synthesize(demo_params, sf.NoiseSpec(sigma=0.5, seed=1), 100)

@@ -90,12 +90,23 @@ def assert_same_bytes(ours, reference):
         assert ours.tobytes() == reference.tobytes()
 
 
+CUT = normal._ONE_PASS_BELOW  # below it the one-pass layout, from it on the gathered tails
+AROUND_THE_CUT = [1, 20, CUT - 1, CUT, CUT + 1]
+
+
 class TestSameBytesAsTheMaskedReference:
     def test_probability_sweep(self):
         p = _probability_sweep()
+        assert p.size >= CUT  # the gathered-tail layout
         assert_same_bytes(normal_quantile(p), masked_reference(p))
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 100, 1000, 10_000, 100_000])
+    @pytest.mark.parametrize("size", [1, 20, CUT - 1])
+    def test_probability_sweep_in_slices_below_the_cut(self, size):
+        p = _probability_sweep()
+        for lo in range(0, p.size, size):
+            assert_same_bytes(normal_quantile(p[lo:lo + size]), masked_reference(p[lo:lo + size]))
+
+    @pytest.mark.parametrize("n", sorted({0, 1, 2, 3, 100, 1000, 10_000, 100_000, *AROUND_THE_CUT}))
     def test_seeded_uniforms(self, n):
         u = np.random.default_rng(n).random(n)
         assert_same_bytes(normal_quantile(u), masked_reference(u))
@@ -121,7 +132,7 @@ class TestSameBytesAsTheMaskedReference:
         p = np.empty(shape)
         assert_same_bytes(normal_quantile(p), masked_reference(p))
 
-    @pytest.mark.parametrize("n", [100, 1000])
+    @pytest.mark.parametrize("n", sorted({100, 1000, *AROUND_THE_CUT}))
     def test_standard_normal_draws(self, n):
         for seed in range(50):
             u = np.maximum(np.random.default_rng(seed).random(n), 2.0 ** -54)

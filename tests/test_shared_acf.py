@@ -152,27 +152,84 @@ def test_default_path_makes_no_wrapper_call(monkeypatch, name):
     assert calls == dict.fromkeys(WRAPPERS, 0)
 
 
-def load_without_gufuncs():
-    """A second copy of the package, imported as ``sinefit_np_fft`` while
-    ``numpy.fft._pocketfft_umath`` cannot be imported: its working set
-    transforms through ``np.fft.rfft`` and ``np.fft.irfft``."""
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_estimate_parameters_never_calls_len(monkeypatch, name):
+    make, far, gate = RECORDS[name]
+    record = make()
+    calls = count_calls(monkeypatch, model.TimeSeries, {"__len__": "len"})
+    report = sf.estimate_parameters(record, sf.PipelineConfig(far=far))
+    assert report.screening.gate_failed == gate
+    assert calls == {"len": 0}
+
+
+def load_without(name, blocked):
+    """A second copy of the package, imported as ``name`` while the module
+    ``blocked`` cannot be imported."""
     package = os.path.dirname(sf.__file__)
     spec = importlib.util.spec_from_file_location(
-        "sinefit_np_fft", os.path.join(package, "__init__.py"),
-        submodule_search_locations=[package])
+        name, os.path.join(package, "__init__.py"), submodule_search_locations=[package])
     module = importlib.util.module_from_spec(spec)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setitem(sys.modules, "numpy.fft._pocketfft_umath", None)
-        patch.setitem(sys.modules, "sinefit_np_fft", module)
+        patch.setitem(sys.modules, blocked, None)
+        patch.setitem(sys.modules, name, module)
         spec.loader.exec_module(module)
     return module
+
+
+def unload(name):
+    for loaded in [loaded for loaded in sys.modules if loaded.startswith(name + ".")]:
+        del sys.modules[loaded]
+
+
+def load_without_gufuncs():
+    """The package without ``numpy.fft._pocketfft_umath``: its working set
+    transforms through ``np.fft.rfft`` and ``np.fft.irfft``."""
+    return load_without("sinefit_np_fft", "numpy.fft._pocketfft_umath")
 
 
 @pytest.fixture(scope="module")
 def np_fft_acf():
     yield load_without_gufuncs().acf
-    for name in [name for name in sys.modules if name.startswith("sinefit_np_fft.")]:
-        del sys.modules[name]
+    unload("sinefit_np_fft")
+
+
+@pytest.fixture(scope="module")
+def numpy_1_copy():
+    """The package as numpy < 2 imports it, without ``numpy._core.multiarray``:
+    MA-k and the screen's counts call ``np.correlate`` and ``np.count_nonzero``."""
+    yield load_without("sinefit_numpy_1", "numpy._core.multiarray")
+    unload("sinefit_numpy_1")
+
+
+def fallback_records(n):
+    """Ten demo tones, five white-noise and five AR(1) records of N samples."""
+    for seed in range(10):
+        yield sf.synthesize(sf.SinusoidParams(2.0, 0.05, 0.6109), sf.NoiseSpec(0.5, seed), n).samples
+    for seed in range(5):
+        yield standard_normal_draws(seed, n)
+        e = standard_normal_draws(100 + seed, n)
+        for i in range(1, n):
+            e[i] += 0.3 * e[i - 1]
+        yield e
+
+
+@pytest.mark.parametrize("n", [100, 101, 1000])
+def test_numpy_1_fallback_gives_the_same_outputs(numpy_1_copy, n):
+    assert numpy_1_copy.model._correlate is np.correlate
+    assert numpy_1_copy.model._count_nonzero is np.count_nonzero
+    gates = set()
+    for x in fallback_records(n):
+        ours = sf.estimate_parameters(sf.TimeSeries(0.0, 1.0, x))
+        theirs = numpy_1_copy.estimate_parameters(numpy_1_copy.TimeSeries(0.0, 1.0, x))
+        assert vars(theirs.screening) == vars(ours.screening)
+        gates.add(ours.screening.gate_failed)
+        assert theirs.grid_phase == ours.grid_phase
+        if ours.params is None:
+            assert theirs.params is None and theirs.smoothed is None
+            continue
+        assert vars(theirs.params) == vars(ours.params)
+        assert theirs.smoothed.series.samples.tobytes() == ours.smoothed.series.samples.tobytes()
+    assert gates == {"none", "gate1", "gate2"}
 
 
 class TestTransformBits:
