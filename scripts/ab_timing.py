@@ -4,18 +4,25 @@
         [--only LABEL ...]
 
 Each SRC is a directory holding a ``sinefit`` package (a checkout's
-``src``).  Both are imported into this one process, under the module
-names ``sinefit_parent`` and ``sinefit_change``, and for each setting
-the script alternates timed batches of calls over the same seeded
-records: parent then change, change then parent, and so on.  Each pair
-of batches gives one change/parent ratio of the time per record.  The
-script prints the median ratio and its quartiles, one line per setting;
-below 1 the change is faster.  Alternating in one process cancels the
-slow swings of a shared machine's speed (1.3-1.9x for minutes at a time
-on a 2-core VM), which swamp timings taken in separate runs.  Each line
-ends with the quartiles of the parent's own batch-to-batch ratios (each
-parent batch over the one before it, from the batches already timed):
-the noise floor a change/parent ratio has to clear.
+``src``).  Each tree is imported into this one process twice, in the
+order parent, change, change, parent, under the module names
+``sinefit_parent``, ``sinefit_change``, ``sinefit_change_b`` and
+``sinefit_parent_b``: whichever copy is loaded first reads a few percent
+faster, so the first parent/change pair has the parent loaded first and
+the second has the change loaded first.  For each setting the script
+times a batch of calls over the same seeded records on each of the four
+copies in turn, in load order and then in reverse, and so on.  Each turn
+gives one change/parent ratio of the time per record in each load
+order.  The script prints, one line per setting, the median ratio and
+its quartiles with the parent loaded first and then with the change
+loaded first; below 1 the change is faster, and a change that moves
+nothing reads inside the band in both orders.  Alternating in one
+process cancels the slow swings of a shared machine's speed (1.3-1.9x
+for minutes at a time on a 2-core VM), which swamp timings taken in
+separate runs.  Each line ends with the quartiles of the parents' own
+batch-to-batch ratios (each parent copy's batch over the one before it,
+from the batches already timed, both copies pooled): the noise floor a
+change/parent ratio has to clear.
 
 Settings: N = 100, N = 1000 and N = 1001 (an odd N, whose forward
 transform takes pocketfft's odd-length path) under the default
@@ -153,28 +160,28 @@ class Side:
         return (time.perf_counter() - start) / (passes * len(calls))
 
 
-def compare(parent, change, pairs, batch_s):
-    """Median and quartiles of the change/parent time ratio over ``pairs``
-    alternating pairs of batches, the parent's median time per record, and
-    the quartiles of its batch-to-batch ratios (None for a single pair)."""
-    for side in (parent, change):  # warm up: lazy tables, caches
+def compare(sides, pairs, batch_s):
+    """Time the four ``sides`` (parent, change, change, parent, in load
+    order) over ``pairs`` turns of one batch each, in that order on even
+    turns and in reverse on odd ones.  Returns the (median, first
+    quartile, third quartile) of the change/parent time ratio with the
+    parent loaded first and with the change loaded first, the parents'
+    median time per record, and the quartiles of their batch-to-batch
+    ratios (None for a single turn)."""
+    for side in sides:  # warm up: lazy tables, caches
         side.batch(1)
-    per_record = parent.batch(1)
-    passes = max(1, round(batch_s / (per_record * len(parent.calls))))
-    ratios, parent_times = [], []
+    per_record = sides[0].batch(1)
+    passes = max(1, round(batch_s / (per_record * len(sides[0].calls))))
+    times = [[] for _ in sides]
     for i in range(pairs):
-        if i % 2 == 0:
-            p = parent.batch(passes)
-            c = change.batch(passes)
-        else:
-            c = change.batch(passes)
-            p = parent.batch(passes)
-        ratios.append(c / p)
-        parent_times.append(p)
-    q1, median, q3 = quartiles(ratios)
-    steps = [b / a for a, b in zip(parent_times, parent_times[1:])]
+        for j in (0, 1, 2, 3) if i % 2 == 0 else (3, 2, 1, 0):
+            times[j].append(sides[j].batch(passes))
+    parent_a, change_a, change_b, parent_b = times
+    ratios = [quartiles([c / p for p, c in zip(parent, change)])
+              for parent, change in ((parent_a, change_a), (parent_b, change_b))]
+    steps = [b / a for parent in (parent_a, parent_b) for a, b in zip(parent, parent[1:])]
     floor = quartiles(steps)[::2] if steps else None
-    return median, q1, q3, statistics.median(parent_times), floor
+    return ratios, statistics.median(parent_a + parent_b), floor
 
 
 def main():
@@ -182,7 +189,7 @@ def main():
     parser.add_argument("parent_src")
     parser.add_argument("change_src")
     parser.add_argument("--pairs", type=int, default=30,
-                        help="alternating batch pairs per setting (default 30)")
+                        help="turns of alternating batches per setting (default 30)")
     parser.add_argument("--batch-ms", type=float, default=50.0,
                         help="target length of one batch in ms (default 50)")
     parser.add_argument("--only", action="append", metavar="LABEL",
@@ -195,18 +202,20 @@ def main():
     if unknown:
         sys.exit(f"unknown setting {', '.join(map(repr, unknown))}; valid labels:\n"
                  + "\n".join(labels))
-    parent = load(args.parent_src, "sinefit_parent")
-    change = load(args.change_src, "sinefit_change")
+    trees = [load(src, name) for src, name in (
+        (args.parent_src, "sinefit_parent"), (args.change_src, "sinefit_change"),
+        (args.change_src, "sinefit_change_b"), (args.parent_src, "sinefit_parent_b"))]
     for label, *setting in SETTINGS:
         if args.only and label not in args.only:
             continue
-        median, q1, q3, parent_s, floor = compare(
-            Side(parent, *setting), Side(change, *setting), args.pairs, args.batch_ms / 1000.0)
+        ratios, parent_s, floor = compare([Side(sf, *setting) for sf in trees], args.pairs,
+                                          args.batch_ms / 1000.0)
+        orders = ", ".join(f"{median:.3f} (quartiles {q1:.3f}-{q3:.3f}) {first} loaded first"
+                           for (q1, median, q3), first in zip(ratios, ("parent", "change")))
         floor_text = "-" if floor is None else f"{floor[0]:.3f}-{floor[1]:.3f}"
-        print(f"{label}: change/parent {median:.3f} (quartiles {q1:.3f}-{q3:.3f}, "
-              f"{args.pairs} pairs, parent {parent_s * 1e3:.4f} ms/record, "
-              f"parent/parent quartiles {floor_text})", flush=True)
-
+        print(f"{label}: change/parent {orders}, {args.pairs} pairs, "
+              f"parent {parent_s * 1e3:.4f} ms/record, parent/parent quartiles {floor_text}",
+              flush=True)
 
 if __name__ == "__main__":
     main()

@@ -23,8 +23,8 @@ import numpy as np
 from .acf import (AcfSeries, DegenerateParametersError, _Record, _coupling_and_denominator,
                   frequency_from_acf, model_acf_full)
 from .model import (SinusoidParams, TimeSeries, TWO_PI, _SAMPLE_LIMIT_TIMES_N, _adopt,
-                    _count, _on_first_read, wrap_phase)
-from .screening import ScreeningDecision, VERDICT_NOISE, _screen
+                    _count, _on_first_read, _time_axis, wrap_phase)
+from .screening import ScreeningDecision, VERDICT_NOISE, _check_far, _screen
 from .smoothing import SmoothedSeries, _check_window, _moving_average, _span
 from .spectrum import Spectrum, _peak_bin
 
@@ -99,7 +99,7 @@ def _double_angle_sums(start: float, dt: float, lo: int, hi: int,
     u = theta * dt / 2.0
     sin_u = math.sin(u)
     if abs(sin_u) < _MIN_SIN_RATIO * abs(u):
-        angles = theta * (start + dt * np.arange(lo, hi))  # TimeSeries.times' arithmetic
+        angles = theta * _time_axis(start, dt, lo, hi)
         return float(np.sum(np.cos(angles))), float(np.sum(np.sin(angles)))
     gain = math.sin(m * u) / sin_u
     middle = theta * (start + dt * lo + (m - 1) * dt / 2.0)
@@ -166,7 +166,7 @@ def _geometry(start: float, dt: float, n: int, frequency_hz: float, t_range: str
     sums = _double_angle_sums(start, dt, lo, hi, 2.0 * w)
     if hi - lo > _MAX_COLUMN:
         return _Geometry(lo, hi, *sums, None, None)
-    wt = w * (start + dt * np.arange(lo, hi))  # TimeSeries.times' arithmetic
+    wt = w * _time_axis(start, dt, lo, hi)
     columns = np.sin(wt), np.cos(wt)
     for column in columns:
         column.setflags(write=False)
@@ -548,8 +548,7 @@ class PipelineConfig:
     skip_screen: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.far < 0.5:
-            raise ValueError("far must lie in (0, 0.5)")
+        _check_far(self.far)
         object.__setattr__(self, "ma_k", _count("ma_k", self.ma_k))
         if self.max_lag is not None:
             object.__setattr__(self, "max_lag", _count("max_lag", self.max_lag))

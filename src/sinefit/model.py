@@ -111,7 +111,14 @@ class TimeSeries:
 
     def times(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """Times of samples lo..hi-1 (all of them by default), start_time + dt*k."""
-        return self.start_time + self.dt * np.arange(lo, self.samples.size if hi is None else hi)
+        return _time_axis(self.start_time, self.dt, lo, self.samples.size if hi is None else hi)
+
+
+def _time_axis(start: float, dt: float, lo: int, hi: int) -> np.ndarray:
+    """The times start + dt*k of samples k = lo..hi-1 of a grid: the one
+    owner of the time axis's arithmetic, for ``TimeSeries.times``,
+    ``synthesize`` and the phase objective's kept geometry alike."""
+    return start + dt * np.arange(lo, hi)
 
 
 def _adopt(cls, **fields):
@@ -267,13 +274,15 @@ def synthesize(params: SinusoidParams, noise: NoiseSpec, n: int,
     The checks are ``TimeSeries``'s, so the fresh samples are frozen and
     adopted as they are, with no copy.
     """
+    if not _is_integer(n):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 2:
         raise ValueError("n must be at least 2")
     start, dt = _check_time_grid(start, dt)
     # the grid is monotonic, so its largest |t| is at one end
     if not math.isfinite(params.omega() * max(abs(start), abs(start + dt * (n - 1)))):
         raise ValueError("omega*t overflows on this time grid")
-    t = start + dt * np.arange(n)
+    t = _time_axis(start, dt, 0, n)
     samples = evaluate(params, t)
     if noise.sigma > 0:
         draws = standard_normal_draws(noise.seed, n)

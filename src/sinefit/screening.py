@@ -45,6 +45,13 @@ class ScreeningDecision:
     gate_failed: str  # "none", "gate1", or "gate2"
 
 
+def _check_far(far: float) -> None:
+    """Reject a false-alarm rate outside (0, 0.5): the one check of that
+    range, for the screen and ``PipelineConfig`` alike."""
+    if not 0.0 < far < 0.5:
+        raise ValueError("false-alarm rate must lie in (0, 0.5)")
+
+
 @functools.lru_cache(maxsize=64)
 def _two_sided_quantile(far: float) -> float:
     return normal_quantile(1.0 - far / 2.0)
@@ -63,8 +70,7 @@ def _gate_constants(n: int, far: float) -> tuple[float, float, int]:
     lookup; the quantile, which depends on ``far`` alone, is kept per
     ``far``.
     """
-    if not 0.0 < far < 0.5:
-        raise ValueError("false-alarm rate must lie in (0, 0.5)")
+    _check_far(far)
     if n < MIN_SAMPLES:
         raise ValueError(f"screening needs at least {MIN_SAMPLES} samples")
     threshold = _two_sided_quantile(far)

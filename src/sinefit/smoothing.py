@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SinusoidParams, TimeSeries, _adopt, _correlate, evaluate
+from .model import SinusoidParams, TimeSeries, _adopt, _correlate, _count, evaluate
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,52 +30,44 @@ class SmoothedSeries:
 
 
 def _check_window(k: int, n: int) -> None:
-    """Reject an MA-k window that an N-sample record cannot take."""
-    if k < 1:
-        raise ValueError("window must be at least 1")
+    """Reject an MA-k window, an int of at least 1, that an N-sample record
+    cannot take."""
     if k > n:
         raise ValueError(f"window {k} exceeds record length {n}")
     if n - k + 1 < 2:
         raise ValueError(f"window {k} leaves fewer than two samples")
 
 
-# Longest MA-k window whose all-ones kernel is kept: the 16 kept kernels
-# then hold at most 16*8*4096 bytes = 512 KiB.
-_MAX_KEPT_KERNEL = 4096
-
-
-@functools.lru_cache(maxsize=16, typed=True)
-def _kept_kernel(k: int) -> np.ndarray:
-    """The read-only all-ones MA-k kernel, built once for each of the 16
-    most recently used k up to ``_MAX_KEPT_KERNEL``.  ``typed`` keeps a
-    float k apart from the int of the same value, so it still fails in
-    ``np.ones`` as it would uncached."""
-    kernel = np.ones(k)
-    kernel.setflags(write=False)
-    return kernel
+# The all-ones MA-k kernel of every k up to its size is a slice of this one
+# read-only array (32 KiB), a read-only view; a longer window builds its own.
+_ONES = np.ones(4096)
+_ONES.setflags(write=False)
 
 
 def moving_average(record: TimeSeries, k: int) -> SmoothedSeries:
     """MA-k smoothing with a trailing window; k = 1 is the identity.
 
-    Window sizes that divide the period evenly preserve the waveform
-    best, but the optimal size is data dependent and left to the caller.
-    The smoothed samples are the filter's fresh array, divided by k in
-    place and frozen, not copied.  The window sums are the correlation of
-    the record with the all-ones kernel, kept per k up to 4,096
-    (``_kept_kernel``), taken by the C core ``multiarray.correlate2``
-    that ``np.correlate`` calls (``np.correlate`` itself on numpy < 2):
-    ``np.convolve`` only reverses the kernel and calls the same core, so
-    the bits are the same.
+    The window must be a Python or NumPy integer (a bool is not one) of at
+    least 1 that leaves at least two samples.  Window sizes that divide
+    the period evenly preserve the waveform best, but the optimal size is
+    data dependent and left to the caller.  The smoothed samples are the
+    filter's fresh array, divided by k in place and frozen, not copied.
+    The window sums are the correlation of the record with the all-ones
+    kernel, for k up to 4,096 the first k elements of one read-only array
+    built at import (``_ONES``), taken by the C core
+    ``multiarray.correlate2`` that ``np.correlate`` calls
+    (``np.correlate`` itself on numpy < 2): ``np.convolve`` only reverses
+    the kernel and calls the same core, so the bits are the same.
     """
-    _check_window(k, len(record))
+    k = _count("window", k)
+    _check_window(k, record.samples.size)
     return _moving_average(record, k)
 
 
 def _moving_average(record: TimeSeries, k: int) -> SmoothedSeries:
-    """``moving_average`` with no window check: the caller has run
-    ``_check_window(k, len(record))``."""
-    kernel = _kept_kernel(k) if k <= _MAX_KEPT_KERNEL else np.ones(k)
+    """``moving_average`` with no window check: the caller has checked that
+    k is an int that ``_check_window(k, N)`` accepts."""
+    kernel = _ONES[:k] if k <= _ONES.size else np.ones(k)
     smoothed = _correlate(record.samples, kernel, "valid")
     smoothed /= k
     smoothed.setflags(write=False)
@@ -115,8 +106,7 @@ def ma_attenuation(k: int, frequency: float, dt: float = 1.0) -> float:
     frequency with amplitude |sin(pi*f*k*dt) / (k*sin(pi*f*dt))| * A,
     delayed by (k-1)/2*dt.
     """
-    if k < 1:
-        raise ValueError("window must be at least 1")
+    k = _count("window", k)
     x = math.pi * frequency * dt
     denom = k * math.sin(x)
     if denom == 0:

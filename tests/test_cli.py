@@ -443,6 +443,12 @@ class TestExitOne:
         result = run_cli([command, *(arg.format(**paths) for arg in args)], tmp_path)
         self.assert_exit_one(result, message)
 
+    @pytest.mark.parametrize("command", ["screen", "estimate"])
+    def test_one_far_message_for_screen_and_estimate(self, tmp_path, command):
+        paths = self.inputs(tmp_path)
+        result = run_cli([command, paths["csv"], "--far", "0.7"], tmp_path)
+        self.assert_exit_one(result, "false-alarm rate must lie in (0, 0.5)")
+
     @pytest.mark.parametrize("command", list(VALUE_ERRORS))
     def test_os_error_from_an_output_path_under_a_file(self, tmp_path, command):
         paths = self.inputs(tmp_path)

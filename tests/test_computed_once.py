@@ -729,7 +729,7 @@ class TestObjectiveValueOnFirstRead:
 class TestDirectPath:
     """The estimator calls the phase search's and MA-k's unchecked cores: it
     builds no ``PhaseObjective``, checks the MA-k window once per record and
-    smooths with the kept all-ones kernel."""
+    smooths with a read-only slice of one all-ones array."""
 
     @pytest.mark.parametrize("objective_range", RANGES)
     def test_an_estimate_builds_no_phase_objective(self, noisy_series, monkeypatch,
@@ -763,27 +763,30 @@ class TestDirectPath:
             sf.estimate_parameters(noisy_series(0), sf.PipelineConfig(ma_k=101))
         assert calls[4:] == [(101, 100)]
 
-    def test_the_kernel_is_kept_read_only_and_shared_per_k(self, noisy_series, monkeypatch):
+    def test_the_kernel_is_a_read_only_slice_of_one_array(self, noisy_series, monkeypatch):
         record, long_record = noisy_series(0), noisy_series(0, n=5000)
-        smoothing._kept_kernel.cache_clear()
-        sizes = []
-        ones = np.ones
+        sizes, kernels = [], []
+        ones, correlate = np.ones, smoothing._correlate
         monkeypatch.setattr(np, "ones", lambda k: (sizes.append(k), ones(k))[1])
-        for k in (5, 5, 3, 5):
-            sf.moving_average(record, k)
+        monkeypatch.setattr(smoothing, "_correlate",
+                            lambda x, kernel, mode: (kernels.append(kernel),
+                                                     correlate(x, kernel, mode))[1])
+        for k in (5, 5, 3, 1, 40, 4096):
+            sf.moving_average(long_record, k)
         sf.estimate_parameters(record)
-        assert sizes == [5, 3]
-        kernel = smoothing._kept_kernel(5)
-        assert kernel is smoothing._kept_kernel(5) and not kernel.flags.writeable
-        assert kernel.tolist() == [1.0] * 5
-        with pytest.raises(TypeError):  # a float window fails in np.ones, kept int k or not
+        assert sizes == []  # no window up to 4,096 builds a kernel
+        assert [kernel.size for kernel in kernels] == [5, 5, 3, 1, 40, 4096, 5]
+        for kernel in kernels:
+            assert kernel.base is smoothing._ONES and not kernel.flags.writeable
+            assert kernel.tolist() == [1.0] * kernel.size
+        assert not smoothing._ONES.flags.writeable and smoothing._ONES.size == 4096
+        with pytest.raises(ValueError, match="window must be an integer, got 5.0"):
             sf.moving_average(record, 5.0)
-        for _ in range(2):  # past the cap, each call builds its own kernel and keeps none
+        del kernels[:]
+        for _ in range(2):  # past the array's size, each call builds its own kernel
             sf.moving_average(long_record, 4097)
-        assert sizes[-2:] == [4097, 4097] and smoothing._kept_kernel.cache_info().currsize == 2
-        for k in range(1, 41):
-            sf.moving_average(record, k)
-        assert smoothing._kept_kernel.cache_info().currsize == 16
+        assert sizes == [4097, 4097] and kernels[0] is not kernels[1]
+        assert all(kernel.tolist() == [1.0] * 4097 for kernel in kernels)
 
 
 def at_the_sample_limit(n):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -842,6 +843,14 @@ class TestPipeline:
             sf.PipelineConfig(ma_k=0)
         with pytest.raises(ValueError):
             sf.PipelineConfig(objective_range="both")
+
+    @pytest.mark.parametrize("far", [0.0, 0.5, -0.1, 0.7, math.nan])
+    def test_config_and_screen_give_one_far_message(self, noisy_series, far):
+        message = re.escape("false-alarm rate must lie in (0, 0.5)")
+        with pytest.raises(ValueError, match=message):
+            sf.PipelineConfig(far=far)
+        with pytest.raises(ValueError, match=message):
+            sf.screen(noisy_series(0), far)
 
     @pytest.mark.parametrize("name", ["ma_k", "max_lag"])
     @pytest.mark.parametrize("value", [2.5, 5.0, True, False, "5", np.float64(5.0)])

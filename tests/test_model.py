@@ -130,6 +130,19 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             sf.synthesize(demo_params, sf.NoiseSpec(sigma=0, seed=0), n, dt=dt)
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    @pytest.mark.parametrize("n", [100.0, np.float64(100), True, 2.5],
+                             ids=["float", "float64", "bool", "2.5"])
+    def test_rejects_an_n_that_is_not_an_integer(self, demo_params, sigma, n):
+        with pytest.raises(ValueError, match="n must be an integer, got " + re.escape(repr(n))):
+            sf.synthesize(demo_params, sf.NoiseSpec(sigma, 0), n)
+
+    @pytest.mark.parametrize("n", [np.int64(100), np.int32(100), np.uint16(100)])
+    def test_a_numpy_integer_n_gives_the_int_n_record(self, demo_params, n):
+        spec = sf.NoiseSpec(0.5, 3)
+        assert (sf.synthesize(demo_params, spec, n).samples.tobytes()
+                == sf.synthesize(demo_params, spec, 100).samples.tobytes())
+
     def test_noise_spec_validation(self):
         with pytest.raises(ValueError):
             sf.NoiseSpec(sigma=-0.5, seed=0)

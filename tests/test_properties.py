@@ -11,6 +11,11 @@ With x(t) = A*sin(2*pi*f*t + phi):
   within a refine step, under the full_record objective (the one_period
   window moves with the start time, so it sums over other samples).
 
+The phase objective reads the record's own times: its kept sin(w*t) and
+cos(w*t) columns, and at the Nyquist bin f*dt = 0.5 its direct
+double-angle sums, are those of ``TimeSeries.times``, bit for bit, on
+any drawn start, dt, N and bin frequency.
+
 The gate-1 runs split, which the partition decides on most records, is
 pinned against a reference that gathers the kept signs on every record,
 on arbitrary finite arrays.
@@ -28,12 +33,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 import sinefit as sf
-from sinefit import io, screening
+from sinefit import estimate, io, screening
 from sinefit.estimate import REFINE_STEP
-from sinefit.model import standard_normal_draws
+from sinefit.model import TWO_PI, standard_normal_draws
 from test_gate1 import _gathered_runs_statistics
 
 CONFIG = sf.PipelineConfig(skip_screen=True)
@@ -95,6 +100,50 @@ def test_shifting_the_start_time_moves_the_phase_by_minus_omega_s(record, s):
         <= REFINE_STEP
 
 
+@st.composite
+def time_grids(draw):
+    """A record of N = 4..4096 zeros, dt = 1e-3..1e3 and a start in
+    [-(N - 3)*dt, 0], so that 0 and two more sample times lie inside it,
+    with a bin frequency m/(N*dt), m = 1..N/2, computed as the estimator
+    does (m*df)."""
+    n = draw(st.integers(4, 4096))
+    dt = draw(st.floats(1e-3, 1e3))
+    start = -draw(st.floats(0.0, 1.0)) * (n - 3) * dt
+    frequency = draw(st.integers(1, n // 2)) * (1.0 / (n * dt))
+    return sf.TimeSeries(start, dt, np.zeros(n)), frequency
+
+
+def direct_sums(theta, t):
+    angles = theta * t
+    return float(np.sum(np.cos(angles))), float(np.sum(np.sin(angles)))
+
+
+@given(time_grids())
+def test_the_objective_reads_the_records_own_times(grid):
+    """The phase objective's kept sin(w*t) and cos(w*t) columns are those
+    of the record's times, bit for bit, and at the Nyquist bin f*dt = 0.5
+    its double-angle sums fall back to the direct sums over those times."""
+    record, frequency = grid
+    start, dt, n = record.start_time, record.dt, record.samples.size
+    try:
+        lo, hi, _, _, sin_wt, cos_wt = estimate._geometry(start, dt, n, frequency,
+                                                          "one_period")
+    except ValueError:  # rounding at a window end can leave fewer than 2 samples
+        assume(False)
+    wt = TWO_PI * frequency * record.times(lo, hi)
+    assert sin_wt.tobytes() == np.sin(wt).tobytes()
+    assert cos_wt.tobytes() == np.cos(wt).tobytes()
+
+    even = 2 * (n // 2)
+    nyquist = sf.TimeSeries(start, dt, np.zeros(even))
+    f = even // 2 * (1.0 / (even * dt))
+    theta = 2.0 * TWO_PI * f
+    assert abs(math.sin(theta * dt / 2.0)) < estimate._MIN_SIN_RATIO * (theta * dt / 2.0)
+    for t_range in ("one_period", "full_record"):
+        lo, hi, sc2, ss2, _, _ = estimate._geometry(start, dt, even, f, t_range)
+        assert (sc2, ss2) == direct_sums(theta, nyquist.times(lo, hi))
+
+
 # (lower + upper) / 2 of any two of these stays finite, as np.median's does.
 FINITE = st.floats(-1e300, 1e300)
 
@@ -111,7 +160,7 @@ def runs_test_samples(draw):
     if kind == "duplicates":
         pool = draw(st.lists(FINITE, min_size=1, max_size=4))
         return np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
-    lower = draw(st.floats(-1e6, 1e6))
+    lower = draw(st.floats(-1e6, 1e6, exclude_max=True))  # so upper <= 1e6
     upper = float(np.nextafter(lower, np.inf))
     below = draw(st.lists(st.floats(-1e6, lower), min_size=n // 2 - 1, max_size=n // 2 - 1))
     above = draw(st.lists(st.floats(upper, 1e6), min_size=n - n // 2 - 1,

@@ -126,16 +126,19 @@ def test_ab_timing_prints_one_ratio_per_setting():
         "n=10000 synthesize"]
     pattern = re.compile(r"n=\d+ (one_period|one_period new grids|full_record|white_noise|ar1|"
                          r"read_all|synthesize|grid one_period|grid full_record): "
-                         r"change/parent ([0-9.]+) "
-                         r"\(quartiles ([0-9.]+)-([0-9.]+), 2 pairs, parent [0-9.]+ ms/record, "
-                         r"parent/parent quartiles ([0-9.]+)-([0-9.]+)\)")
+                         r"change/parent ([0-9.]+) \(quartiles ([0-9.]+)-([0-9.]+)\) "
+                         r"parent loaded first, "
+                         r"([0-9.]+) \(quartiles ([0-9.]+)-([0-9.]+)\) change loaded first, "
+                         r"2 pairs, parent [0-9.]+ ms/record, "
+                         r"parent/parent quartiles ([0-9.]+)-([0-9.]+)")
     for line in lines:
         match = pattern.fullmatch(line)
         assert match, line
-        q1, median, q3 = (float(match.group(i)) for i in (3, 2, 4))
-        assert 0 < q1 <= median <= q3
-        # two pairs give one parent batch-to-batch ratio
-        assert 0 < float(match.group(5)) == float(match.group(6))
+        for first in (2, 5):  # each load order's quartiles bracket its median
+            q1, median, q3 = (float(match.group(first + i)) for i in (1, 0, 2))
+            assert 0 < q1 <= median <= q3
+        # two pairs give one batch-to-batch ratio for each of the two parent copies
+        assert 0 < float(match.group(8)) <= float(match.group(9))
 
 
 def test_ab_timing_only_times_the_named_settings():

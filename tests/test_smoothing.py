@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -60,6 +61,20 @@ class TestMovingAverage:
         # k = N would leave a single sample, which is not a record.
         with pytest.raises(ValueError):
             sf.moving_average(series(np.arange(10.0)), k)
+
+    @pytest.mark.parametrize("k", [True, 5.0, np.float64(5)], ids=["bool", "float", "float64"])
+    def test_rejects_a_window_that_is_not_an_integer(self, k):
+        # a bool would otherwise slice a 1-sample kernel, a float fail inside numpy
+        with pytest.raises(ValueError, match="window must be an integer, got "
+                                             + re.escape(repr(k))):
+            sf.moving_average(series(np.arange(10.0)), k)
+
+    @pytest.mark.parametrize("k", [np.int64(5), np.int32(5), np.uint8(5)])
+    def test_numpy_integer_windows_give_the_int_window(self, noisy_series, k):
+        record = noisy_series(0)
+        out, expected = sf.moving_average(record, k), sf.moving_average(record, 5)
+        assert type(out.window_k) is int and out.window_k == 5
+        assert out.series.samples.tobytes() == expected.series.samples.tobytes()
 
     def test_linearity(self):
         rng = np.random.default_rng(5)
@@ -141,6 +156,16 @@ class TestHelpers:
         assert sf.ma_attenuation(1, 0.05) == pytest.approx(1.0)
         expected = abs(math.sin(math.pi * 0.05 * 5) / (5 * math.sin(math.pi * 0.05)))
         assert sf.ma_attenuation(5, 0.05) == pytest.approx(expected)
+
+    @pytest.mark.parametrize("k,message", [
+        (0, "window must be at least 1"), (-1, "window must be at least 1"),
+        (True, "window must be an integer, got True"),
+        (5.0, "window must be an integer, got 5.0"),
+        (np.float64(5), "window must be an integer, got " + re.escape(repr(np.float64(5))))],
+        ids=["0", "-1", "bool", "float", "float64"])
+    def test_attenuation_rejects_bad_windows(self, k, message):
+        with pytest.raises(ValueError, match=message):
+            sf.ma_attenuation(k, 0.05)
 
     def test_recommended_windows_divide_the_period(self):
         assert sf.recommended_windows(20) == [2, 4, 5, 10]
