@@ -269,7 +269,8 @@ def synthesize(params: SinusoidParams, noise: NoiseSpec, n: int,
     """Sample the sinusoid on a uniform grid and add seeded Gaussian noise.
 
     With sigma = 0 the output equals ``evaluate`` pointwise, bit for bit.
-    A grid on which omega*t overflows, or samples that come out NaN or
+    ``n`` must be a Python or NumPy integer (a bool is not one) of at
+    least 2, at any sigma.  A grid on which omega*t overflows, or samples that come out NaN or
     infinite, raise ``ValueError``: such a record could not be read back.
     The checks are ``TimeSeries``'s, so the fresh samples are frozen and
     adopted as they are, with no copy.

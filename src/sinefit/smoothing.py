@@ -38,8 +38,8 @@ def _check_window(k: int, n: int) -> None:
         raise ValueError(f"window {k} leaves fewer than two samples")
 
 
-# The all-ones MA-k kernel of every k up to its size is a slice of this one
-# read-only array (32 KiB), a read-only view; a longer window builds its own.
+# The all-ones MA-k kernel of any k up to 4,096 is a slice of this read-only
+# array (32 KiB), itself read-only; a longer window builds its own.
 _ONES = np.ones(4096)
 _ONES.setflags(write=False)
 

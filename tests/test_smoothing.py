@@ -8,6 +8,15 @@ import sinefit as sf
 from conftest import AMPLITUDE, FREQUENCY, PHASE
 
 
+# windows that are not integers of at least 1, with the message each raises
+NOT_A_WINDOW = [(0, "window must be at least 1"), (-1, "window must be at least 1"),
+                (True, "window must be an integer, got True"),
+                (5.0, "window must be an integer, got 5.0"),
+                (np.float64(5), "window must be an integer, got "
+                 + re.escape(repr(np.float64(5))))]
+NOT_A_WINDOW_IDS = ["0", "-1", "bool", "float", "float64"]
+
+
 def series(values, dt=1.0, start=0.0):
     return sf.TimeSeries(start, dt, values)
 
@@ -56,17 +65,13 @@ class TestMovingAverage:
         out = sf.moving_average(ts, 2)
         assert np.allclose(out.series.samples, [1.5, 3.0, 6.0], atol=0)
 
-    @pytest.mark.parametrize("k", [0, -1, 11, 10])
-    def test_rejects_bad_windows(self, k):
-        # k = N would leave a single sample, which is not a record.
-        with pytest.raises(ValueError):
-            sf.moving_average(series(np.arange(10.0)), k)
-
-    @pytest.mark.parametrize("k", [True, 5.0, np.float64(5)], ids=["bool", "float", "float64"])
-    def test_rejects_a_window_that_is_not_an_integer(self, k):
+    @pytest.mark.parametrize("k,message", NOT_A_WINDOW + [
+        (11, "window 11 exceeds record length 10"),
+        (10, "window 10 leaves fewer than two samples")],  # not a record
+        ids=NOT_A_WINDOW_IDS + ["11", "10"])
+    def test_rejects_bad_windows(self, k, message):
         # a bool would otherwise slice a 1-sample kernel, a float fail inside numpy
-        with pytest.raises(ValueError, match="window must be an integer, got "
-                                             + re.escape(repr(k))):
+        with pytest.raises(ValueError, match=message):
             sf.moving_average(series(np.arange(10.0)), k)
 
     @pytest.mark.parametrize("k", [np.int64(5), np.int32(5), np.uint8(5)])
@@ -157,12 +162,7 @@ class TestHelpers:
         expected = abs(math.sin(math.pi * 0.05 * 5) / (5 * math.sin(math.pi * 0.05)))
         assert sf.ma_attenuation(5, 0.05) == pytest.approx(expected)
 
-    @pytest.mark.parametrize("k,message", [
-        (0, "window must be at least 1"), (-1, "window must be at least 1"),
-        (True, "window must be an integer, got True"),
-        (5.0, "window must be an integer, got 5.0"),
-        (np.float64(5), "window must be an integer, got " + re.escape(repr(np.float64(5))))],
-        ids=["0", "-1", "bool", "float", "float64"])
+    @pytest.mark.parametrize("k,message", NOT_A_WINDOW, ids=NOT_A_WINDOW_IDS)
     def test_attenuation_rejects_bad_windows(self, k, message):
         with pytest.raises(ValueError, match=message):
             sf.ma_attenuation(k, 0.05)
