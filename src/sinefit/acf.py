@@ -25,24 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (SinusoidParams, TimeSeries, TWO_PI, _adopt, _count, _is_integer,
-                    _on_first_read, check_finite)
-
-try:
-    import numpy.fft._pocketfft_umath as _pocketfft
-except ImportError:  # numpy < 2, or a numpy that has moved the module
-    _rfft, _irfft = np.fft.rfft, np.fft.irfft
-else:
-    # the gufuncs np.fft.rfft and np.fft.irfft call, given the scale those
-    # pass them (1/n is the quotient np.reciprocal(n) gives) and a fresh
-    # output of the same shape and type: the same bits without the
-    # wrappers' Python
-    def _rfft(x):
-        forward = _pocketfft.rfft_n_odd if x.size % 2 else _pocketfft.rfft_n_even
-        return forward(x, 1.0, out=np.empty(x.size // 2 + 1, complex))
-
-    def _irfft(power, n):
-        return _pocketfft.irfft(power, 1.0 / n, out=np.empty(n))
+from .model import (SinusoidParams, TimeSeries, TWO_PI, _adopt, _count, _irfft, _is_integer,
+                    _on_first_read, _rfft, check_finite)
 
 
 class DegenerateParametersError(ValueError):
@@ -100,9 +84,10 @@ class _Record:
     ``dft`` is the one-sided DFT X of ``np.fft.rfft(x)`` (bins
     0..floor(N/2)), ``magnitudes`` its modulus |X| and ``acf`` the
     full-lag circular ACF, ``np.fft.irfft(|X|^2, N)`` divided by its lag
-    0.  Both transforms call numpy's pocketfft gufuncs directly where
-    numpy (2.0 on) has them, each into an ``np.empty`` output, and
-    ``np.fft`` otherwise: the same bits either way.  Each is computed on
+    0.  Both transforms are ``model._rfft`` and ``model._irfft``: numpy's
+    pocketfft gufuncs, each into an ``np.empty`` output, where numpy (2.0
+    on) has every C entry point the library calls, and ``np.fft``
+    otherwise: the same bits either way.  Each is computed on
     first read (``model._on_first_read``) and kept read-only, so a record
     nothing asks to transform (a gate-1 reject) costs no transform; X and
     |X| are one step, which the first read of either (or of the ACF, as

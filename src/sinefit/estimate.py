@@ -389,18 +389,21 @@ def phase_arcsin_at_time(amplitude: float, omega: float, t: float,
 def _zero_crossings(series: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
     """Hysteresis-confirmed zero crossings as (times, directions) arrays.
 
-    Raw sign changes are linearly interpolated; a crossing only counts
-    once the series has reached beyond +-h on both sides (h is a fixed
-    fraction of half the range max - min; h == 0 raises), and each
-    confirmed transition takes the median raw crossing of its cluster.
-    ``times`` is ascending; the matching ``directions`` entry is +1 upward,
-    -1 downward, and the directions strictly alternate (each is a change
-    of confirmed side).
+    A raw crossing is a sign change between samples j and j+1; a crossing
+    only counts once the series has reached beyond +-h on both sides (h is
+    a fixed fraction of half the range max - min; h == 0 raises), and each
+    confirmed transition takes the median raw crossing of its cluster,
+    linearly interpolated.  ``times`` is ascending; the matching
+    ``directions`` entry is +1 upward, -1 downward, and the directions
+    strictly alternate (each is a change of confirmed side).
 
     Raw sign changes are the rises of the boolean arrays s > 0 and s < 0
     (a <= 0 < b is ~p[i] & p[i+1] for p = s > 0).  The confirmed sides
-    come from s > h and s < -h, and sample times are computed only at the
-    indices read, as start + dt*i, the arithmetic of ``TimeSeries.times``.
+    come from s > h and s < -h.  The cluster of a transition between
+    confirmed samples ia and ib is the raw crossings j with ia <= j < ib,
+    found by index, and only the chosen j is interpolated, at
+    start + dt*j (the arithmetic of ``TimeSeries.times``) plus
+    dt*(0 - s[j])/(s[j+1] - s[j]).
     """
     s = series.samples
     start, dt = series.start_time, series.dt
@@ -409,16 +412,13 @@ def _zero_crossings(series: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("constant record has no zero crossings")
     p, q = s > 0.0, s < 0.0
     i = ((p[1:] > p[:-1]) | (q[1:] > q[:-1])).nonzero()[0]
-    a, b = s[i], s[i + 1]
-    raw = (start + dt * i) + dt * ((0.0 - a) / (b - a))  # sorted, for searchsorted
     above = s > h
     confirmed = (above | (s < -h)).nonzero()[0]
     side = above[confirmed]
     flips = (side[1:] != side[:-1]).nonzero()[0]
-    ia, ib = confirmed[flips], confirmed[flips + 1]
-    lo = raw.searchsorted(start + dt * ia, side="left")
-    hi = raw.searchsorted(start + dt * ib, side="right")
-    return raw[(lo + hi) // 2], np.where(side[flips + 1], 1, -1)
+    j = i[(i.searchsorted(confirmed[flips]) + i.searchsorted(confirmed[flips + 1])) // 2]
+    a, b = s[j], s[j + 1]
+    return (start + dt * j) + dt * ((0.0 - a) / (b - a)), np.where(side[flips + 1], 1, -1)
 
 
 def _second_crossover(times: np.ndarray, directions: np.ndarray,

@@ -14,10 +14,24 @@ import numpy as np
 
 from .normal import _quantile
 
-try:  # the C functions np.correlate and a whole-array np.count_nonzero call
+try:  # the C entry points np.correlate, np.count_nonzero, np.fft.rfft and np.fft.irfft call
     from numpy._core.multiarray import correlate2 as _correlate, count_nonzero as _count_nonzero
-except ImportError:  # numpy < 2
+    from numpy.fft._pocketfft_umath import (irfft as _irfft_n, rfft_n_even as _rfft_even,
+                                            rfft_n_odd as _rfft_odd)
+except ImportError:  # numpy < 2, or a numpy that lacks any one of them: all wrappers
     _correlate, _count_nonzero = np.correlate, np.count_nonzero
+    _rfft, _irfft = np.fft.rfft, np.fft.irfft
+else:
+    # the pocketfft gufuncs, given the scale np.fft.rfft and np.fft.irfft
+    # pass them (1/n is the quotient np.reciprocal(n) gives) and a fresh
+    # output of the same shape and type: the same bits without the
+    # wrappers' Python
+    def _rfft(x):
+        forward = _rfft_odd if x.size % 2 else _rfft_even
+        return forward(x, 1.0, out=np.empty(x.size // 2 + 1, complex))
+
+    def _irfft(power, n):
+        return _irfft_n(power, 1.0 / n, out=np.empty(n))
 
 TWO_PI = 2.0 * math.pi
 

@@ -53,11 +53,6 @@ def _check_far(far: float) -> None:
 
 
 @functools.lru_cache(maxsize=64)
-def _two_sided_quantile(far: float) -> float:
-    return normal_quantile(1.0 - far / 2.0)
-
-
-@functools.lru_cache(maxsize=64)
 def _gate_constants(n: int, far: float) -> tuple[float, float, int]:
     """What the screen of an n-sample record at false-alarm rate ``far``
     reads that depends on nothing else: the runs-test threshold
@@ -67,13 +62,12 @@ def _gate_constants(n: int, far: float) -> tuple[float, float, int]:
     Both arguments are checked on every call (a call that raises keeps
     nothing).  A screening job rarely changes N or ``far``, so the 64 most
     recent pairs are kept and each record after the first costs one
-    lookup; the quantile, which depends on ``far`` alone, is kept per
-    ``far``.
+    lookup.
     """
     _check_far(far)
     if n < MIN_SAMPLES:
         raise ValueError(f"screening needs at least {MIN_SAMPLES} samples")
-    threshold = _two_sided_quantile(far)
+    threshold = normal_quantile(1.0 - far / 2.0)
     return threshold, threshold / math.sqrt(n), required_exceedances(n // 2)
 
 

@@ -233,25 +233,23 @@ class TestGate1Threshold:
             assert bound == expected / math.sqrt(n) == sf.acf_bounds(n, far)
             assert required == screening.required_exceedances(n // 2)
 
-    def test_quantile_is_taken_once_per_far(self, monkeypatch):
+    def test_quantile_is_taken_once_per_n_and_far(self, monkeypatch):
         calls = []
 
         def counting(p, _real=screening.normal_quantile):
             calls.append(p)
             return _real(p)
 
-        caches = (screening._two_sided_quantile, screening._gate_constants)
-        for cache in caches:
-            cache.cache_clear()
+        screening._gate_constants.cache_clear()
         monkeypatch.setattr(screening, "normal_quantile", counting)
         try:
-            for n in (20, 100, 1000):
+            for n in (20, 100, 20):
                 screening._gate_constants(n, 0.01)
                 screening._gate_constants(n, 0.001)
         finally:
-            for cache in caches:
-                cache.cache_clear()
-        assert calls == [1.0 - 0.01 / 2.0, 1.0 - 0.001 / 2.0]
+            screening._gate_constants.cache_clear()
+        # the repeated pairs (20, 0.01) and (20, 0.001) take none
+        assert calls == [1.0 - 0.01 / 2.0, 1.0 - 0.001 / 2.0] * 2
 
     @pytest.mark.parametrize("far", [0.0, 0.5, -0.1, 0.7, math.nan])
     def test_bad_far_still_raises_after_a_good_one(self, far):

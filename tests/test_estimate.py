@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 import sinefit as sf
 from sinefit import estimate, io
@@ -487,6 +488,25 @@ def reference_zero_crossings(series):
     return crossings
 
 
+def time_space_zero_crossings(series):
+    """The crossing scan that interpolates every raw crossing and finds each
+    cluster by searching those float times for the confirmed samples' times."""
+    s = series.samples
+    start, dt = series.start_time, series.dt
+    h = 0.2 * (s.max() - s.min()) / 2.0
+    p, q = s > 0.0, s < 0.0
+    i = ((p[1:] > p[:-1]) | (q[1:] > q[:-1])).nonzero()[0]
+    a, b = s[i], s[i + 1]
+    raw = (start + dt * i) + dt * ((0.0 - a) / (b - a))
+    above = s > h
+    confirmed = (above | (s < -h)).nonzero()[0]
+    side = above[confirmed]
+    flips = (side[1:] != side[:-1]).nonzero()[0]
+    lo = raw.searchsorted(start + dt * confirmed[flips], side="left")
+    hi = raw.searchsorted(start + dt * confirmed[flips + 1], side="right")
+    return raw[(lo + hi) // 2], np.where(side[flips + 1], 1, -1)
+
+
 def noisy_tone_series():
     """300 MA-smoothed noisy tones of random A, f, phase, length, dt and start."""
     rng = np.random.default_rng(5)
@@ -579,6 +599,23 @@ class TestZeroCrossings:
         got = outcome(estimate._second_crossover, times, directions, 0.5)
         assert got == outcome(reference_second_crossover, pairs, 0.5)
         assert error in got
+
+    @given(st.floats(0.005, 0.3), st.floats(-math.pi, math.pi), st.floats(0.0, 2.0),
+           st.integers(0, 2 ** 32 - 1), st.integers(20, 2000), st.integers(1, 7),
+           st.floats(-1e9, 1e9), st.floats(-30.0, 20.0))
+    def test_index_scan_matches_the_time_space_scan(self, cycles_per_sample, phase, sigma,
+                                                     seed, n, k, start, log2_dt):
+        # on grids whose step is at least 64 ulp of the largest |t| the
+        # float times order the raw crossings, so both find the same clusters
+        dt = 2.0 ** log2_dt
+        assume(dt >= 64 * np.spacing(max(abs(start), abs(start + dt * (n - 1)))))
+        params = sf.SinusoidParams(1.0, cycles_per_sample / dt, phase)
+        record = sf.synthesize(params, sf.NoiseSpec(sigma, seed), n, dt=dt, start=start)
+        series = sf.moving_average(record, k).series
+        times, directions = _zero_crossings(series)
+        expected_times, expected_directions = time_space_zero_crossings(series)
+        assert times.tobytes() == expected_times.tobytes()
+        assert directions.tobytes() == expected_directions.tobytes()
 
     def test_estimate_parameters_scans_once(self, noisy_series, monkeypatch):
         calls = []

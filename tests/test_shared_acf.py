@@ -9,13 +9,14 @@ import importlib.util
 import math
 import os
 import sys
+import types
 import warnings
 
 import numpy as np
 import pytest
 
 import sinefit as sf
-from sinefit import acf, io, model, screening, smoothing
+from sinefit import acf, io, model, screening
 from sinefit.cli import main
 from sinefit.model import standard_normal_draws
 
@@ -122,10 +123,23 @@ class TestScreenReadsTheWorkingSet:
 
 
 ONE_PAIR = {"rfft": 1, "irfft": 1}
-GUFUNCS = importlib.util.find_spec("numpy.fft._pocketfft_umath") is not None
+PUBLIC = (np.correlate, np.count_nonzero, np.fft.rfft, np.fft.irfft)
 
 
-@pytest.mark.skipif(not GUFUNCS, reason="this numpy has no pocketfft gufunc module")
+def aliases(package):
+    """The four names a copy of the package calls numpy's C entry points by."""
+    m = package.model
+    return m._correlate, m._count_nonzero, m._rfft, m._irfft
+
+
+# numpy 2.0 on: the working set's transforms, the screen's counts and MA-k
+# call numpy's C entry points, not the Python wrappers around them
+C_ENTRY_POINTS = not any(alias is wrapper for alias, wrapper in zip(aliases(sf), PUBLIC))
+NO_C_ENTRY_POINTS = "this numpy lacks a C entry point, so the library calls the wrappers"
+WRAPPERS = ("partition", "count_nonzero", "correlate", "empty_like")
+
+
+@pytest.mark.skipif(not C_ENTRY_POINTS, reason=NO_C_ENTRY_POINTS)
 @pytest.mark.parametrize("consumer", [sf.screen, sf.estimate_parameters])
 def test_transforms_bypass_the_np_fft_wrappers(transforms, wrapper_calls, consumer):
     consumer(signal_record())
@@ -133,15 +147,7 @@ def test_transforms_bypass_the_np_fft_wrappers(transforms, wrapper_calls, consum
     assert wrapper_calls == {"rfft": 0, "irfft": 0}
 
 
-# numpy 2.0 on: the working set's transforms, the screen's counts and MA-k
-# call numpy's C entry points, not the Python wrappers around them
-C_ENTRY_POINTS = (GUFUNCS and screening._count_nonzero is not np.count_nonzero
-                  and smoothing._correlate is not np.correlate)
-WRAPPERS = ("partition", "count_nonzero", "correlate", "empty_like")
-
-
-@pytest.mark.skipif(not C_ENTRY_POINTS, reason="this numpy has no pocketfft gufunc module or "
-                    "no numpy._core.multiarray, so the library falls back to the wrappers")
+@pytest.mark.skipif(not C_ENTRY_POINTS, reason=NO_C_ENTRY_POINTS)
 @pytest.mark.parametrize("name", sorted(RECORDS))
 def test_default_path_makes_no_wrapper_call(monkeypatch, name):
     make, far, gate = RECORDS[name]
@@ -162,15 +168,16 @@ def test_estimate_parameters_never_calls_len(monkeypatch, name):
     assert calls == {"len": 0}
 
 
-def load_without(name, blocked):
-    """A second copy of the package, imported as ``name`` while the module
-    ``blocked`` cannot be imported."""
+def load_without(name, *blocked):
+    """A second copy of the package, imported as ``name`` while none of the
+    modules ``blocked`` can be imported."""
     package = os.path.dirname(sf.__file__)
     spec = importlib.util.spec_from_file_location(
         name, os.path.join(package, "__init__.py"), submodule_search_locations=[package])
     module = importlib.util.module_from_spec(spec)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setitem(sys.modules, blocked, None)
+        for blocked_name in blocked:
+            patch.setitem(sys.modules, blocked_name, None)
         patch.setitem(sys.modules, name, module)
         spec.loader.exec_module(module)
     return module
@@ -181,23 +188,13 @@ def unload(name):
         del sys.modules[loaded]
 
 
-def load_without_gufuncs():
-    """The package without ``numpy.fft._pocketfft_umath``: its working set
-    transforms through ``np.fft.rfft`` and ``np.fft.irfft``."""
-    return load_without("sinefit_np_fft", "numpy.fft._pocketfft_umath")
-
-
-@pytest.fixture(scope="module")
-def np_fft_acf():
-    yield load_without_gufuncs().acf
-    unload("sinefit_np_fft")
-
-
 @pytest.fixture(scope="module")
 def numpy_1_copy():
-    """The package as numpy < 2 imports it, without ``numpy._core.multiarray``:
-    MA-k and the screen's counts call ``np.correlate`` and ``np.count_nonzero``."""
-    yield load_without("sinefit_numpy_1", "numpy._core.multiarray")
+    """The package as numpy < 2 imports it, without ``numpy._core.multiarray``
+    or ``numpy.fft._pocketfft_umath``: MA-k, the screen's counts and the
+    working set's transforms call ``np.correlate``, ``np.count_nonzero``,
+    ``np.fft.rfft`` and ``np.fft.irfft``."""
+    yield load_without("sinefit_numpy_1", "numpy._core.multiarray", "numpy.fft._pocketfft_umath")
     unload("sinefit_numpy_1")
 
 
@@ -213,14 +210,14 @@ def fallback_records(n):
         yield e
 
 
-@pytest.mark.parametrize("n", [100, 101, 1000])
-def test_numpy_1_fallback_gives_the_same_outputs(numpy_1_copy, n):
-    assert numpy_1_copy.model._correlate is np.correlate
-    assert numpy_1_copy.model._count_nonzero is np.count_nonzero
+def assert_same_estimates(copy, n):
+    """``copy`` gives the main copy's screening decisions, grid phases,
+    params and smoothed samples on every fallback record, whose screens
+    end at each gate and at none."""
     gates = set()
     for x in fallback_records(n):
         ours = sf.estimate_parameters(sf.TimeSeries(0.0, 1.0, x))
-        theirs = numpy_1_copy.estimate_parameters(numpy_1_copy.TimeSeries(0.0, 1.0, x))
+        theirs = copy.estimate_parameters(copy.TimeSeries(0.0, 1.0, x))
         assert vars(theirs.screening) == vars(ours.screening)
         gates.add(ours.screening.gate_failed)
         assert theirs.grid_phase == ours.grid_phase
@@ -232,20 +229,35 @@ def test_numpy_1_fallback_gives_the_same_outputs(numpy_1_copy, n):
     assert gates == {"none", "gate1", "gate2"}
 
 
-class TestTransformBits:
-    """Both transform branches give the bytes of ``np.fft.rfft`` and
-    ``np.fft.irfft``, the zero-variance floor and the division by lag 0
-    included."""
+@pytest.mark.parametrize("n", [100, 101, 1000])
+def test_numpy_1_fallback_gives_the_same_outputs(numpy_1_copy, n):
+    assert aliases(numpy_1_copy) == PUBLIC
+    assert_same_estimates(numpy_1_copy, n)
 
-    @pytest.fixture(params=["gufuncs", "np.fft"])
-    def module(self, request, np_fft_acf):
-        if request.param == "np.fft":
-            assert not hasattr(np_fft_acf, "_pocketfft")
-            return np_fft_acf
-        if not GUFUNCS:
-            pytest.skip("this numpy has no pocketfft gufunc module")
-        assert hasattr(acf, "_pocketfft")
-        return acf
+
+def test_a_gufunc_module_without_the_gufuncs_falls_back_whole():
+    # an empty module where the pocketfft gufuncs should be: the one guard
+    # fails at import, and all four names fall back to the wrappers
+    empty = types.ModuleType("numpy.fft._pocketfft_umath")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(sys.modules, "numpy.fft._pocketfft_umath", empty)
+        patch.setattr(np.fft, "_pocketfft_umath", empty, raising=False)
+        copy = load_without("sinefit_empty_gufuncs")
+    try:
+        assert_same_estimates(copy, 100)
+        assert aliases(copy) == PUBLIC
+    finally:
+        unload("sinefit_empty_gufuncs")
+
+
+class TestTransformBits:
+    """The transforms of the main copy and of the numpy < 2 copy give the
+    bytes of ``np.fft.rfft`` and ``np.fft.irfft``, the zero-variance floor
+    and the division by lag 0 included."""
+
+    @pytest.fixture(params=["main", "numpy 1"])
+    def module(self, request, numpy_1_copy):
+        return acf if request.param == "main" else numpy_1_copy.acf
 
     @pytest.mark.parametrize("n", [20, 21, 100, 101, 1000, 1001, 10 ** 4, 10 ** 4 + 7])
     def test_working_set_matches_the_np_fft_wrappers(self, module, n):
