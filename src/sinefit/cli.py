@@ -17,6 +17,7 @@ environment variable (default: the current directory).
 from __future__ import annotations
 
 import argparse
+import atexit
 import os
 import re
 import sys
@@ -200,5 +201,43 @@ def main(argv: list[str] | None = None) -> None:
         sys.exit(code)
 
 
+def _watched() -> bool:
+    """Whether a tracer or profiler watches this process (a debugger,
+    coverage, ``trace``, ``cProfile``): through the settrace/setprofile
+    hooks or, from Python 3.12, as one of the six ``sys.monitoring`` tools,
+    which is how ``cProfile`` profiles there."""
+    monitoring = getattr(sys, "monitoring", None)
+    return bool(sys.gettrace() or sys.getprofile() or monitoring is not None
+                and any(monitoring.get_tool(tool) is not None for tool in range(6)))
+
+
+def run() -> None:
+    """The process entry point (``python -m sinefit.cli``, the ``sinefit``
+    script): run ``main()``, then the exit handlers, flush stdout and stderr
+    and end the process with ``os._exit``, skipping the interpreter's
+    teardown of every module (mostly numpy's), which costs more than the
+    command itself.  A stdout that cannot be flushed prints
+    ``Error: <message>`` and exits 1.  Under a tracer or profiler, whose
+    report is written at teardown, or for an exit code that is not an int,
+    it leaves through ``sys.exit`` as ``main()`` alone would."""
+    try:
+        main()
+        code = 0
+    except SystemExit as exc:
+        code = 0 if exc.code is None else exc.code
+    if not isinstance(code, int) or _watched():
+        sys.exit(code)
+    atexit._run_exitfuncs()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"Error: {exc}", file=sys.stderr)
+        code = 1
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    main()
+    run()

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import json
 import math
 import os
@@ -29,12 +30,22 @@ SCREENING_KEYS = ["runs_statistic", "runs_count", "n_above", "n_below",
                   "gate_failed"]
 
 
-def run_cli(args, out_dir, check=None):
-    env = dict(os.environ, SINEFIT_OUT_DIR=str(out_dir))
-    result = subprocess.run([sys.executable, "-m", "sinefit.cli", *args],
-                            capture_output=True, text=True, env=env)
+def child_env(**extra):
+    """The environment of a CLI child: block-buffered stdout (no
+    PYTHONUNBUFFERED), so output that the process's end fails to flush is
+    missing from what the test reads."""
+    env = dict(os.environ, **extra)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def run_cli(args, out_dir, check=None, cwd=None):
+    result = subprocess.run([sys.executable, "-m", "sinefit.cli", *args], capture_output=True,
+                            text=True, env=child_env(SINEFIT_OUT_DIR=str(out_dir)), cwd=cwd)
     if check is not None:
         assert result.returncode == check, result.stderr + result.stdout
+    assert "Traceback" not in result.stderr and "Exception ignored" not in result.stderr, \
+        result.stderr
     return result
 
 
@@ -599,6 +610,112 @@ class TestUsage:
         code = "import sys, sinefit.cli; print('click' in sys.modules)"
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert result.stdout == "False\n", result.stderr
+
+
+class TestProcessExit:
+    """``python -m sinefit.cli`` ends through ``cli.run()``: the exit
+    handlers, a flush of stdout and stderr, then ``os._exit``, so the
+    interpreter's teardown is skipped and nothing the process wrote is lost."""
+
+    PATHS = {"tone": (["estimate", "tone.csv", "-o", "report.json", "--plot-data", "plot"], 0),
+             "noise": (["estimate", "noise.csv", "--far", "0.001", "-o", "report.json"], 2),
+             "value_error": (["estimate", "empty.csv", "-o", "report.json"], 1),
+             "usage_error": (["estimate", "tone.csv", "--no-such-flag"], 1),
+             "help": (["estimate", "--help"], 0)}
+
+    @staticmethod
+    def inputs(directory):
+        from sinefit import io
+        io.write_timeseries_csv(str(directory / "tone.csv"), sf.synthesize(
+            sf.SinusoidParams(2.0, 0.05, 0.6109), sf.NoiseSpec(0.5, 3), 100))
+        io.write_timeseries_csv(str(directory / "noise.csv"), sf.synthesize(
+            sf.SinusoidParams(2.0, 0.05, 0.0), sf.NoiseSpec(80.0, 11), 100))
+        (directory / "empty.csv").write_text("")
+
+    @staticmethod
+    def outputs(directory):
+        return {str(path.relative_to(directory)): path.read_bytes()
+                for path in sorted(directory.rglob("*")) if path.is_file()}
+
+    @pytest.mark.parametrize("case", list(PATHS))
+    def test_a_process_gives_what_main_gives_in_process(self, tmp_path, monkeypatch, capsys,
+                                                        case):
+        from sinefit.cli import main
+        argv, expected = self.PATHS[case]
+        monkeypatch.setenv("COLUMNS", "80")  # one help layout, whatever the terminal
+        monkeypatch.setenv("SINEFIT_OUT_DIR", ".")
+        child, here = tmp_path / "child", tmp_path / "here"
+        for directory in (child, here):
+            directory.mkdir()
+            self.inputs(directory)
+        monkeypatch.chdir(here)
+        try:
+            main(argv)
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        result = run_cli(argv, ".", cwd=child)
+        assert code == expected
+        assert (result.returncode, result.stdout, result.stderr) == (code, out, err)
+        assert self.outputs(child) == self.outputs(here)
+
+    @pytest.mark.parametrize("buffered", [True, False])
+    def test_a_closed_stdout_exits_one_with_one_error_line(self, tmp_path, buffered):
+        self.inputs(tmp_path)
+        env = child_env()
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)  # every write to the pipe fails with EPIPE
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "sinefit.cli", "estimate", "tone.csv", "-o", "report.json"],
+                cwd=tmp_path, stdout=write, stderr=subprocess.PIPE, text=True, env=env)
+        finally:
+            os.close(write)
+        assert result.returncode == 1
+        assert result.stderr == f"Error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
+
+    def test_exit_handlers_registered_before_run_still_run(self, tmp_path):
+        self.inputs(tmp_path)
+        code = ("import atexit; atexit.register(print, 'handler ran'); "
+                "from sinefit.cli import run; run()")
+        result = subprocess.run([sys.executable, "-c", code, "estimate", "tone.csv",
+                                 "-o", "report.json"],
+                                cwd=tmp_path, capture_output=True, text=True, env=child_env())
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("wrote report.json\n")
+        assert result.stdout.endswith("\nhandler ran\n")
+
+    def test_a_profiler_still_prints_its_report(self, tmp_path):
+        self.inputs(tmp_path)
+        result = subprocess.run([sys.executable, "-m", "cProfile", "-m", "sinefit.cli",
+                                 "estimate", "tone.csv", "-o", "report.json"],
+                                cwd=tmp_path, capture_output=True, text=True, env=child_env())
+        assert result.returncode == 0, result.stderr
+        assert "function calls" in result.stdout
+
+    def test_a_non_int_exit_code_leaves_through_sys_exit(self, monkeypatch):
+        from sinefit import cli
+
+        def ended(code):
+            raise AssertionError(f"os._exit({code})")
+
+        def stopped():
+            sys.exit("stopped")
+
+        monkeypatch.setattr(cli.os, "_exit", ended)
+        monkeypatch.setattr(cli, "main", stopped)
+        with pytest.raises(SystemExit) as exited:
+            cli.run()
+        assert exited.value.code == "stopped"
+
+    def test_the_installed_script_enters_through_run(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml"), "rb") as handle:
+            assert tomllib.load(handle)["project"]["scripts"] == {"sinefit": "sinefit.cli:run"}
 
 
 # Field tokens that a CSV of any origin may hold: numbers of any magnitude

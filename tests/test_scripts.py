@@ -154,6 +154,21 @@ def test_ab_timing_only_times_the_named_settings():
     assert "n=100 one_period new grids\n" in unknown.stderr  # the valid labels are listed
 
 
+def test_cli_timing_prints_both_settings():
+    src = os.path.join(ROOT, "src")
+    lines = run_script("cli_timing.py", src, src, "--pairs", "1").splitlines()
+    assert [line.split(":")[0] for line in lines] == ["import", "estimate"]
+    side = r"([0-9.]+) ms \(([0-9.]+)-([0-9.]+)\)"
+    pattern = re.compile(rf"(import|estimate): parent {side}, change {side}, "
+                         r"change faster in [01]/1 pairs, median saving -?[0-9.]+ ms")
+    for line in lines:
+        match = pattern.fullmatch(line)
+        assert match, line
+        # one pair: each side's quartiles are its one time
+        assert match.group(2) == match.group(3) == match.group(4), line
+        assert match.group(5) == match.group(6) == match.group(7), line
+
+
 def load_script(name):
     spec = importlib.util.spec_from_file_location(name[:-3], os.path.join(ROOT, "scripts", name))
     module = importlib.util.module_from_spec(spec)
